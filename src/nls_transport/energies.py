@@ -1,25 +1,39 @@
 """Normal-form energy quantities on truncated states.
 
-Three functionals of a state u (all real):
-
   r_correction  R = (1/6) Re sum_{constraint, Omega != 0} (psi/Omega) *
                     u_{k1} conj(u_{k2}) ... conj(u_{k6})
   e_modified    E = (1/2) sum m(k) |Pi_N u_k|^2 + R
-  q_derivative  Q = Im(-(1/6) q0 + (1/2) q1 - (1/2) q2)
+  q_derivative  Q = Im(-(1/6) q0 + (1/2) q1 - (1/2) q2) = dE/dt on the flow
 
-where q0 runs over the resonant set with weight psi, and q1/q2 run over the
-non-resonant set with weight psi/Omega and one slot replaced by the quintic
-convolution Pi_N(|w|^4 w).  Q is the time derivative of E along the
-truncated flow, which the test suite checks by finite differences.
+q0 runs over the resonant set with weight psi; q1/q2 over the non-resonant
+set with weight psi/Omega, slot 1 resp. 2 holding v = Pi_N(|w|^4 w).
 
-Two evaluation paths are provided and cross-checked:
+One space-time kernel gives all three (the sum-as-integral lemma of
+`resonance.strichartz_sum`).  Let F(t, x) = sum_k u_k e^{i(kx + k^2 t)} =
+e^{-it dxx} P_N u, and F_m, V, V_m the same fields of m u, v and m v.  A
+mean over x of six fields keeps the constrained tuples with the phase
+e^{i Omega t}; splitting psi over the slots gives g(t) = mean_x |F|^4
+Im(F_m conj F) = (1/6i) sum psi P e^{i Omega t}.  As Omega is even and
+(1/2pi) int_0^{2pi} (pi - t) e^{i Omega t} dt = i/Omega (0 at Omega = 0),
+with K = floor(3N^2/2), T = 2K + 1 nodes t_j = j pi / T and the sine kernel
+w_j = (1/T) sum_{kappa=1}^K sin(2 kappa t_j) / kappa, exactly
 
-* "enumerate": the outer sum over five free indices with the sixth solved
-  from the constraint (vectorized in chunks over k1);
-* "grouped": tuples are bucketed by their resonance level kappa = Omega via
-  a two-dimensional pair convolution on the (k1-k2, k1^2-k2^2) lattice,
-  evaluated with FFTs; the 1/Omega sums then read off one kappa row per
-  level.  Correctness is defined by the enumerated sum.
+  R  = sum_j w_j g(t_j),        q0 = 6i mean_j g(t_j),
+  q1 = -i sum_j w_j h(t_j),     q2 = conj(q1),
+  h  = mean_x [(V_m conj F - 3 V conj F_m) |F|^4 + 2 V F_m conj(F)^2 |F|^2].
+
+q2 = conj(q1) as (k1..k6) -> (k2, k1, k4, k3, k6, k5) conjugates the
+six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
+points, enough for the mean of a band-6N product.
+
+Memory: fields are built in (rows, nodes, G) blocks of at most CELL_BUDGET
+complex cells; Q keeps at most ten alive, so a call needs at most 160 MiB
+of work space (a test holds q_derivative_batch to it).  Node blocks depend
+only on N, so a row's value does not depend on its batch.
+
+Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
+A value within _ROUNDING times such a bound is rounding noise of an exact
+zero (a single mode, a support with no non-resonant tuple) and returns 0.
 """
 
 from __future__ import annotations
@@ -28,18 +42,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
+from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
-from .resonance import ALT_SIGNS, tuple_table_k1
 from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
                        wavenumbers, weighted_norm_sq_batch)
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
-_ENUMERATE_MAX_CUT = 6       # auto path switch; grouped above this
-_GATHER_BUDGET = 8_000_000   # max batch * tuples elements per enumeration chunk
-_GROUPED_BUDGET = 6_000_000  # max batch * pair-lattice cells per FFT block
+CELL_BUDGET = 1 << 20  # complex cells (rows x time nodes x grid points) per block
+_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -57,287 +69,134 @@ class EnergyParams:
         n = m_ambient if self.n_cut is None else self.n_cut
         if n > m_ambient:
             raise TruncationExceedsAmbient(
-                f"n_cut={n} exceeds ambient truncation {m_ambient}"
-            )
+                f"n_cut={n} exceeds ambient truncation {m_ambient}")
         if n < 0:
             raise ValueError("n_cut must be >= 0")
         return n
 
 
 def _band(coeffs: np.ndarray, m_ambient: int, n_cut: int) -> np.ndarray:
-    """Restrict (batch, 2M+1) coefficients to the block -N..N."""
-    return coeffs[..., m_ambient - n_cut:m_ambient + n_cut + 1]
+    """Restrict (..., 2M+1) coefficients to the block -N..N, as (rows, 2N+1)."""
+    block = coeffs[..., m_ambient - n_cut:m_ambient + n_cut + 1]
+    return block.reshape(-1, 2 * n_cut + 1)
 
 
-def _unband(block: np.ndarray, m_ambient: int, n_cut: int) -> np.ndarray:
-    out = np.zeros(block.shape[:-1] + (2 * m_ambient + 1,), dtype=block.dtype)
-    out[..., m_ambient - n_cut:m_ambient + n_cut + 1] = block
-    return out
+@lru_cache(maxsize=8)
+def _space_time_rule(n_cut: int):
+    """(phases, weights, G): e^{i k^2 t_j} as (T, 2N+1), the sine kernel
+    w_j and the x grid size."""
+    top = 3 * n_cut * n_cut // 2
+    n_nodes = 2 * top + 1
+    ks = np.arange(-n_cut, n_cut + 1)
+    # k^2 t_j = pi k^2 j / T, reduced modulo 2 pi in integers
+    turns = (ks[None, :] ** 2 * np.arange(n_nodes)[:, None]) % (2 * n_nodes)
+    inverse = np.zeros(n_nodes)
+    inverse[1:top + 1] = 1.0 / np.arange(1, top + 1)
+    return (np.exp(1j * np.pi / n_nodes * turns), np.fft.ifft(inverse).imag,
+            next_fast_len(6 * n_cut + 1))
 
 
-# ---------------------------------------------------------------------------
-# enumerated path
-
-def _enum_chunks(n_cut: int, batch: int = 1):
-    """Yield (idx(T,6), omega(T,), columns(T,6)) chunks of the constrained
-    tuple set, sized so that batch * tuples stays within a memory budget."""
-    per_k1 = (2 * n_cut + 1) ** 4
-    span = max(1, _GATHER_BUDGET // max(per_k1 * batch, 1))
-    k1 = -n_cut
-    while k1 <= n_cut:
-        hi = min(k1 + span - 1, n_cut)
-        cols, om = tuple_table_k1(n_cut, k1, hi)
-        if cols.shape[0] * batch > 2 * _GATHER_BUDGET and span == 1:
-            # single-k1 slab still too wide: split along the tuple axis
-            step = max(1, _GATHER_BUDGET // batch)
-            for lo in range(0, cols.shape[0], step):
-                sel = slice(lo, lo + step)
-                yield cols[sel] + n_cut, om[sel], cols[sel]
-        else:
-            yield cols + n_cut, om, cols
-        k1 = hi + 1
+def _fields(band: np.ndarray, phases: np.ndarray, n_points: int) -> np.ndarray:
+    """sum_k c_k e^{i(k x_l + k^2 t_j)} for each row of a (rows, 2N+1) band
+    and each node of `phases`, as (rows, nodes, G)."""
+    n_cut = phases.shape[-1] // 2
+    spec = np.zeros((band.shape[0], phases.shape[0], n_points),
+                    dtype=np.complex128)
+    spec[..., np.arange(-n_cut, n_cut + 1) % n_points] = band[:, None, :] * phases
+    return np.fft.ifft(spec, axis=-1, norm="forward")
 
 
-def _gather_product(wb: np.ndarray, idx: np.ndarray,
-                    first=None, second=None) -> np.ndarray:
-    """Product over the six slots with alternating conjugation; `first` /
-    `second` optionally replace the slot-1 / slot-2 arrays."""
-    a1 = wb if first is None else first
-    a2 = wb if second is None else second
-    prod = a1[..., idx[:, 0]] * np.conj(a2[..., idx[:, 1]])
-    prod *= wb[..., idx[:, 2]]
-    prod *= np.conj(wb[..., idx[:, 3]])
-    prod *= wb[..., idx[:, 4]]
-    prod *= np.conj(wb[..., idx[:, 5]])
-    return prod
+def _snap(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(values) <= _ROUNDING * bound, 0.0, values)
 
 
-def _psi_of(cols: np.ndarray, family: WeightFamily) -> np.ndarray:
-    return np.sum(ALT_SIGNS * family.multiplier(cols), axis=1)
-
-
-def _r_enumerated(wb: np.ndarray, n_cut: int, family: WeightFamily) -> np.ndarray:
-    total = np.zeros(wb.shape[:-1], dtype=np.complex128)
-    batch = int(np.prod(wb.shape[:-1], dtype=np.int64))
-    for idx, om, cols in _enum_chunks(n_cut, batch):
-        nz = om != 0
-        if not np.any(nz):
-            continue
-        weight = _psi_of(cols[nz], family) / om[nz]
-        total += _gather_product(wb, idx[nz]) @ weight
-    return total.real / 6.0
-
-
-def _q_enumerated(wb: np.ndarray, vb: np.ndarray, n_cut: int,
-                  family: WeightFamily):
-    q0 = np.zeros(wb.shape[:-1], dtype=np.complex128)
-    q1 = np.zeros_like(q0)
-    q2 = np.zeros_like(q0)
-    batch = int(np.prod(wb.shape[:-1], dtype=np.int64))
-    for idx, om, cols in _enum_chunks(n_cut, batch):
-        res = om == 0
-        if np.any(res):
-            w0 = _psi_of(cols[res], family).astype(np.complex128)
-            q0 += _gather_product(wb, idx[res]) @ w0
-        nz = ~res
-        if np.any(nz):
-            w = _psi_of(cols[nz], family) / om[nz]
-            q1 += _gather_product(wb, idx[nz], first=vb) @ w.astype(np.complex128)
-            q2 += _gather_product(wb, idx[nz], second=vb) @ w.astype(np.complex128)
-    return q0, q1, q2
-
-
-# ---------------------------------------------------------------------------
-# grouped path: kappa-resolved pair convolutions
-
-@lru_cache(maxsize=32)
-def _pair_geometry(n_cut: int):
-    """Scatter indices for the (d, alpha) = (k-l, k^2-l^2) pair lattice and
-    FFT grid sizes for which the triple convolution, read at d_total = 0 and
-    |kappa| <= 3 n^2, is alias-free.
-
-    Off the diagonal the map (k, l) -> (d, alpha) is injective (alpha/d
-    recovers k+l), so the lattice is filled by plain assignment; the
-    diagonal k = l collides entirely at the origin cell and is summed.
-    """
-    n = n_cut
-    s_d = sfft.next_fast_len(6 * n + 1) if n > 0 else 1
-    s_a = sfft.next_fast_len(6 * n * n + 1) if n > 0 else 1
-    ks = np.arange(-n, n + 1, dtype=np.int64)
-    d = ks[:, None] - ks[None, :]
-    alpha = ks[:, None] ** 2 - ks[None, :] ** 2
-    flat = ((d % s_d) * s_a + (alpha % s_a)).ravel()
-    offdiag = ~np.eye(2 * n + 1, dtype=bool).ravel()
-    return s_d, s_a, flat[offdiag], offdiag
-
-
-def _pair_fft(a: np.ndarray, b: np.ndarray, n_cut: int) -> np.ndarray:
-    """FFT of the pair lattice P[d, alpha] = sum_{k-l=d, k^2-l^2=alpha}
-    a_k conj(b_l), batched over leading axes."""
-    s_d, s_a, flat_off, offdiag = _pair_geometry(n_cut)
-    lead = a.shape[:-1]
-    outer = (a[..., :, None] * np.conj(b[..., None, :])).reshape(lead + (-1,))
-    grid = np.zeros(lead + (s_d * s_a,), dtype=np.complex128)
-    grid[..., flat_off] = outer[..., offdiag]
-    grid[..., 0] = np.sum(a * np.conj(b), axis=-1)
-    return sfft.fft2(grid.reshape(lead + (s_d, s_a)), axes=(-2, -1))
-
-
-def _kappa_rows(freq_prod: np.ndarray, n_cut: int) -> np.ndarray:
-    """Triple-convolution values at d_total = 0 for every resonance level
-    kappa in [-3n^2, 3n^2] (offset 3n^2).  Only the d = 0 row of the inverse
-    transform is needed, which is the mean over the d-frequency axis."""
-    s_d, s_a, _, _ = _pair_geometry(n_cut)
-    row = sfft.ifft(np.mean(freq_prod, axis=-2), axis=-1)
-    kappas = np.arange(-3 * n_cut * n_cut, 3 * n_cut * n_cut + 1)
-    return row[..., kappas % s_a]
-
-
-def _psi_spectrum(wb: np.ndarray, mult: np.ndarray, n_cut: int) -> np.ndarray:
-    """S_psi[kappa] = sum over constrained tuples at level Omega = kappa of
-    psi * u_{k1} conj(u_{k2}) ... conj(u_{k6}), via pair convolutions.
-
-    psi splits into six single-slot weights; the three identical pair
-    positions contribute symmetrically, leaving weighted-left minus
-    weighted-right times the base pair squared.
-    """
-    f_b = _pair_fft(wb, wb, n_cut)
-    f_l = _pair_fft(mult * wb, wb, n_cut)
-    f_r = _pair_fft(wb, mult * wb, n_cut)
-    return 3.0 * _kappa_rows((f_l - f_r) * f_b * f_b, n_cut)
-
-
-def _grouped_batch_span(n_cut: int) -> int:
-    s_d, s_a, _, _ = _pair_geometry(n_cut)
-    return max(1, _GROUPED_BUDGET // (s_d * s_a))
-
-
-def _r_grouped(wb: np.ndarray, n_cut: int, family: WeightFamily) -> np.ndarray:
-    if n_cut == 0:
-        return np.zeros(wb.shape[:-1])
-    if wb.ndim > 1:
-        span = _grouped_batch_span(n_cut)
-        if wb.shape[0] > span:
-            flat = wb.reshape(-1, wb.shape[-1])
-            out = np.concatenate(
-                [_r_grouped(flat[lo:lo + span], n_cut, family)
-                 for lo in range(0, flat.shape[0], span)])
-            return out.reshape(wb.shape[:-1])
-    mult = family.multiplier(np.arange(-n_cut, n_cut + 1))
-    spec = _psi_spectrum(wb, mult, n_cut)
-    kappas = np.arange(-3 * n_cut * n_cut, 3 * n_cut * n_cut + 1)
-    nz = kappas != 0
-    return (spec[..., nz] @ (1.0 / kappas[nz])).real / 6.0
-
-
-def _q_grouped(wb: np.ndarray, vb: np.ndarray, n_cut: int, family: WeightFamily):
-    if n_cut == 0:
-        z = np.zeros(wb.shape[:-1], dtype=np.complex128)
-        return z, z.copy(), z.copy()
-    if wb.ndim > 1:
-        span = _grouped_batch_span(n_cut)
-        if wb.shape[0] > span:
-            flat_w = wb.reshape(-1, wb.shape[-1])
-            flat_v = vb.reshape(-1, vb.shape[-1])
-            parts = [_q_grouped(flat_w[lo:lo + span], flat_v[lo:lo + span],
-                                n_cut, family)
-                     for lo in range(0, flat_w.shape[0], span)]
-            out = tuple(np.concatenate([p[j] for p in parts]).reshape(
-                wb.shape[:-1]) for j in range(3))
-            return out
-    mult = family.multiplier(np.arange(-n_cut, n_cut + 1))
-    kappas = np.arange(-3 * n_cut * n_cut, 3 * n_cut * n_cut + 1)
-    nz = kappas != 0
-    inv = (1.0 / kappas[nz]).astype(np.complex128)
-
-    f_b = _pair_fft(wb, wb, n_cut)
-    f_bl = _pair_fft(mult * wb, wb, n_cut)
-    f_br = _pair_fft(wb, mult * wb, n_cut)
-    base_psi = (f_bl - f_br) * f_b
-    spec0 = 3.0 * _kappa_rows(base_psi * f_b, n_cut)
-    q0 = spec0[..., 3 * n_cut * n_cut]
-
-    f_v = _pair_fft(vb, wb, n_cut)
-    f_vl = _pair_fft(mult * vb, wb, n_cut)
-    f_vr = _pair_fft(vb, mult * wb, n_cut)
-    t1 = (f_vl - f_vr) * f_b * f_b + 2.0 * f_v * base_psi
-    q1 = _kappa_rows(t1, n_cut)[..., nz] @ inv
-
-    # slot-2 lattices are conjugate reflections of the slot-1 ones, so the
-    # remaining transforms come for free: FFT(P(w,v)) = conj(FFT(P(v,w))),
-    # FFT(P(mw,v)) = conj(FFT(P(v,mw))), FFT(P(w,mv)) = conj(FFT(P(mv,w)))
-    t2 = (np.conj(f_vr) - np.conj(f_vl)) * f_b * f_b + 2.0 * np.conj(f_v) * base_psi
-    q2 = _kappa_rows(t2, n_cut)[..., nz] @ inv
-    return q0, q1, q2
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-def _pick_method(method: str, n_cut: int, batch: int = 1) -> str:
-    if method == "auto":
-        small = n_cut <= _ENUMERATE_MAX_CUT and batch <= 8
-        return "enumerate" if small else "grouped"
-    if method not in ("enumerate", "grouped"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
-def r_correction_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-                       method: str = "auto") -> np.ndarray:
+def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
+            quintic: np.ndarray | None = None):
+    """(R, q0, q1) per row of a (..., 2M+1) block, flattened; q0 and q1 are
+    None unless the quintic convolution of the block is given."""
     n_cut = p.resolve_cut(m_ambient)
+    phases, weights, n_points = _space_time_rule(n_cut)
+    mult = p.family.multiplier(np.arange(-n_cut, n_cut + 1))
     wb = _band(coeffs, m_ambient, n_cut)
-    batch = int(np.prod(wb.shape[:-1], dtype=np.int64))
-    if _pick_method(method, n_cut, batch) == "enumerate":
-        return _r_enumerated(wb, n_cut, p.family)
-    return _r_grouped(wb, n_cut, p.family)
+    vb = None if quintic is None else _band(quintic, m_ambient, n_cut)
+    r_sum, g_sum = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
+    h_sum = np.zeros(wb.shape[0], dtype=np.complex128)
+    n_nodes = weights.size
+    step_j = min(n_nodes, max(1, CELL_BUDGET // n_points))
+    step_r = max(1, CELL_BUDGET // (step_j * n_points))
+    for lo in range(0, wb.shape[0], step_r):
+        rows = slice(lo, lo + step_r)
+        for j in range(0, n_nodes, step_j):
+            ph, w = phases[j:j + step_j], weights[j:j + step_j]
+            f = _fields(wb[rows], ph, n_points)
+            fm = _fields(mult * wb[rows], ph, n_points)
+            a = f.real ** 2 + f.imag ** 2
+            g = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag), axis=-1)
+            r_sum[rows] += np.sum(w * g, axis=-1)
+            g_sum[rows] += np.sum(g, axis=-1)
+            if vb is not None:
+                v = _fields(vb[rows], ph, n_points)
+                vm = _fields(mult * vb[rows], ph, n_points)
+                fc = np.conj(f)
+                h = np.mean(a * (fc * (vm * a + 2.0 * v * fm * fc)
+                                 - 3.0 * v * np.conj(fm) * a), axis=-1)
+                h_sum[rows] += np.sum(w * h, axis=-1)
+
+    def wiener(band):   # sum |c_k| and sum m(k) |c_k| per row
+        return np.sum(np.abs(band), axis=-1), np.sum(mult * np.abs(band), axis=-1)
+
+    big, big_m = wiener(wb)
+    spread = np.sum(np.abs(weights))
+    r = _snap(r_sum, spread * big ** 5 * big_m)
+    if vb is None:
+        return r, None, None
+    big_v, big_vm = wiener(vb)
+    q0 = _snap(6j * g_sum / n_nodes, 6.0 * big ** 5 * big_m)
+    q1 = _snap(-1j * h_sum,
+               spread * big ** 4 * (big_vm * big + 5.0 * big_v * big_m))
+    return r, q0, q1
 
 
-def r_correction(u: FourierState, p: EnergyParams, method: str = "auto") -> float:
+def r_correction_batch(coeffs: np.ndarray, m_ambient: int,
+                       p: EnergyParams) -> np.ndarray:
+    return _kernel(coeffs, m_ambient, p)[0].reshape(coeffs.shape[:-1])
+
+
+def r_correction(u: FourierState, p: EnergyParams) -> float:
     """Normal-form energy correction R of the truncated state."""
-    return float(r_correction_batch(u.coeffs[None, :], u.m_ambient, p, method)[0])
+    return float(r_correction_batch(u.coeffs[None, :], u.m_ambient, p)[0])
 
 
-def e_modified(u: FourierState, p: EnergyParams, method: str = "auto") -> float:
+def e_modified(u: FourierState, p: EnergyParams) -> float:
     """Modified energy: half the weighted norm square of Pi_N u plus R."""
     n_cut = p.resolve_cut(u.m_ambient)
     ks = wavenumbers(u.m_ambient)
     keep = np.abs(ks) <= n_cut
     norm_sq = float(weighted_norm_sq_batch(u.coeffs, p.family.multiplier(ks), keep))
-    return 0.5 * norm_sq + r_correction(u, p, method)
+    return 0.5 * norm_sq + r_correction(u, p)
 
 
 def q_components_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-                       grid: GridSpec, method: str = "auto"):
-    n_cut = p.resolve_cut(m_ambient)
-    grid.require_quintic(n_cut)
-    wb = _band(coeffs, m_ambient, n_cut)
-    v = quintic_batch(coeffs, m_ambient, n_cut, grid.n_points)
-    vb = _band(v, m_ambient, n_cut)
-    batch = int(np.prod(wb.shape[:-1], dtype=np.int64))
-    if _pick_method(method, n_cut, batch) == "enumerate":
-        return _q_enumerated(wb, vb, n_cut, p.family)
-    return _q_grouped(wb, vb, n_cut, p.family)
+                       grid: GridSpec):
+    v = quintic_batch(coeffs, m_ambient, p.resolve_cut(m_ambient), grid.n_points)
+    _, q0, q1 = _kernel(coeffs, m_ambient, p, v)
+    lead = coeffs.shape[:-1]
+    return q0.reshape(lead), q1.reshape(lead), np.conj(q1).reshape(lead)
 
 
-def q_components(u: FourierState, p: EnergyParams, grid: GridSpec,
-                 method: str = "auto"):
-    """The three sums entering Q: resonant psi-weighted q0, and the two
-    non-resonant psi/Omega sums q1, q2 with the quintic convolution in the
-    first resp. second slot.  Complex values, before taking Im."""
-    q0, q1, q2 = q_components_batch(u.coeffs[None, :], u.m_ambient, p, grid, method)
+def q_components(u: FourierState, p: EnergyParams, grid: GridSpec):
+    """The complex sums (q0, q1, q2) entering Q, before taking Im; see the
+    module docstring."""
+    q0, q1, q2 = q_components_batch(u.coeffs[None, :], u.m_ambient, p, grid)
     return complex(q0[0]), complex(q1[0]), complex(q2[0])
 
 
 def q_derivative_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-                       grid: GridSpec, method: str = "auto") -> np.ndarray:
-    q0, q1, q2 = q_components_batch(coeffs, m_ambient, p, grid, method)
+                       grid: GridSpec) -> np.ndarray:
+    q0, q1, q2 = q_components_batch(coeffs, m_ambient, p, grid)
     return (-q0 / 6.0 + q1 / 2.0 - q2 / 2.0).imag
 
 
-def q_derivative(u: FourierState, p: EnergyParams, grid: GridSpec,
-                 method: str = "auto") -> float:
-    """Time derivative of the modified energy along the truncated flow,
-    evaluated at u: Im(-(1/6) q0 + (1/2) q1 - (1/2) q2)."""
-    return float(q_derivative_batch(u.coeffs[None, :], u.m_ambient, p,
-                                    grid, method)[0])
+def q_derivative(u: FourierState, p: EnergyParams, grid: GridSpec) -> float:
+    """dE/dt along the truncated flow at u: Im(-q0/6 + q1/2 - q2/2)."""
+    return float(q_derivative_batch(u.coeffs[None, :], u.m_ambient, p, grid)[0])

@@ -14,8 +14,9 @@ SCHEMA_VERSION = 1
 
 
 def format_value(v) -> str:
+    # float() first: a numpy float is a float whose repr is np.float64(...)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 

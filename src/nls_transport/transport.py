@@ -50,7 +50,6 @@ GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
 _MAX_HALVINGS = 6    # finest step tried is flow.step / 2**_MAX_HALVINGS
-_Q_NODE_CHUNK = 128  # Simpson nodes per grouped-path call (memory bound)
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,7 @@ def log_density_direct_batch(coeffs: np.ndarray, m_ambient: int,
     return _controlled_direct(coeffs, m_ambient, d)[0]
 
 
-def density_direct(u: FourierState, d: DensityParams,
-                   grid: GridSpec | None = None) -> float:
+def density_direct(u: FourierState, d: DensityParams) -> float:
     """log of the transported-measure density, from the defining quadratic
     form difference along the backward flow."""
     return float(log_density_direct_batch(u.coeffs[None, :], u.m_ambient, d)[0])
@@ -192,14 +190,7 @@ def _normal_form_pieces(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
                                         replace(d.flow, step=step),
                                         d.quad_points)
         r1[rows] = r_correction_batch(snaps[:, -1, :], m_ambient, d.energy)
-        flat = snaps.reshape((-1, snaps.shape[-1]))
-        q_flat = np.empty(flat.shape[0])
-        for lo in range(0, flat.shape[0], _Q_NODE_CHUNK):
-            hi = min(lo + _Q_NODE_CHUNK, flat.shape[0])
-            q_flat[lo:hi] = q_derivative_batch(flat[lo:hi], m_ambient,
-                                               d.energy, d.flow.grid,
-                                               method="grouped")
-        qs[rows] = q_flat.reshape((-1, d.quad_points))
+        qs[rows] = q_derivative_batch(snaps, m_ambient, d.energy, d.flow.grid)
     rule, estimate = _quadrature_weights(d.quad_points, times[1] - times[0])
     return r1 - r0, qs @ rule, np.abs(qs @ estimate)
 
@@ -210,16 +201,14 @@ def log_density_normal_form_batch(coeffs: np.ndarray, m_ambient: int,
     return GAUSS_FORM_FACTOR * (delta_r - q_int)
 
 
-def density_normal_form(u: FourierState, d: DensityParams,
-                        grid: GridSpec | None = None) -> float:
+def density_normal_form(u: FourierState, d: DensityParams) -> float:
     """log density via the normal form: the energy-correction difference at
     the endpoints minus the integrated modified-energy derivative."""
     return float(log_density_normal_form_batch(u.coeffs[None, :],
                                                u.m_ambient, d)[0])
 
 
-def density_wgm(u: FourierState, d: DensityParams,
-                grid: GridSpec | None = None) -> float:
+def density_wgm(u: FourierState, d: DensityParams) -> float:
     """log density of the transported *weighted* ensemble (weight
     1_{C<=R} e^{-R_corr}) with respect to itself: equals
     log G - R(Phi(-t)u) + R(u), i.e. the R-difference enters once less than

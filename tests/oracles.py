@@ -105,6 +105,60 @@ def q_derivative_oracle(coeffs, m_ambient, n_cut, family):
     return (-q0 / 6.0 + q1 / 2.0 - q2 / 2.0).imag
 
 
+_ALT_SIGNS = np.array([1, -1, 1, -1, 1, -1])
+
+
+def _tuples_at(n_cut, k1):
+    """Constrained tuples with leading index k1, as (T, 6), and their Omega."""
+    rng = np.arange(-n_cut, n_cut + 1)
+    k2, k3, k4, k5 = (g.ravel() for g in
+                      np.meshgrid(rng, rng, rng, rng, indexing="ij"))
+    k6 = k1 - k2 + k3 - k4 + k5
+    ok = np.abs(k6) <= n_cut
+    cols = np.stack([np.full(int(ok.sum()), k1), k2[ok], k3[ok], k4[ok],
+                     k5[ok], k6[ok]], axis=1)
+    return cols, np.sum(_ALT_SIGNS * cols ** 2, axis=1)
+
+
+def _quintic_by_convolution(band):
+    """Pi_N(|w|^4 w) on the band -N..N by exact discrete convolutions."""
+    n = band.size // 2
+    rev = np.conj(band[::-1])
+    full = band
+    for factor in (rev, band, rev, band):
+        full = np.convolve(full, factor)
+    return full[4 * n:6 * n + 1]
+
+
+def enumerated_sums(coeffs, m_ambient, n_cut, family):
+    """(R, q0, q1, q2) by vectorised enumeration of the constrained tuples,
+    one leading index k1 at a time.  The reference at truncations where the
+    nested-loop oracles are too slow (N = 8); q2 is summed on its own, not
+    taken as conj(q1)."""
+    n = n_cut
+    band = np.asarray(coeffs)[m_ambient - n:m_ambient + n + 1]
+    v = _quintic_by_convolution(band)
+    mult = family.multiplier(np.arange(-n, n + 1))
+    r = q0 = q1 = q2 = 0.0 + 0.0j
+    for k1 in range(-n, n + 1):
+        cols, om = _tuples_at(n, k1)
+        idx = cols + n
+        psi = np.sum(_ALT_SIGNS * mult[idx], axis=1)
+        tail = (np.conj(band[idx[:, 1]]) * band[idx[:, 2]]
+                * np.conj(band[idx[:, 3]]) * band[idx[:, 4]]
+                * np.conj(band[idx[:, 5]]))
+        res = om == 0
+        nz = ~res
+        weight = psi[nz] / om[nz]
+        q0 += np.sum(psi[res] * band[idx[res, 0]] * tail[res])
+        r += np.sum(weight * band[idx[nz, 0]] * tail[nz])
+        q1 += np.sum(weight * v[idx[nz, 0]] * tail[nz])
+        q2 += np.sum(weight * band[idx[nz, 0]] * np.conj(v[idx[nz, 1]])
+                     * band[idx[nz, 2]] * np.conj(band[idx[nz, 3]])
+                     * band[idx[nz, 4]] * np.conj(band[idx[nz, 5]]))
+    return r.real / 6.0, q0, q1, q2
+
+
 def counting_oracle(blocks, signs, kappa, block_values):
     """Nested-loop count of solutions of sum eps_j k_j = kappa."""
     count = 0

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from nls_transport import cli
 from nls_transport.cli import main
+from nls_transport.reporting import write_csv
+from nls_transport.transport import StudyKind
 
 
 def run(args):
@@ -59,6 +63,10 @@ class TestCommands:
                     "--output", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0 and "PASS transport-mc" in out
+        rows = (tmp_path / "transport-mc" / "transport-mc.csv").read_text()
+        for row in rows.strip().splitlines()[1:]:
+            fields = row.split(",")
+            assert float(fields[2]) > 0 and float(fields[4]) > 0
 
     def test_liouville_small(self, tmp_path):
         code = run(["liouville", "--n-samples", "3", "--n-cut", "2",
@@ -83,6 +91,26 @@ class TestCommands:
         b = (out2 / "density-check" / "density-check.csv").read_bytes()
         assert a == b
 
+    def test_convergence_runs_each_study_once(self, tmp_path, monkeypatch,
+                                              capsys):
+        calls = []
+        study = cli.convergence_study
+
+        def counting(kind, *args, **kwargs):
+            calls.append(kind)
+            return study(kind, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "convergence_study", counting)
+        # equal truncations give equal sups, so the decrease check fails
+        code = run(["convergence", "--n-list", "2,2", "--m-ambient", "4",
+                    "--t", "0.1", "--output", str(tmp_path)])
+        assert code == 1
+        assert "strictly_decreasing=False" in capsys.readouterr().out
+        rows = (tmp_path / "convergence" / "convergence.csv").read_text()
+        body = [r.split(",")[:2] for r in rows.strip().splitlines()[1:]]
+        assert body == [[kind, "2"] for kind in "RRQQGG"]
+        assert calls == [StudyKind.R, StudyKind.Q, StudyKind.G]
+
     def test_csv_schema(self, tmp_path):
         run(["density-check", "--n-samples", "1", "--n-cut", "2",
              "--m-ambient", "4", "--t", "0.1", "--quad-points", "51",
@@ -91,3 +119,10 @@ class TestCommands:
                   ).read_text().splitlines()[0]
         assert header == ("sample,log_g_direct,log_g_normal_form,abs_diff,"
                           "log_f_weighted")
+
+
+class TestReporting:
+    def test_numpy_float_written_as_number(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("x", "n"), [(np.float64(0.1), 3)])
+        assert path.read_text().splitlines()[1] == "0.1,3"

@@ -1,13 +1,21 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nls_transport as nt
-from nls_transport.energies import EnergyParams
+from nls_transport.energies import (EnergyParams, q_derivative_batch,
+                                    r_correction_batch)
 
 from conftest import random_coeffs
-from oracles import q_derivative_oracle, q_oracle, r_oracle
+from oracles import enumerated_sums, q_derivative_oracle, q_oracle, r_oracle
 
 
 def params(n_cut, fam):
@@ -41,19 +49,18 @@ class TestRCorrection:
         with pytest.raises(nt.TruncationExceedsAmbient):
             nt.r_correction(u, params(3, fam_eq))
 
-    @pytest.mark.parametrize("n_cut,m_amb", [(1, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n_cut,m_amb", [(0, 2), (1, 2), (2, 3), (3, 3)])
     def test_matches_loop_oracle(self, n_cut, m_amb, fam_jb, rng):
         for _ in range(4):
             u = nt.FourierState(m_amb, random_coeffs(rng, m_amb))
             expect, _ = r_oracle(u.coeffs, m_amb, n_cut, fam_jb)
-            for method in ("enumerate", "grouped"):
-                got = nt.r_correction(u, params(n_cut, fam_jb), method=method)
-                assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
+            got = nt.r_correction(u, params(n_cut, fam_jb))
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-13)
 
     def test_paths_agree_at_larger_cut(self, fam_jb, rng):
         u = nt.FourierState(8, random_coeffs(rng, 8))
-        a = nt.r_correction(u, params(8, fam_jb), method="enumerate")
-        b = nt.r_correction(u, params(8, fam_jb), method="grouped")
+        a, _, _, _ = enumerated_sums(u.coeffs, 8, 8, fam_jb)
+        b = nt.r_correction(u, params(8, fam_jb))
         assert b == pytest.approx(a, rel=1e-11)
 
     def test_ambient_sentinel(self, fam_jb, rng):
@@ -117,26 +124,60 @@ class TestQComponents:
         assert q1 == pytest.approx(19.559083862500003 + 1.450605j, rel=1e-12)
         assert q2 == pytest.approx(19.559083862500003 - 1.450605j, rel=1e-12)
 
-    @pytest.mark.parametrize("n_cut,m_amb", [(1, 2), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("n_cut,m_amb", [(0, 1), (1, 2), (2, 2), (3, 4)])
     def test_matches_direct_sum_oracle(self, n_cut, m_amb, fam_jb, rng):
         u = nt.FourierState(m_amb, random_coeffs(rng, m_amb))
         e0, e1, e2 = q_oracle(u.coeffs, m_amb, n_cut, fam_jb)
-        for method in ("enumerate", "grouped"):
-            g0, g1, g2 = nt.q_components(u, params(n_cut, fam_jb),
-                                         nt.default_grid(n_cut), method=method)
-            scale = max(1.0, abs(e1))
-            assert abs(g0 - e0) <= 1e-12 * max(1.0, abs(e0))
-            assert abs(g1 - e1) <= 1e-12 * scale
-            assert abs(g2 - e2) <= 1e-12 * scale
+        g0, g1, g2 = nt.q_components(u, params(n_cut, fam_jb),
+                                     nt.default_grid(n_cut))
+        scale = max(1.0, abs(e1))
+        assert abs(g0 - e0) <= 1e-12 * max(1.0, abs(e0))
+        assert abs(g1 - e1) <= 1e-12 * scale
+        assert abs(g2 - e2) <= 1e-12 * scale
         qd = nt.q_derivative(u, params(n_cut, fam_jb), nt.default_grid(n_cut))
         assert qd == pytest.approx(
             q_derivative_oracle(u.coeffs, m_amb, n_cut, fam_jb),
             rel=1e-11, abs=1e-12)
 
+    def test_matches_enumerated_reference_at_larger_cut(self, fam_jb, rng):
+        u = nt.FourierState(8, random_coeffs(rng, 8))
+        _, e0, e1, e2 = enumerated_sums(u.coeffs, 8, 8, fam_jb)
+        got = nt.q_components(u, params(8, fam_jb), nt.default_grid(8))
+        for g, e in zip(got, (e0, e1, e2)):
+            assert abs(g - e) <= 1e-11 * abs(e)
+
     def test_grid_too_small(self, fam_jb):
         u = nt.FourierState.zero(4)
         with pytest.raises(nt.GridTooSmall):
             nt.q_components(u, params(4, fam_jb), nt.GridSpec(16))
+
+
+class TestWorkSpace:
+    def test_q_within_stated_memory_bound(self):
+        """q_derivative_batch on 8 rows at N = 32, in a fresh interpreter,
+        raises the peak RSS by no more than the energies docstring states."""
+        from nls_transport import energies
+        bound = float(re.search(r"at most (\d+) MiB", energies.__doc__)[1])
+        script = textwrap.dedent("""
+            import resource
+            import nls_transport as nt
+            from nls_transport.energies import EnergyParams, q_derivative_batch
+            from nls_transport.measures import (MeasureParams, SeededRng,
+                                                sample_batch)
+            fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
+            coeffs = sample_batch(SeededRng(2), 8, MeasureParams(
+                s=2.0, m_ambient=32, family=fam))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            q_derivative_batch(coeffs, 32, EnergyParams(32, fam),
+                               nt.default_grid(32))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)   # ru_maxrss is in KiB
+        """)
+        src = str(Path(energies.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert float(out.stdout) <= bound
 
 
 class TestInvariances:
@@ -159,6 +200,17 @@ class TestInvariances:
                 base_r, rel=1e-10, abs=1e-12)
             assert nt.q_derivative(v, p, grid) == pytest.approx(
                 base_q, rel=1e-9, abs=1e-11)
+
+    def test_rows_independent_of_batch(self, fam_jb, rng):
+        # 130 rows at N = 8 span two blocks of CELL_BUDGET cells
+        coeffs = np.stack([random_coeffs(rng, 8) for _ in range(130)])
+        p, grid = params(8, fam_jb), nt.default_grid(8)
+        r = r_correction_batch(coeffs, 8, p)
+        q = q_derivative_batch(coeffs, 8, p, grid)
+        for rows in ([0], [109], [110], [129, 3, 110]):
+            assert np.array_equal(r_correction_batch(coeffs[rows], 8, p), r[rows])
+            assert np.array_equal(q_derivative_batch(coeffs[rows], 8, p, grid),
+                                  q[rows])
 
     def test_outputs_are_real_floats(self, fam_jb, rng):
         u = nt.FourierState(2, random_coeffs(rng, 2))

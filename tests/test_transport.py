@@ -308,8 +308,8 @@ class TestLpDensityStudy:
             nt.lp_density_study(d, m, [1.0], 100, nt.SeededRng(1))
 
     def test_l1_is_one_with_wide_cutoff(self):
-        # a cutoff wide enough to keep every sample reproduces the
-        # unrestricted L^1 normalization of the density
+        # the cutoff keeps 5.25% of these samples, so this checks the
+        # restricted normalization E[1_{C<=R} G] / E[1_{C<=R}] = 1
         d, fam = density_setup(n_cut=2, t=0.15)
         m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam, cutoff_r=4.0)
         rows = nt.lp_density_study(d, m, [1.0], 20000, nt.SeededRng(61),
