@@ -27,9 +27,9 @@ from .reporting import save_trajectory, write_csv, write_manifest
 from .resonance import counting_check, psi_bound_ratio, strichartz_sum
 from .spectral import (FourierState, WeightFamily, WeightKind,
                        sobolev_norm_sq_sigma, wavenumbers)
-from .transport import (DensityParams, StudyKind, change_of_measure_test,
-                        convergence_study, default_observable_battery,
-                        density_direct, density_normal_form, density_wgm,
+from .transport import (GAUSS_FORM_FACTOR, DensityParams, StudyKind,
+                        change_of_measure_test, convergence_study,
+                        default_observable_battery, density_pieces,
                         lp_density_study)
 
 COMMANDS = ("simulate", "density-check", "transport-mc", "convergence",
@@ -130,16 +130,16 @@ def run_density_check(cfg, outdir):
     m = _measure(cfg)
     coeffs = sample_batch(SeededRng(cfg["seed"]), cfg["n_samples"], m)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
-    rows, worst = [], 0.0
-    for i in range(cfg["n_samples"]):
-        u = FourierState(m.m_ambient, coeffs[i])
-        ld = density_direct(u, d)
-        ln = density_normal_form(u, d)
-        lw = density_wgm(u, d)
-        rows.append((i, ld, ln, abs(ld - ln), lw))
-        worst = max(worst, abs(ld - ln))
+    pieces = density_pieces(coeffs, m.m_ambient, d)
+    diff = np.abs(pieces.log_g - pieces.normal_form)
+    rows = list(zip(range(cfg["n_samples"]), pieces.log_g,
+                    pieces.normal_form, diff, pieces.weighted))
+    worst = float(np.max(diff))
     passed = worst <= tol
-    summary = {"max_abs_diff": worst, "tolerance": tol}
+    summary = {"max_abs_diff": worst, "tolerance": tol,
+               "max_quadrature_error":
+                   GAUSS_FORM_FACTOR * float(np.max(pieces.q_error)),
+               "refined_rows": int(np.sum(pieces.steps < d.flow.step))}
     return passed, summary, ("sample", "log_g_direct", "log_g_normal_form",
                              "abs_diff", "log_f_weighted"), rows
 

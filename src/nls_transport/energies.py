@@ -27,9 +27,11 @@ six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
 points, enough for the mean of a band-6N product.
 
 Memory: fields are built in (rows, nodes, G) blocks of at most CELL_BUDGET
-complex cells; Q keeps at most ten alive, so a call needs at most 160 MiB
-of work space (a test holds q_derivative_batch to it).  Node blocks depend
-only on N, so a row's value does not depend on its batch.
+complex cells, and v one row block at a time; Q keeps at most ten block
+arrays alive, so a call needs at most 160 MiB of work space beyond a few
+floats per row, whatever the batch size (a test holds q_derivative_batch to
+it).  Node blocks depend only on N, so a row's value does not depend on its
+batch.
 
 Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
 A value within _ROUNDING times such a bound is rounding noise of an exact
@@ -103,7 +105,7 @@ def _fields(band: np.ndarray, phases: np.ndarray, n_points: int) -> np.ndarray:
     spec = np.zeros((band.shape[0], phases.shape[0], n_points),
                     dtype=np.complex128)
     spec[..., np.arange(-n_cut, n_cut + 1) % n_points] = band[:, None, :] * phases
-    return np.fft.ifft(spec, axis=-1, norm="forward")
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
 def _snap(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -111,21 +113,28 @@ def _snap(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 
 def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-            quintic: np.ndarray | None = None):
+            grid: GridSpec | None = None):
     """(R, q0, q1) per row of a (..., 2M+1) block, flattened; q0 and q1 are
-    None unless the quintic convolution of the block is given."""
+    None unless a grid for the quintic product v is given."""
     n_cut = p.resolve_cut(m_ambient)
     phases, weights, n_points = _space_time_rule(n_cut)
     mult = p.family.multiplier(np.arange(-n_cut, n_cut + 1))
+
+    def wiener(band):   # sum |c_k| and sum m(k) |c_k| per row
+        return np.sum(np.abs(band), axis=-1), np.sum(mult * np.abs(band), axis=-1)
+
     wb = _band(coeffs, m_ambient, n_cut)
-    vb = None if quintic is None else _band(quintic, m_ambient, n_cut)
     r_sum, g_sum = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     h_sum = np.zeros(wb.shape[0], dtype=np.complex128)
+    big_v, big_vm = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     n_nodes = weights.size
     step_j = min(n_nodes, max(1, CELL_BUDGET // n_points))
     step_r = max(1, CELL_BUDGET // (step_j * n_points))
     for lo in range(0, wb.shape[0], step_r):
         rows = slice(lo, lo + step_r)
+        if grid is not None:
+            vb = quintic_batch(wb[rows], n_cut, n_cut, grid.n_points)
+            big_v[rows], big_vm[rows] = wiener(vb)
         for j in range(0, n_nodes, step_j):
             ph, w = phases[j:j + step_j], weights[j:j + step_j]
             f = _fields(wb[rows], ph, n_points)
@@ -134,23 +143,19 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
             g = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag), axis=-1)
             r_sum[rows] += np.sum(w * g, axis=-1)
             g_sum[rows] += np.sum(g, axis=-1)
-            if vb is not None:
-                v = _fields(vb[rows], ph, n_points)
-                vm = _fields(mult * vb[rows], ph, n_points)
-                fc = np.conj(f)
-                h = np.mean(a * (fc * (vm * a + 2.0 * v * fm * fc)
+            if grid is not None:
+                v = _fields(vb, ph, n_points)
+                # the field of m v and conj(f) are not kept: less work space
+                h = np.mean(a * ((_fields(mult * vb, ph, n_points) * a
+                                  + 2.0 * v * fm * np.conj(f)) * np.conj(f)
                                  - 3.0 * v * np.conj(fm) * a), axis=-1)
                 h_sum[rows] += np.sum(w * h, axis=-1)
-
-    def wiener(band):   # sum |c_k| and sum m(k) |c_k| per row
-        return np.sum(np.abs(band), axis=-1), np.sum(mult * np.abs(band), axis=-1)
 
     big, big_m = wiener(wb)
     spread = np.sum(np.abs(weights))
     r = _snap(r_sum, spread * big ** 5 * big_m)
-    if vb is None:
+    if grid is None:
         return r, None, None
-    big_v, big_vm = wiener(vb)
     q0 = _snap(6j * g_sum / n_nodes, 6.0 * big ** 5 * big_m)
     q1 = _snap(-1j * h_sum,
                spread * big ** 4 * (big_vm * big + 5.0 * big_v * big_m))
@@ -178,8 +183,7 @@ def e_modified(u: FourierState, p: EnergyParams) -> float:
 
 def q_components_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
                        grid: GridSpec):
-    v = quintic_batch(coeffs, m_ambient, p.resolve_cut(m_ambient), grid.n_points)
-    _, q0, q1 = _kernel(coeffs, m_ambient, p, v)
+    _, q0, q1 = _kernel(coeffs, m_ambient, p, grid)
     lead = coeffs.shape[:-1]
     return q0.reshape(lead), q1.reshape(lead), np.conj(q1).reshape(lead)
 

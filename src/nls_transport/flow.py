@@ -104,23 +104,32 @@ def _rk4_block(wb: np.ndarray, ks_low: np.ndarray, t: float, h: float,
     return w
 
 
+def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
+    """Yield the flow of a (batch, 2M+1) block at each of the monotone
+    times in turn; raises NonFiniteState on overflow."""
+    ks = wavenumbers(m_ambient)
+    low = np.abs(ks) <= p.n_cut
+    wb, t_prev = coeffs[..., low], 0.0
+    for t in times:
+        if t != t_prev:
+            wb = _rk4_block(wb, ks[low], t - t_prev, p.step, p.n_cut,
+                            p.grid.n_points, t_start=t_prev)
+        out = np.exp(-1j * ks.astype(np.float64) ** 2 * t) * coeffs
+        out[..., low] = np.exp(-1j * ks[low].astype(np.float64) ** 2 * t) * wb
+        if not np.all(np.isfinite(out.view(np.float64))):
+            raise NonFiniteState(f"non-finite coefficients at t={t}")
+        yield out
+        t_prev = t
+
+
 def evolve_batch(coeffs: np.ndarray, m_ambient: int, t: float,
                  p: FlowParams) -> np.ndarray:
     """Truncated flow applied to a (batch, 2M+1) coefficient block."""
     if p.n_cut > m_ambient:
         raise ValueError("flow n_cut exceeds ambient truncation")
-    ks = wavenumbers(m_ambient)
     if t == 0.0:
         return coeffs.copy()
-    low = np.abs(ks) <= p.n_cut
-    ks_low = ks[low]
-    wb = _rk4_block(coeffs[..., low], ks_low, t, p.step, p.n_cut,
-                    p.grid.n_points)
-    out = np.exp(-1j * ks.astype(np.float64) ** 2 * t) * coeffs
-    out[..., low] = np.exp(-1j * ks_low.astype(np.float64) ** 2 * t) * wb
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NonFiniteState(f"non-finite coefficients after t={t}")
-    return out
+    return next(_flow_at(coeffs, m_ambient, [t], p))
 
 
 def evolve(u0: FourierState, t: float, p: FlowParams) -> FourierState:
@@ -136,23 +145,11 @@ def trajectory_batch(coeffs: np.ndarray, m_ambient: int, t_final: float,
     if n_snapshots < 2:
         raise ValueError("need at least 2 snapshots")
     times = np.linspace(0.0, t_final, n_snapshots)
-    ks = wavenumbers(m_ambient)
-    low = np.abs(ks) <= p.n_cut
-    ks_low = ks[low]
     out = np.empty(coeffs.shape[:-1] + (n_snapshots, coeffs.shape[-1]),
                    dtype=np.complex128)
-    wb = coeffs[..., low].copy()
     out[..., 0, :] = coeffs
-    for i in range(1, n_snapshots):
-        t_prev, t_here = times[i - 1], times[i]
-        if t_here != t_prev:
-            wb = _rk4_block(wb, ks_low, t_here - t_prev, p.step, p.n_cut,
-                            p.grid.n_points, t_start=t_prev)
-        snap = np.exp(-1j * ks.astype(np.float64) ** 2 * t_here) * coeffs
-        snap[..., low] = np.exp(-1j * ks_low.astype(np.float64) ** 2 * t_here) * wb
-        out[..., i, :] = snap
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise NonFiniteState("non-finite coefficients along trajectory")
+    for i, state in enumerate(_flow_at(coeffs, m_ambient, times[1:], p), 1):
+        out[..., i, :] = state
     return times, out
 
 
@@ -316,8 +313,7 @@ class GrowthReport:
 
 def growth_monitor(traj: Trajectory, sigma: float,
                    mass_tol: float = 1e-8, c_tol: float = 1e-8,
-                   n_cut: int | None = None,
-                   grid: GridSpec | None = None) -> GrowthReport:
+                   n_cut: int | None = None) -> GrowthReport:
     """Check the exponential a-priori bound and conservation along a
     trajectory; raises BoundViolated on failure (integrator trouble).
 
@@ -328,12 +324,6 @@ def growth_monitor(traj: Trajectory, sigma: float,
     m = traj.m_ambient
     if n_cut is None:
         n_cut = m
-    if grid is None:
-        g = 16
-        while g < 6 * m + 2:
-            g *= 2
-        grid = GridSpec(g)
-    grid.require_sextic(m)
     coeffs = np.stack([s.coeffs for s in traj.states])
     u0 = traj.states[0]
     h1 = np.sqrt(sobolev_norm_sq_sigma(u0, 1.0))
@@ -349,7 +339,7 @@ def growth_monitor(traj: Trajectory, sigma: float,
 
     low = np.abs(ks) <= n_cut
     mass_v = np.sum(np.abs(coeffs) ** 2, axis=-1)
-    c_v = conserved_c_batch(coeffs * low, m, grid.n_points)
+    c_v = conserved_c_batch(coeffs * low, m, 6 * m + 2)   # |u|^6 exactly
     c_v += 0.5 * np.sum((1.0 + ks**2) * np.abs(coeffs * ~low) ** 2, axis=-1)
     mass_drift = float(np.max(np.abs(mass_v - mass_v[0]))
                        / max(mass_v[0], 1e-300))

@@ -23,11 +23,10 @@ Richardson estimate (16/15)|L_h - L_{h/2}| of the error of L_h is held
 against DENSITY_TOL.  A row within it keeps L_h.  The others move on to
 h/2, h/4, ..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15
 is within DENSITY_TOL; a row still above it after _MAX_HALVINGS halvings
-raises StepUnresolved.  The normal form integrates each row's trajectory at
-the step its direct value was accepted at, and combines the Simpson
-integral of Q on the `quad_points` nodes with the Simpson integral on every
-other node (Richardson, i.e. Boole's rule), keeping |S_h - S_2h|/15 as the
-estimate of the quadrature error.
+raises StepUnresolved.  `density_pieces` reads all three log densities of a
+batch off that solve and one backward trajectory per accepted step: R at its
+ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
+by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
 """
 
 from __future__ import annotations
@@ -171,16 +170,35 @@ def density_direct(u: FourierState, d: DensityParams) -> float:
     return float(log_density_direct_batch(u.coeffs[None, :], u.m_ambient, d)[0])
 
 
-def _normal_form_pieces(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
-    """(delta_R, q_integral, q_error) for a (batch, dim) block: R at the
-    endpoints of the backward trajectory, the extrapolated Simpson integral
-    of Q over [0, -t] and the Richardson estimate of the Simpson error.
-    Each row's trajectory is integrated at the step its direct log G was
-    accepted at."""
+@dataclass(frozen=True)
+class DensityPieces:
+    """Per-row pieces of the log densities of a (batch, dim) block."""
+
+    log_g: np.ndarray     # the direct log G
+    delta_r: np.ndarray   # R(Phi_N(-t)u) - R(u)
+    q_int: np.ndarray     # extrapolated Simpson integral of Q over [0, -t]
+    q_error: np.ndarray   # Richardson estimate of the plain Simpson error
+    steps: np.ndarray     # the step each row was accepted at
+
+    @property
+    def normal_form(self) -> np.ndarray:
+        return GAUSS_FORM_FACTOR * (self.delta_r - self.q_int)
+
+    @property
+    def weighted(self) -> np.ndarray:
+        """Weighted-ensemble log density: log G with one R-difference less."""
+        return ((GAUSS_FORM_FACTOR - 1.0) * self.delta_r
+                - GAUSS_FORM_FACTOR * self.q_int)
+
+
+def density_pieces(coeffs: np.ndarray, m_ambient: int,
+                   d: DensityParams) -> DensityPieces:
+    """Each row's trajectory is integrated once, at the step its direct
+    log G was accepted at."""
+    log_g, steps = _controlled_direct(coeffs, m_ambient, d)
     if d.t == 0.0:
         z = np.zeros(coeffs.shape[:-1])
-        return z, z.copy(), z.copy()
-    _, steps = _controlled_direct(coeffs, m_ambient, d)
+        return DensityPieces(log_g, z, z, z, steps)
     r0 = r_correction_batch(coeffs, m_ambient, d.energy)
     r1 = np.empty_like(r0)
     qs = np.empty(coeffs.shape[:-1] + (d.quad_points,))
@@ -192,30 +210,21 @@ def _normal_form_pieces(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
         r1[rows] = r_correction_batch(snaps[:, -1, :], m_ambient, d.energy)
         qs[rows] = q_derivative_batch(snaps, m_ambient, d.energy, d.flow.grid)
     rule, estimate = _quadrature_weights(d.quad_points, times[1] - times[0])
-    return r1 - r0, qs @ rule, np.abs(qs @ estimate)
-
-
-def log_density_normal_form_batch(coeffs: np.ndarray, m_ambient: int,
-                                  d: DensityParams) -> np.ndarray:
-    delta_r, q_int, _ = _normal_form_pieces(coeffs, m_ambient, d)
-    return GAUSS_FORM_FACTOR * (delta_r - q_int)
+    # a sum along each contiguous row, unlike a matrix-vector product, does
+    # not depend on the rows around it
+    return DensityPieces(log_g, r1 - r0, np.sum(qs * rule, axis=-1),
+                         np.abs(np.sum(qs * estimate, axis=-1)), steps)
 
 
 def density_normal_form(u: FourierState, d: DensityParams) -> float:
     """log density via the normal form: the energy-correction difference at
     the endpoints minus the integrated modified-energy derivative."""
-    return float(log_density_normal_form_batch(u.coeffs[None, :],
-                                               u.m_ambient, d)[0])
+    return float(density_pieces(u.coeffs[None, :], u.m_ambient, d).normal_form[0])
 
 
 def density_wgm(u: FourierState, d: DensityParams) -> float:
-    """log density of the transported *weighted* ensemble (weight
-    1_{C<=R} e^{-R_corr}) with respect to itself: equals
-    log G - R(Phi(-t)u) + R(u), i.e. the R-difference enters once less than
-    in log G."""
-    delta_r, q_int, _ = _normal_form_pieces(u.coeffs[None, :], u.m_ambient, d)
-    val = (GAUSS_FORM_FACTOR - 1.0) * delta_r - GAUSS_FORM_FACTOR * q_int
-    return float(val[0])
+    """See DensityPieces.weighted."""
+    return float(density_pieces(u.coeffs[None, :], u.m_ambient, d).weighted[0])
 
 
 def _masked_log_density(coeffs: np.ndarray, m_ambient: int, d: DensityParams,
@@ -359,7 +368,7 @@ class StudyRow:
 def convergence_study(kind: StudyKind, s: float, t: float, n_states: int,
                       n_list, m_ambient: int, rng: SeededRng,
                       family: WeightFamily | None = None,
-                      step: float = 1e-3, quad_points: int = 201,
+                      step: float = 1e-3,
                       check_decrease: bool = True) -> list[StudyRow]:
     """sup over a fixed sample set of |X_M - X_N| for X in {R, Q, log G},
     N running through n_list with reference at the ambient truncation M.
@@ -378,11 +387,10 @@ def convergence_study(kind: StudyKind, s: float, t: float, n_states: int,
         if kind is StudyKind.R:
             return r_correction_batch(coeffs, m_ambient, energy)
         if kind is StudyKind.Q:
-            grid = default_grid(n_cut)
-            return q_derivative_batch(coeffs, m_ambient, energy, grid)
-        flow = FlowParams(n_cut=n_cut, step=step, grid=default_grid(n_cut))
-        d = DensityParams(t=t, energy=energy, flow=flow,
-                          quad_points=quad_points)
+            return q_derivative_batch(coeffs, m_ambient, energy,
+                                      default_grid(n_cut))
+        d = DensityParams(t=t, energy=energy,
+                          flow=FlowParams(n_cut=n_cut, step=step))
         return log_density_direct_batch(coeffs, m_ambient, d)
 
     ref = values_at(m_ambient)
@@ -421,11 +429,8 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
         raise NlsTransportError("cutoff keeps no samples; raise cutoff_r")
 
     def log_g_at(n_cut: int) -> np.ndarray:
-        energy = EnergyParams(n_cut=n_cut, family=m.family)
-        flow = FlowParams(n_cut=n_cut, step=d.flow.step,
-                          grid=default_grid(n_cut))
-        dd = DensityParams(t=d.t, energy=energy, flow=flow,
-                           quad_points=d.quad_points)
+        dd = replace(d, energy=EnergyParams(n_cut=n_cut, family=m.family),
+                     flow=FlowParams(n_cut=n_cut, step=d.flow.step))
         return _masked_log_density(coeffs, m.m_ambient, dd, ind > 0)
 
     g_ref = np.exp(log_g_at(m.m_ambient))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nls_transport import cli
+from nls_transport import cli, transport
 from nls_transport.cli import main
 from nls_transport.reporting import write_csv
 from nls_transport.transport import StudyKind
@@ -90,6 +90,37 @@ class TestCommands:
         a = (out1 / "density-check" / "density-check.csv").read_bytes()
         b = (out2 / "density-check" / "density-check.csv").read_bytes()
         assert a == b
+
+    def test_density_check_solves_once(self, tmp_path, monkeypatch):
+        # one controlled direct solve for the whole block, and one backward
+        # trajectory per distinct accepted step
+        accepted, traj_steps = [], []
+        direct = transport._controlled_direct
+        trajectory = transport.trajectory_batch
+
+        def counting_direct(*args):
+            out = direct(*args)
+            accepted.append(out[1])
+            return out
+
+        def counting_trajectory(coeffs, m_ambient, t_final, p, n_snapshots):
+            traj_steps.append(p.step)
+            return trajectory(coeffs, m_ambient, t_final, p, n_snapshots)
+
+        monkeypatch.setattr(transport, "_controlled_direct", counting_direct)
+        monkeypatch.setattr(transport, "trajectory_batch", counting_trajectory)
+        args = ["density-check", "--n-samples", "2", "--n-cut", "2",
+                "--m-ambient", "4", "--t", "0.1", "--quad-points", "51",
+                "--seed", "7", "--output", str(tmp_path)]
+        assert run(args) == 0
+        assert len(accepted) == 1
+        assert sorted(traj_steps) == sorted(set(accepted[0]))
+        doc = json.loads((tmp_path / "density-check" / "manifest.json"
+                          ).read_text())
+        summary = doc["summary"]
+        assert 0.0 <= summary["max_quadrature_error"] < 1e-6
+        start = cli.DEFAULTS["step"]
+        assert summary["refined_rows"] == int(np.sum(accepted[0] < start))
 
     def test_convergence_runs_each_study_once(self, tmp_path, monkeypatch,
                                               capsys):

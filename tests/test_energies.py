@@ -154,30 +154,38 @@ class TestQComponents:
 
 class TestWorkSpace:
     def test_q_within_stated_memory_bound(self):
-        """q_derivative_batch on 8 rows at N = 32, in a fresh interpreter,
-        raises the peak RSS by no more than the energies docstring states."""
+        """q_derivative_batch, in a fresh interpreter, raises the peak RSS by
+        no more than the energies docstring states: on 8 rows at N = 32, and
+        on a (1000 samples, 201 nodes, 2M+1) trajectory block at N = 4,
+        M = 16, whose size must not enter the work space."""
         from nls_transport import energies
         bound = float(re.search(r"at most (\d+) MiB", energies.__doc__)[1])
         script = textwrap.dedent("""
             import resource
+            import sys
+            import numpy as np
             import nls_transport as nt
             from nls_transport.energies import EnergyParams, q_derivative_batch
             from nls_transport.measures import (MeasureParams, SeededRng,
                                                 sample_batch)
+            m_ambient, n_cut, rows, nodes = map(int, sys.argv[1:])
             fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-            coeffs = sample_batch(SeededRng(2), 8, MeasureParams(
-                s=2.0, m_ambient=32, family=fam))
+            coeffs = sample_batch(SeededRng(2), rows, MeasureParams(
+                s=2.0, m_ambient=m_ambient, family=fam))
+            if nodes:   # a trajectory-shaped block, built in one allocation
+                coeffs = np.repeat(coeffs[:, None, :], nodes, axis=1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            q_derivative_batch(coeffs, 32, EnergyParams(32, fam),
-                               nt.default_grid(32))
+            q_derivative_batch(coeffs, m_ambient, EnergyParams(n_cut, fam),
+                               nt.default_grid(n_cut))
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)   # ru_maxrss is in KiB
         """)
         src = str(Path(energies.__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-c", script], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert float(out.stdout) <= bound
+        for args in (("32", "32", "8", "0"), ("16", "4", "1000", "201")):
+            out = subprocess.run([sys.executable, "-c", script, *args],
+                                 check=True, capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            assert float(out.stdout) <= bound, args
 
 
 class TestInvariances:

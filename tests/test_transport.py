@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from nls_transport.energies import EnergyParams
 from nls_transport.measures import sample_batch
 from nls_transport.spectral import conserved_c_batch, wavenumbers
 from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
-                                     ObservableKind, StudyKind,
+                                     DensityPieces, ObservableKind, StudyKind,
                                      _quadrature_weights, _simpson_weights,
-                                     default_observable_battery,
+                                     default_observable_battery, density_pieces,
                                      log_density_direct_batch)
 
 from conftest import mu_like_coeffs
@@ -152,6 +154,14 @@ class TestStepControl:
         for i in subset:
             alone = log_density_direct_batch(coeffs[i:i + 1], 8, d)
             assert alone[0] == full[i]
+        # every piece, the accepted step and the integrals of Q included
+        names = [f.name for f in dataclasses.fields(DensityPieces)]
+        pieces = density_pieces(coeffs, 8, d)
+        for rows in (subset, [19], [9], [8]):
+            got = density_pieces(coeffs[rows], 8, d)
+            for name in names:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(pieces, name)[rows]), (rows, name)
 
     def test_unresolved_row_raises(self):
         # the largest starting step leaves a large-energy sample unresolved
