@@ -24,7 +24,7 @@ from .flow import (FlowParams, divergence_at, evolve_trajectory,
                    growth_monitor, jacobian_det)
 from .measures import MeasureParams, SeededRng, moment_growth_mc, sample_batch
 from .reporting import save_trajectory, write_csv, write_manifest
-from .resonance import counting_check, psi_bound_ratio, strichartz_sum
+from .resonance import counting_checks, psi_bound_ratio, strichartz_sum
 from .spectral import (FourierState, WeightFamily, WeightKind,
                        sobolev_norm_sq_sigma, wavenumbers)
 from .transport import (GAUSS_FORM_FACTOR, DensityParams, StudyKind,
@@ -203,11 +203,12 @@ def run_liouville(cfg, outdir):
 def run_lemmas(cfg, outdir):
     rows = []
     worst_ratio = 0.0
+    kappas = range(-64, 65)
     for m_fac in (2, 3, 4):
         for blocks in product([1, 2, 4, 8], repeat=m_fac):
             for signs in product([1, -1], repeat=m_fac):
-                for kappa in range(-64, 65):
-                    res = counting_check(list(blocks), list(signs), kappa)
+                for kappa, res in zip(kappas, counting_checks(
+                        list(blocks), list(signs), kappas)):
                     if res.ratio > worst_ratio:
                         worst_ratio = res.ratio
                         rows.append(("counting", f"blocks={blocks} signs={signs} "

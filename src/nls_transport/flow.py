@@ -9,7 +9,8 @@ in which the stiff linear phases are removed exactly and the remaining ODE
 is handled by classical RK4 with a fixed step and a fractional last step.
 Each stage untwists to u, applies the dealiased quintic product, and twists
 back.  High modes |k| > N are multiplied by e^{-i k^2 t} exactly, realizing
-the flow's product structure (nonlinear block times free rotation).
+the flow's product structure (nonlinear block times free rotation).  The
+Liouville checks differentiate this same map.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import (BoundViolated, ContractionRadiusExceeded, NonFiniteState)
 from .spectral import (FourierState, GridSpec, default_grid, grid_coefficients,
-                       grid_values, quintic_batch, sobolev_norm_sq_sigma,
-                       wavenumbers, conserved_c_batch)
+                       grid_values, quintic_band, quintic_batch,
+                       sobolev_norm_sq_sigma, wavenumbers, conserved_c_batch)
 
 # algebra constant in the local-time window 1/(3 C R^4); calibrated so the
 # 2/3 contraction holds with margin throughout the admitted window
@@ -76,32 +77,27 @@ def _steps(t: float, h: float):
     return out
 
 
-def _rk4_block(wb: np.ndarray, ks_low: np.ndarray, t: float, h: float,
-               n_cut: int, n_points: int, t_start: float = 0.0) -> np.ndarray:
-    """Advance the twisted low-mode block (batch, 2N+1) from t_start by t."""
-    k2 = ks_low.astype(np.float64) ** 2
-    low_idx = ks_low % n_points
-    shape_spec = wb.shape[:-1] + (n_points,)
-
-    def nonlin(tau, w):
-        tw = np.exp(-1j * k2 * tau)
-        spec = np.zeros(shape_spec, dtype=np.complex128)
-        spec[..., low_idx] = tw * w
-        vals = np.fft.ifft(spec, axis=-1) * n_points
-        nl = np.abs(vals) ** 4 * vals
-        coeff = np.fft.fft(nl, axis=-1)[..., low_idx] / n_points
-        return -1j * np.conj(tw) * coeff
-
+def _rk4(f, y: np.ndarray, t_start: float, t: float, h: float) -> np.ndarray:
+    """Classical RK4 for dy/dtau = f(tau, y) from t_start over t, in the
+    steps of _steps(t, h); the one RK4 loop of the package."""
     tau = t_start
-    w = wb
     for dt in _steps(t, h):
-        s1 = nonlin(tau, w)
-        s2 = nonlin(tau + dt / 2, w + (dt / 2) * s1)
-        s3 = nonlin(tau + dt / 2, w + (dt / 2) * s2)
-        s4 = nonlin(tau + dt, w + dt * s3)
-        w = w + (dt / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+        s1 = f(tau, y)
+        s2 = f(tau + dt / 2, y + (dt / 2) * s1)
+        s3 = f(tau + dt / 2, y + (dt / 2) * s2)
+        s4 = f(tau + dt, y + dt * s3)
+        y = y + (dt / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
         tau += dt
-    return w
+    return y
+
+
+def _twisted(k2: np.ndarray, product):
+    """The field -i e^{i k^2 tau} product(e^{-i k^2 tau} w) of the twisted
+    variable w = e^{i k^2 tau} u."""
+    def f(tau, w):
+        tw = np.exp(-1j * k2 * tau)
+        return -1j * np.conj(tw) * product(tw * w)
+    return f
 
 
 def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
@@ -109,11 +105,12 @@ def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     times in turn; raises NonFiniteState on overflow."""
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
+    field = _twisted(ks[low].astype(np.float64) ** 2,
+                     lambda u: quintic_band(u, p.grid.n_points))
     wb, t_prev = coeffs[..., low], 0.0
     for t in times:
         if t != t_prev:
-            wb = _rk4_block(wb, ks[low], t - t_prev, p.step, p.n_cut,
-                            p.grid.n_points, t_start=t_prev)
+            wb = _rk4(field, wb, t_prev, t - t_prev, p.step)
         out = np.exp(-1j * ks.astype(np.float64) ** 2 * t) * coeffs
         out[..., low] = np.exp(-1j * ks[low].astype(np.float64) ** 2 * t) * wb
         if not np.all(np.isfinite(out.view(np.float64))):
@@ -225,79 +222,51 @@ def _require_pure(u: FourierState, p: FlowParams):
         raise ValueError("state must live on the truncated block exactly")
 
 
-def _field_real(x: np.ndarray, m: int, n_points: int) -> np.ndarray:
-    """(FNLS) vector field in real coordinates x = [Re c, Im c]."""
-    dim = 2 * m + 1
-    c = x[..., :dim] + 1j * x[..., dim:]
-    k2 = wavenumbers(m).astype(np.float64) ** 2
-    fc = -1j * (k2 * c + quintic_batch(c, m, m, n_points))
-    return np.concatenate([fc.real, fc.imag], axis=-1)
+def _tangent_apply(u: np.ndarray, h: np.ndarray, n_points: int) -> np.ndarray:
+    """DN(u)[h] = Pi_N(3|u|^4 h + 2|u|^2 u^2 conj(h)), the derivative of the
+    quintic product N(u) = Pi_N(|u|^4 u), for band coefficients u (2N+1,)
+    and each row of h (n, 2N+1).  It is real- but not complex-linear."""
+    m = u.shape[-1] // 2
+    vals = grid_values(u, m, n_points)
+    hv = grid_values(h, m, n_points)
+    dnl = (3.0 * np.abs(vals) ** 4 * hv
+           + 2.0 * np.abs(vals) ** 2 * vals**2 * np.conj(hv))
+    return grid_coefficients(dnl, wavenumbers(m))
 
 
 def divergence_at(u: FourierState, p: FlowParams) -> float:
-    """Trace of the Jacobian of the (FNLS) field at u by central finite
-    differences over all real coordinate directions; zero for a
-    Hamiltonian field up to FD error."""
+    """Trace of the Jacobian of the (FNLS) field -i(k^2 u + N(u)) at u over
+    the real coordinates, exactly: the sum over j of Re d_j(e_j) and
+    Im d_j(i e_j) for the tangent map d = -i DN(u).  The -i k^2 part has
+    zero trace, so a Hamiltonian field gives zero up to rounding."""
     _require_pure(u, p)
-    m = u.m_ambient
-    dim = 2 * (2 * m + 1)
-    x0 = np.concatenate([u.coeffs.real, u.coeffs.imag])
-    h = 1e-5 * (1.0 + np.linalg.norm(x0))
-    eye = np.eye(dim)
-    fp = _field_real(x0[None, :] + h * eye, m, p.grid.n_points)
-    fm = _field_real(x0[None, :] - h * eye, m, p.grid.n_points)
-    return float(np.trace(fp - fm) / (2.0 * h))
-
-
-def _tangent_apply(c: np.ndarray, h_cols: np.ndarray, m: int,
-                   n_points: int) -> np.ndarray:
-    """dF at state c applied to complexified columns (dim_c, n_cols)."""
-    ks = wavenumbers(m)
-    k2 = ks.astype(np.float64) ** 2
-    vals = grid_values(c[None, :], m, n_points)[0]
-    a = 3.0 * np.abs(vals) ** 4
-    b = 2.0 * vals**2 * np.abs(vals) ** 2
-    hv = grid_values(h_cols.T, m, n_points)          # (n_cols, G)
-    dnl_vals = a * hv + b * np.conj(hv)
-    dnl = grid_coefficients(dnl_vals, ks).T          # (dim_c, n_cols)
-    return -1j * (k2[:, None] * h_cols + dnl)
+    dim = u.coeffs.size
+    basis = np.vstack([np.eye(dim), 1j * np.eye(dim)])
+    d = -1j * _tangent_apply(u.coeffs, basis, p.grid.n_points)
+    return float(np.sum(np.diagonal(d[:dim]).real)
+                 + np.sum(np.diagonal(d[dim:]).imag))
 
 
 def jacobian_det(u0: FourierState, t: float, p: FlowParams) -> float:
-    """Determinant of the flow's Jacobian at u0, by RK4 on the variational
-    matrix equation alongside the state (real coordinates); distance from
-    one measures integrator quality, the exact flow being volume
-    preserving."""
+    """Determinant of the flow's Jacobian at u0 over the real coordinates;
+    its distance from one measures integrator quality, the exact flow being
+    volume preserving.  The twisted state (row 0, stepped as evolve steps
+    it) and its tangents along e_j and i e_j share the RK4 steps; the twist
+    rotates each mode and leaves the determinant unchanged."""
     _require_pure(u0, p)
-    m = u0.m_ambient
-    dim_c = 2 * m + 1
-    dim = 2 * dim_c
-    k2 = wavenumbers(m).astype(np.float64) ** 2
+    dim, n_points = u0.coeffs.size, p.grid.n_points
 
-    def f_state(c):
-        return -1j * (k2 * c + quintic_batch(c[None, :], m, m,
-                                             p.grid.n_points)[0])
+    def product(u):
+        return np.vstack([quintic_band(u[:1], n_points),
+                          _tangent_apply(u[0], u[1:], n_points)])
 
-    def f_tangent(c, J):
-        h_cols = J[:dim_c, :] + 1j * J[dim_c:, :]
-        d = _tangent_apply(c, h_cols, m, p.grid.n_points)
-        return np.vstack([d.real, d.imag])
-
-    c = u0.coeffs.copy()
-    J = np.eye(dim)
-    for dt in _steps(t, p.step):
-        kc1 = f_state(c);             kj1 = f_tangent(c, J)
-        c2 = c + (dt / 2) * kc1
-        kc2 = f_state(c2);            kj2 = f_tangent(c2, J + (dt / 2) * kj1)
-        c3 = c + (dt / 2) * kc2
-        kc3 = f_state(c3);            kj3 = f_tangent(c3, J + (dt / 2) * kj2)
-        c4 = c + dt * kc3
-        kc4 = f_state(c4);            kj4 = f_tangent(c4, J + dt * kj3)
-        c = c + (dt / 6) * (kc1 + 2 * kc2 + 2 * kc3 + kc4)
-        J = J + (dt / 6) * (kj1 + 2 * kj2 + 2 * kj3 + kj4)
-    if not np.all(np.isfinite(J)):
+    field = _twisted(wavenumbers(u0.m_ambient).astype(np.float64) ** 2, product)
+    y0 = np.vstack([u0.coeffs, np.eye(dim), 1j * np.eye(dim)])
+    tangents = _rk4(field, y0, 0.0, t, p.step)[1:]
+    if not np.all(np.isfinite(tangents.view(np.float64))):
         raise NonFiniteState("variational matrix became non-finite")
-    return float(np.linalg.det(J))
+    # rows are the images of the real directions: the transposed Jacobian
+    return float(np.linalg.det(np.hstack([tangents.real, tangents.imag])))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def psi(t, family: WeightFamily) -> float:
 def enumerate_constrained(n_cut: int, filt: TupleFilter = TupleFilter.ALL,
                           k1_range=None) -> Iterator[Tuple6]:
     """Yield constrained tuples with all |k_j| <= n_cut, lexicographic in
-    (k1..k5); k6 is solved from the constraint and range-checked.
+    (k1..k5); k6 is solved from the constraint and range-checked.  Each k1
+    is one tuple_table_k1 slice, filtered by Omega.
 
     `k1_range` restricts the leading index for deterministic work splitting;
     sub-streams over a partition of -n_cut..n_cut are disjoint and their
@@ -67,23 +68,13 @@ def enumerate_constrained(n_cut: int, filt: TupleFilter = TupleFilter.ALL,
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
     lo, hi = (-n_cut, n_cut) if k1_range is None else k1_range
-    rng = range(-n_cut, n_cut + 1)
     for k1 in range(lo, hi + 1):
-        for k2 in rng:
-            for k3 in rng:
-                for k4 in rng:
-                    for k5 in rng:
-                        k6 = k1 - k2 + k3 - k4 + k5
-                        if abs(k6) > n_cut:
-                            continue
-                        if filt is not TupleFilter.ALL:
-                            om = (k1 * k1 - k2 * k2 + k3 * k3 - k4 * k4
-                                  + k5 * k5 - k6 * k6)
-                            if filt is TupleFilter.NON_RESONANT and om == 0:
-                                continue
-                            if filt is TupleFilter.RESONANT and om != 0:
-                                continue
-                        yield Tuple6(k1, k2, k3, k4, k5, k6)
+        cols, om = tuple_table_k1(n_cut, k1, k1)
+        if filt is TupleFilter.NON_RESONANT:
+            cols = cols[om != 0]
+        elif filt is TupleFilter.RESONANT:
+            cols = cols[om == 0]
+        yield from (Tuple6(*row) for row in cols.tolist())
 
 
 @lru_cache(maxsize=8)
@@ -144,13 +135,13 @@ class CountingResult(NamedTuple):
     ratio: float
 
 
-def counting_check(blocks, signs, kappa: int) -> CountingResult:
+def counting_checks(blocks, signs, kappas) -> list[CountingResult]:
     """Exact number of solutions of sum_j eps_j k_j = kappa with k_j in its
-    dyadic block, against the product bound N_(2)...N_(m).
+    dyadic block, against the product bound N_(2)...N_(m), for each kappa.
 
-    The count is computed by exact integer convolution of the block
-    indicator vectors, which enumerates the same solution set as nested
-    loops.
+    The counts for every kappa are one exact integer convolution of the
+    block indicator vectors, which enumerates the same solution set as
+    nested loops.
     """
     if not 2 <= len(blocks) <= 6 or len(signs) != len(blocks):
         raise ValueError("need 2..6 blocks with matching signs")
@@ -166,13 +157,21 @@ def counting_check(blocks, signs, kappa: int) -> CountingResult:
         else:
             hist = np.convolve(hist, vec)
             offset += lo
-    idx = int(kappa) - offset
-    count = int(hist[idx]) if 0 <= idx < len(hist) else 0
     ordered = sorted(int(b) for b in blocks)[::-1]
     bound = 1
     for b in ordered[1:]:
         bound *= b
-    return CountingResult(count, bound, count / bound)
+    out = []
+    for kappa in kappas:
+        idx = int(kappa) - offset
+        count = int(hist[idx]) if 0 <= idx < len(hist) else 0
+        out.append(CountingResult(count, bound, count / bound))
+    return out
+
+
+def counting_check(blocks, signs, kappa: int) -> CountingResult:
+    """counting_checks at the one level kappa."""
+    return counting_checks(blocks, signs, [kappa])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,21 @@ def grid_values(coeffs: np.ndarray, m_ambient: int, n_points: int) -> np.ndarray
 def grid_coefficients(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Forward transform of grid values, restricted to wavenumbers `keep`."""
     n_points = values.shape[-1]
-    spec = np.fft.fft(values, axis=-1) / n_points
-    return spec[..., keep % n_points]
+    return np.fft.fft(values, axis=-1)[..., keep % n_points] / n_points
+
+
+def quintic_band(band: np.ndarray, n_points: int) -> np.ndarray:
+    """Pi_N(|u|^4 u) for u given by its (..., 2N+1) band coefficients,
+    k = -N..N; exact when n_points >= 6N + 2 dealiases the quintic band.
+    The grid array is transformed and multiplied in place: it is the hot
+    path of every flow stage, and fewer large temporaries cost less."""
+    idx = wavenumbers(band.shape[-1] // 2) % n_points
+    vals = np.zeros(band.shape[:-1] + (n_points,), dtype=np.complex128)
+    vals[..., idx] = band
+    np.fft.ifft(vals, axis=-1, out=vals)
+    vals *= n_points
+    vals *= np.abs(vals) ** 4
+    return np.fft.fft(vals, axis=-1, out=vals)[..., idx] / n_points
 
 
 def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
@@ -158,16 +171,11 @@ def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
     Only the |k| <= n_cut band enters, so the grid needs to dealias the
     quintic band, not to hold the full ambient spectrum.
     """
-    ks = wavenumbers(m_ambient)
-    low = np.abs(ks) <= n_cut
     if n_points < 6 * n_cut + 2:
         raise GridTooSmall(f"grid {n_points} < {6 * n_cut + 2} for quintic")
-    spec = np.zeros(coeffs.shape[:-1] + (n_points,), dtype=np.complex128)
-    spec[..., ks[low] % n_points] = coeffs[..., low]
-    vals = np.fft.ifft(spec, axis=-1) * n_points
-    nl = np.abs(vals) ** 4 * vals
+    band = slice(max(m_ambient - n_cut, 0), m_ambient + n_cut + 1)
     out = np.zeros_like(coeffs)
-    out[..., low] = np.fft.fft(nl, axis=-1)[..., ks[low] % n_points] / n_points
+    out[..., band] = quintic_band(coeffs[..., band], n_points)
     return out
 
 
@@ -217,18 +225,17 @@ def mass(u: FourierState) -> float:
 
 
 def hamiltonian(u: FourierState, grid: GridSpec) -> float:
-    """(1/2) int |u_x|^2 + (1/6) int |u|^6, by exact spectral quadrature."""
-    grid.require_sextic(u.m_ambient)
-    ks = u.wavenumbers()
-    grad = TWO_PI * np.sum(ks**2 * np.abs(u.coeffs) ** 2)
-    vals = grid_values(u.coeffs[None, :], u.m_ambient, grid.n_points)[0]
-    l6 = TWO_PI * np.mean(np.abs(vals) ** 6)
-    return float(0.5 * grad + l6 / 6.0)
+    """(1/2) int |u_x|^2 + (1/6) int |u|^6, by exact spectral quadrature:
+    C(u) less half the mass."""
+    return conserved_c(u, grid) - 0.5 * mass(u)
 
 
 def conserved_c(u: FourierState, grid: GridSpec) -> float:
-    """(1/2) ||u||_{L^2}^2 + H(u); conserved by the truncated flow."""
-    return 0.5 * mass(u) + hamiltonian(u, grid)
+    """(1/2) ||u||_{L^2}^2 + H(u); conserved by the truncated flow.  The
+    same bits as conserved_c_batch, so a cutoff at R = C(u) keeps u."""
+    grid.require_sextic(u.m_ambient)
+    return float(conserved_c_batch(u.coeffs[None, :], u.m_ambient,
+                                   grid.n_points)[0])
 
 
 def quintic_nonlinearity(u: FourierState, n_cut: int, grid: GridSpec) -> FourierState:

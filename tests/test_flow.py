@@ -179,6 +179,14 @@ class TestLiouville:
             u = nt.FourierState(n_cut, random_coeffs(rng, n_cut, scale=0.4))
             assert abs(nt.divergence_at(u, p)) <= 1e-6
 
+    def test_divergence_exact_trace(self, rng):
+        """The trace is taken exactly, so only rounding is left."""
+        for n_cut in (1, 2, 3):
+            p = nt.FlowParams(n_cut=n_cut, step=1e-3)
+            for _ in range(10):
+                u = nt.FourierState(n_cut, random_coeffs(rng, n_cut))
+                assert abs(nt.divergence_at(u, p)) <= 1e-12
+
     def test_requires_pure_state(self, rng):
         p = nt.FlowParams(n_cut=2, step=1e-3)
         u = nt.FourierState(4, random_coeffs(rng, 4))

@@ -1,7 +1,10 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and every function reads each of its parameters.
 
-A stdlib `ast` check, since no lint tool is part of the toolchain.
+Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
+The CLI runners share one `(cfg, outdir)` signature through `cli.RUNNERS`,
+so their parameters are exempt.
 """
 
 import ast
@@ -37,4 +40,56 @@ def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_parameters(source: str, exempt=frozenset()) -> list[str]:
+    """Parameters of functions and lambdas that their body never reads;
+    functions named in `exempt` are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name in exempt:
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [f"{name}.{p} (line {node.lineno})" for p in params
+                  if p not in read]
+    return sorted(found)
+
+
+def cli_runners() -> frozenset:
+    """Function names bound in the `RUNNERS` dict of cli.py."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "RUNNERS"
+                        for t in node.targets)):
+            return frozenset(v.id for v in node.value.values)
+    raise AssertionError("cli.py defines no RUNNERS dict")
+
+
+def test_detects_an_unused_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g(x):\n        return a + c\n"
+              "    return g, kw\n"
+              "h = lambda u, v: u\n")
+    assert unused_parameters(source) == [
+        "<lambda>.v (line 5)", "f.args (line 1)", "f.b (line 1)",
+        "g.x (line 2)"]
+    assert unused_parameters(source, exempt={"f", "g", "<lambda>"}) == []
+
+
+def test_no_unused_parameters_in_package():
+    runners = cli_runners()
+    assert "run_lemmas" in runners
+    found = {path.name: unused_parameters(path.read_text(), runners)
+             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

@@ -6,6 +6,8 @@ from nls_transport.energies import EnergyParams
 from nls_transport.measures import (lp_norm_mc, mean_report, sample_batch,
                                     log_wgm_weight_batch)
 
+from conftest import random_coeffs
+
 
 def measure(s=2.0, m_ambient=8, cutoff=None,
             kind=nt.WeightKind.JAPANESE_BRACKET):
@@ -117,6 +119,15 @@ class TestCutoff:
         on_tie = nt.MeasureParams(s=m0.s, m_ambient=2, family=m0.family,
                                   cutoff_r=r_exact)
         assert nt.cutoff_indicator(u, on_tie, grid) == 1
+
+    def test_boundary_tie_included_random_states(self, rng):
+        m0 = measure(m_ambient=3)
+        grid = nt.GridSpec(32)
+        for _ in range(200):
+            u = nt.FourierState(3, random_coeffs(rng, 3))
+            on_tie = nt.MeasureParams(s=m0.s, m_ambient=3, family=m0.family,
+                                      cutoff_r=nt.conserved_c(u, grid))
+            assert nt.cutoff_indicator(u, on_tie, grid) == 1
 
     def test_missing_cutoff(self):
         with pytest.raises(nt.MissingCutoff):
