@@ -24,7 +24,7 @@ from .flow import (FlowParams, divergence_at, evolve_trajectory,
                    growth_monitor, jacobian_det)
 from .measures import MeasureParams, SeededRng, moment_growth_mc, sample_batch
 from .reporting import save_trajectory, write_csv, write_manifest
-from .resonance import counting_checks, psi_bound_ratio, strichartz_sum
+from .resonance import counting_checks, psi_bound_ratios, strichartz_sum
 from .spectral import (FourierState, WeightFamily, WeightKind,
                        sobolev_norm_sq_sigma, wavenumbers)
 from .transport import (GAUSS_FORM_FACTOR, DensityParams, StudyKind,
@@ -216,9 +216,9 @@ def run_lemmas(cfg, outdir):
     counting_ok = worst_ratio <= pinned.COUNTING_SWEEP_MAX_RATIO + 1e-12
 
     psi_ok = True
-    for s in (1.6, 2.0, 2.5):
-        r8 = psi_bound_ratio(8, s)
-        r16 = psi_bound_ratio(16, s)
+    s_list = (1.6, 2.0, 2.5)
+    for s, r8, r16 in zip(s_list, psi_bound_ratios(8, s_list),
+                          psi_bound_ratios(16, s_list)):
         rows.append(("psi_ratio", f"s={s} n_cut=8", r8, pinned.PSI_RATIO[(s, 8)]))
         rows.append(("psi_ratio", f"s={s} n_cut=16", r16, pinned.PSI_RATIO[(s, 16)]))
         psi_ok &= np.isclose(r8, pinned.PSI_RATIO[(s, 8)], rtol=1e-9)

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (BoundViolated, ContractionRadiusExceeded, NonFiniteState)
 from .spectral import (FourierState, GridSpec, default_grid, grid_coefficients,
                        grid_values, quintic_band, quintic_batch,
-                       sobolev_norm_sq_sigma, wavenumbers, conserved_c_batch)
+                       sobolev_norm_sq_sigma, truncated_energy_batch,
+                       wavenumbers)
 
 # algebra constant in the local-time window 1/(3 C R^4); calibrated so the
 # 2/3 contraction holds with margin throughout the admitted window
@@ -306,10 +307,8 @@ def growth_monitor(traj: Trajectory, sigma: float,
                   - c0 * np.abs(traj.times - traj.times[0]))
     ratio = float(np.exp(np.clip(np.max(log_excess), -700.0, 700.0)))
 
-    low = np.abs(ks) <= n_cut
     mass_v = np.sum(np.abs(coeffs) ** 2, axis=-1)
-    c_v = conserved_c_batch(coeffs * low, m, 6 * m + 2)   # |u|^6 exactly
-    c_v += 0.5 * np.sum((1.0 + ks**2) * np.abs(coeffs * ~low) ** 2, axis=-1)
+    c_v = truncated_energy_batch(coeffs, m, n_cut, 6 * m + 2)
     mass_drift = float(np.max(np.abs(mass_v - mass_v[0]))
                        / max(mass_v[0], 1e-300))
     c_drift = float(np.max(np.abs(c_v - c_v[0])) / max(abs(c_v[0]), 1e-300))

@@ -135,20 +135,15 @@ class CountingResult(NamedTuple):
     ratio: float
 
 
-def counting_checks(blocks, signs, kappas) -> list[CountingResult]:
-    """Exact number of solutions of sum_j eps_j k_j = kappa with k_j in its
-    dyadic block, against the product bound N_(2)...N_(m), for each kappa.
-
-    The counts for every kappa are one exact integer convolution of the
-    block indicator vectors, which enumerates the same solution set as
-    nested loops.
-    """
-    if not 2 <= len(blocks) <= 6 or len(signs) != len(blocks):
-        raise ValueError("need 2..6 blocks with matching signs")
+@lru_cache(maxsize=64)
+def _count_vector(blocks: tuple, signs: tuple) -> tuple[np.ndarray, int]:
+    """(hist, offset): hist[kappa - offset] is the number of solutions of
+    sum_j eps_j k_j = kappa, one exact integer convolution of the block
+    indicator vectors.  Read-only, since the cache shares it."""
     hist = None
     offset = 0
     for n_block, eps in zip(blocks, signs):
-        vals = int(eps) * block_values(n_block)
+        vals = eps * block_values(n_block)
         lo = int(vals.min())
         vec = np.zeros(int(vals.max()) - lo + 1, dtype=np.int64)
         vec[vals - lo] = 1
@@ -157,6 +152,22 @@ def counting_checks(blocks, signs, kappas) -> list[CountingResult]:
         else:
             hist = np.convolve(hist, vec)
             offset += lo
+    hist.flags.writeable = False
+    return hist, offset
+
+
+def counting_checks(blocks, signs, kappas) -> list[CountingResult]:
+    """Exact number of solutions of sum_j eps_j k_j = kappa with k_j in its
+    dyadic block, against the product bound N_(2)...N_(m), for each kappa.
+
+    The counts for every kappa are read from one count vector per
+    (blocks, signs), which enumerates the same solution set as nested
+    loops.
+    """
+    if not 2 <= len(blocks) <= 6 or len(signs) != len(blocks):
+        raise ValueError("need 2..6 blocks with matching signs")
+    hist, offset = _count_vector(tuple(int(b) for b in blocks),
+                                 tuple(int(e) for e in signs))
     ordered = sorted(int(b) for b in blocks)[::-1]
     bound = 1
     for b in ordered[1:]:
@@ -177,30 +188,42 @@ def counting_check(blocks, signs, kappa: int) -> CountingResult:
 # ---------------------------------------------------------------------------
 # psi estimate
 
-def psi_bound_ratio(n_cut: int, s: float) -> float:
-    """max over constrained tuples (|k_j| <= n_cut, not all zero) of
-    |psi_2s| / (|k_(1)|^(2s-2) (|Omega| + |k_(3)|^2)).
+def psi_bound_ratios(n_cut: int, s_list) -> list[float]:
+    """For each s of s_list, the max over constrained tuples (|k_j| <=
+    n_cut, not all zero) of |psi_2s| / (|k_(1)|^(2s-2) (|Omega| + |k_(3)|^2)).
 
     Tuples with vanishing denominator are checked to have psi = 0 and
-    skipped; the returned maximum is the empirical lemma constant.
+    skipped; the returned maxima are the empirical lemma constants.  Each
+    tuple table slice, its sorted magnitudes and Omega are built once for
+    all s.  Negating a tuple keeps it constrained and leaves every |k_j|
+    and Omega, so the slices k1 >= 0 already hold every value.
     """
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
-    best = 0.0
-    for k1_lo in range(-n_cut, n_cut + 1):
+    best = [0.0] * len(s_list)
+    for k1_lo in range(0, n_cut + 1):
         cols, om = tuple_table_k1(n_cut, k1_lo, k1_lo)
         mags = np.sort(np.abs(cols), axis=1)[:, ::-1]
         k1m = mags[:, 0].astype(np.float64)
         k3m = mags[:, 2].astype(np.float64)
-        psi_v = np.sum(ALT_SIGNS * np.abs(cols).astype(np.float64) ** (2 * s), axis=1)
-        denom = np.where(k1m > 0, k1m ** (2 * s - 2), 0.0) * (np.abs(om) + k3m**2)
-        bad = denom == 0
-        if np.any(np.abs(psi_v[bad]) > 0):
-            raise AssertionError("tuple with zero denominator but psi != 0")
-        good = ~bad
-        if np.any(good):
-            best = max(best, float(np.max(np.abs(psi_v[good]) / denom[good])))
+        abs_cols = np.abs(cols).astype(np.float64)
+        gap = np.abs(om) + k3m**2
+        for i, s in enumerate(s_list):
+            psi_v = np.sum(ALT_SIGNS * abs_cols ** (2 * s), axis=1)
+            denom = np.where(k1m > 0, k1m ** (2 * s - 2), 0.0) * gap
+            bad = denom == 0
+            if np.any(np.abs(psi_v[bad]) > 0):
+                raise AssertionError("tuple with zero denominator but psi != 0")
+            good = ~bad
+            if np.any(good):
+                best[i] = max(best[i],
+                              float(np.max(np.abs(psi_v[good]) / denom[good])))
     return best
+
+
+def psi_bound_ratio(n_cut: int, s: float) -> float:
+    """psi_bound_ratios at the one exponent s."""
+    return psi_bound_ratios(n_cut, [s])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,17 @@ def default_grid(n_cut: int) -> GridSpec:
 # batched kernels: coefficients as (batch, 2M+1) arrays
 
 def grid_values(coeffs: np.ndarray, m_ambient: int, n_points: int) -> np.ndarray:
-    """Evaluate u(x_j) on the equispaced grid x_j = 2pi j / G, batched."""
+    """Evaluate u(x_j) on the equispaced grid x_j = 2pi j / G, batched.
+    The grid array is transformed and scaled in place, so that one
+    (batch, G) array is alive at a time."""
     ks = wavenumbers(m_ambient)
     if n_points < 2 * m_ambient + 1:
         raise GridTooSmall(f"grid {n_points} cannot hold band {m_ambient}")
     spec = np.zeros(coeffs.shape[:-1] + (n_points,), dtype=np.complex128)
     spec[..., ks % n_points] = coeffs
-    return np.fft.ifft(spec, axis=-1) * n_points
+    np.fft.ifft(spec, axis=-1, out=spec)
+    spec *= n_points
+    return spec
 
 
 def grid_coefficients(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -184,9 +188,29 @@ def conserved_c_batch(coeffs: np.ndarray, m_ambient: int,
     ks = wavenumbers(m_ambient)
     mass_v = TWO_PI * np.sum(np.abs(coeffs) ** 2, axis=-1)
     grad_v = TWO_PI * np.sum(ks**2 * np.abs(coeffs) ** 2, axis=-1)
-    vals = grid_values(coeffs, m_ambient, n_points)
-    l6 = TWO_PI * np.mean(np.abs(vals) ** 6, axis=-1)
+    l6 = sextic_integral_batch(coeffs, m_ambient, n_points)
     return 0.5 * mass_v + 0.5 * grad_v + l6 / 6.0
+
+
+def sextic_integral_batch(coeffs: np.ndarray, m_ambient: int,
+                          n_points: int) -> np.ndarray:
+    """int |u|^6 dx for each row; exact when n_points >= 6M + 2."""
+    vals = grid_values(coeffs, m_ambient, n_points)
+    return TWO_PI * np.mean(np.abs(vals) ** 6, axis=-1)
+
+
+def truncated_energy_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
+                           n_points: int) -> np.ndarray:
+    """E_N(u) = C(Pi_N u) + (1/2)||(1 - Pi_N) u||_{H^1}^2, the invariant of
+    the truncated flow: C with |Pi_N u|^6 in place of |u|^6.  It is
+    C(u) bit for bit at n_cut = m_ambient; n_points >= 6 n_cut + 2
+    integrates the sextic term exactly."""
+    ks = wavenumbers(m_ambient)
+    high = np.abs(ks) > n_cut
+    quad_high = np.pi * np.sum((1.0 + ks[high] ** 2)
+                               * np.abs(coeffs[..., high]) ** 2, axis=-1)
+    return (conserved_c_batch(np.where(high, 0.0, coeffs), m_ambient, n_points)
+            + quad_high)
 
 
 def weighted_norm_sq_batch(coeffs: np.ndarray, mult: np.ndarray,

@@ -27,6 +27,17 @@ raises StepUnresolved.  `density_pieces` reads all three log densities of a
 batch off that solve and one backward trajectory per accepted step: R at its
 ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
 by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
+
+`change_of_measure_test` evolves forward only the rows the cutoff may keep
+after the flow.  The truncated flow conserves E_N (C with |Pi_N u|^6 in
+place of |u|^6) and moves the modes above N by exact phases, which bounds
+C(Phi_N(t) u) >= E_N(u) - ||a||_6^5 ||b(t)||_6 from below without a solve,
+with a the modes |k| <= N and b the others (`_forward_c_lower_bound`).  A
+row with C(u) > R and a bound above R + 1e-3 E_N(u), the margin covering
+rounding and the integrator's drift of E_N, has both indicators 0.  Its
+two terms are then exact zeros without the solve, as they were with it:
+indicator times observable gave 0.0 for the finite, non-negative
+observables of the battery, and G is not computed where C(u) > R.
 """
 
 from __future__ import annotations
@@ -43,7 +54,9 @@ from .measures import (McReport, MeasureParams, SeededRng, SAMPLE_CHUNK,
                        cutoff_indicator_batch, mean_report, sample_batch)
 from .parallel import run_chunked
 from .spectral import (FourierState, GridSpec, WeightFamily, WeightKind,
-                       bracket_multiplier, default_grid, wavenumbers)
+                       bracket_multiplier, default_grid,
+                       sextic_integral_batch, truncated_energy_batch,
+                       wavenumbers)
 
 GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
@@ -304,6 +317,38 @@ class ObservableComparison:
     z: float
 
 
+def _forward_c_lower_bound(coeffs: np.ndarray, m_ambient: int, n_cut: int,
+                           t: float, n_points: int) -> np.ndarray:
+    """A lower bound on C(Phi_N(t) u) for each row, found without a solve,
+    less a margin of 1e-3 E_N(u); n_cut is the N of the flow.
+
+    Write Phi_N(t) u = a + b with a its modes |k| <= N and b the others;
+    b = e^{-i k^2 t} u_high is exact.  The truncated flow conserves
+    E_N = C(a + b) with |a|^6 in place of |a + b|^6 (spectral
+    `truncated_energy_batch`) and the mass of a.  Convexity gives
+    |a + b|^6 >= |a|^6 - 6 |a|^5 |b| pointwise and Hoelder
+    int |a|^5 |b| <= ||a||_6^5 ||b||_6, so
+
+        C(Phi_N(t) u) >= E_N(u) - ||a||_6^5 ||b(t)||_6,
+
+    where ||a||_6^6 = 6 (E_N - (1/2)||a||_{H^1}^2 - (1/2)||b||_{H^1}^2) is at
+    most 6 (E_N - (1/2)||b||_{H^1}^2 - (1/2)||a||_{L^2}^2), all conserved.
+    The margin covers rounding and the RK4 drift of E_N along the computed
+    flow: while that drift stays below 1e-3 E_N, a row whose value exceeds
+    R has C(evolve_batch(u)) > R.  A non-finite row gives NaN, which
+    exceeds no R.  n_points >= 6M + 2 integrates both sextic terms exactly.
+    """
+    ks = wavenumbers(m_ambient)
+    high = np.abs(ks) > n_cut
+    e_n = truncated_energy_batch(coeffs, m_ambient, n_cut, n_points)
+    quad = np.pi * np.where(high, 1.0 + ks**2, 1.0) * np.abs(coeffs) ** 2
+    a6 = np.maximum(6.0 * (e_n - np.sum(quad, axis=-1)), 0.0)
+    phases = np.exp(-1j * ks.astype(np.float64) ** 2 * t)
+    b = np.where(high, phases, 0.0) * coeffs
+    b6 = sextic_integral_batch(b, m_ambient, n_points)
+    return e_n - a6 ** (5.0 / 6.0) * b6 ** (1.0 / 6.0) - 1e-3 * e_n
+
+
 def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
                            n: int, rng: SeededRng) -> list[ObservableComparison]:
     """Paired Monte Carlo comparison of E[f(Phi_N(t)u)] against
@@ -314,26 +359,36 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
 
     The identity is exact at finite ambient truncation, so z is sampling
     noise plus integrator error only.
+
+    With a cutoff, a row with C(u) > R whose `_forward_c_lower_bound`
+    exceeds R is not evolved, and both its terms are 0.0 (see the module
+    docstring).  The evolved rows keep their bits, since each row of a flow
+    solve is independent of the rows around it.
     """
     n_cut = d.energy.resolve_cut(m.m_ambient)
     if m.m_ambient < n_cut:
         raise ValueError("ambient truncation below density truncation")
     obs = list(observables)
-    lhs_vals = np.empty((len(obs), n))
+    lhs_vals = np.zeros((len(obs), n))
     rhs_vals = np.empty((len(obs), n))
     sextic = GridSpec(max(d.flow.grid.n_points, 6 * m.m_ambient + 2))
 
     def body(lo, hi):
         coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-        fwd = evolve_batch(coeffs, m.m_ambient, d.t, d.flow)
+        ind_u = ind_fwd = np.ones(hi - lo)
+        live = np.ones(hi - lo, dtype=bool)
         if m.cutoff_r is not None:
             ind_u = cutoff_indicator_batch(coeffs, m, sextic)
+            bound = _forward_c_lower_bound(coeffs, m.m_ambient, d.flow.n_cut,
+                                           d.t, sextic.n_points)
+            live = ~((ind_u == 0) & (bound > m.cutoff_r))
+        fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
+        if m.cutoff_r is not None:
             ind_fwd = cutoff_indicator_batch(fwd, m, sextic)
-        else:
-            ind_u = ind_fwd = np.ones(hi - lo)
         g = np.exp(_masked_log_density(coeffs, m.m_ambient, d, ind_u > 0))
         for j, spec in enumerate(obs):
-            lhs_vals[j, lo:hi] = ind_fwd * spec.evaluate_batch(fwd, m.m_ambient)
+            lhs_vals[j, lo:hi][live] = (ind_fwd
+                                        * spec.evaluate_batch(fwd, m.m_ambient))
             rhs_vals[j, lo:hi] = (ind_u * spec.evaluate_batch(coeffs, m.m_ambient)
                                   * g)
 

@@ -4,7 +4,8 @@ import pytest
 import nls_transport as nt
 from nls_transport.flow import (evolve_batch, picard_iterates,
                                 picard_local_time)
-from nls_transport.spectral import quintic_batch, wavenumbers
+from nls_transport.spectral import (TWO_PI, grid_values, quintic_batch,
+                                    wavenumbers)
 
 from conftest import mu_like_coeffs, random_coeffs
 
@@ -241,6 +242,28 @@ class TestGrowthMonitor:
         traj = nt.evolve_trajectory(u, 0.5, p, 7)
         with pytest.raises(nt.BoundViolated):
             nt.growth_monitor(traj, sigma=1.0, c_tol=1e-18)
+
+    def test_drift_is_that_of_the_truncated_energy(self):
+        # a free mode above N = 2: c_drift is the relative drift of E_N,
+        # C(u) less what the free mode adds to int |u|^6
+        u = nt.FourierState.from_modes(6, {1: 0.9, -2: 0.5, 6: 0.4})
+        p = nt.FlowParams(n_cut=2, step=1e-2)
+        traj = nt.evolve_trajectory(u, 1.0, p, 9)
+        report = nt.growth_monitor(traj, sigma=1.0, mass_tol=1.0, c_tol=1.0,
+                                   n_cut=2)
+        grid = nt.GridSpec(6 * 6 + 2)
+        low = np.abs(wavenumbers(6)) <= 2
+
+        def l6(c):
+            vals = grid_values(c, 6, grid.n_points)
+            return TWO_PI * np.mean(np.abs(vals) ** 6)
+
+        e_n = np.array([nt.conserved_c(s, grid)
+                        - (l6(s.coeffs) - l6(np.where(low, s.coeffs, 0.0))) / 6
+                        for s in traj.states])
+        drift = np.max(np.abs(e_n - e_n[0])) / e_n[0]
+        assert drift > 1e-10    # integrator drift, well above rounding
+        assert report.c_drift == pytest.approx(drift, rel=1e-4)
 
 
 class TestFactorization:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nls_transport as nt
-from nls_transport.resonance import block_values, tuple_table
+from nls_transport.resonance import (ALT_SIGNS, _count_vector, block_values,
+                                     psi_bound_ratios, tuple_table)
 
 from oracles import constrained_count_oracle, counting_oracle
 
@@ -108,6 +109,12 @@ class TestCounting:
                                                 kappa, block_values)
             assert res.bound == 4
 
+    def test_count_vector_cached_read_only(self):
+        hist, offset = _count_vector((2, 4), (1, -1))
+        assert not hist.flags.writeable
+        assert _count_vector((2, 4), (1, -1))[0] is hist
+        assert nt.counting_check([2, 4], [1, -1], 0).count == hist[-offset]
+
     def test_block_convention(self):
         assert set(block_values(1)) == {-1, 0, 1}
         assert set(block_values(4)) == {k for k in range(-7, 8) if 4 <= abs(k)}
@@ -141,6 +148,23 @@ class TestPsiRatio:
         from nls_transport import pinned
         assert nt.psi_bound_ratio(8, 2.0) == pytest.approx(
             pinned.PSI_RATIO[(2.0, 8)], rel=1e-12)
+
+    def test_batched_matches_whole_table(self):
+        # every k1, negative ones included, and one exponent at a time
+        s_list = (1.6, 2.0, 2.5)
+        cols, om = tuple_table(4)
+        mags = np.sort(np.abs(cols), axis=1)[:, ::-1].astype(np.float64)
+        want = []
+        for s in s_list:
+            psi_v = np.sum(ALT_SIGNS * np.abs(cols).astype(np.float64)
+                           ** (2 * s), axis=1)
+            denom = (np.where(mags[:, 0] > 0, mags[:, 0] ** (2 * s - 2), 0.0)
+                     * (np.abs(om) + mags[:, 2] ** 2))
+            good = denom != 0
+            assert np.all(psi_v[~good] == 0)
+            want.append(float(np.max(np.abs(psi_v[good]) / denom[good])))
+        assert psi_bound_ratios(4, s_list) == want
+        assert [nt.psi_bound_ratio(4, s) for s in s_list] == want
 
 
 class TestStrichartzSum:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nls_transport as nt
-from nls_transport.spectral import grid_values, quintic_batch, wavenumbers
+from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
+                                    quintic_batch, truncated_energy_batch,
+                                    wavenumbers)
 
 from conftest import random_coeffs
 from oracles import quintic_oracle
@@ -125,6 +127,32 @@ class TestInvariants:
             vals = grid_values(u.coeffs[None, :], m, g)[0]
             quad = 2 * np.pi * np.mean(np.abs(vals) ** 2)
             assert quad == pytest.approx(nt.mass(u), rel=1e-13)
+
+
+class TestTruncatedEnergy:
+    """E_N, the invariant of the truncated flow: C with |Pi_N u|^6 in place
+    of |u|^6."""
+
+    def test_full_band_is_c(self, rng):
+        coeffs = np.stack([random_coeffs(rng, 5) for _ in range(8)])
+        got = truncated_energy_batch(coeffs, 5, 5, 32)
+        want = conserved_c_batch(coeffs, 5, 32)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_free_modes_leave_the_sextic_term(self):
+        # modes k = 1 and 6 at N = 2: E_N is C(u) less what the free mode
+        # adds to int |u|^6, while its quadratic part is that of C
+        u = nt.FourierState.from_modes(6, {1: 0.7, 6: 0.4j})
+        n_points = 6 * 6 + 2
+
+        def l6(c):
+            return TWO_PI * np.mean(np.abs(grid_values(c, 6, n_points)) ** 6)
+
+        low = np.where(np.abs(wavenumbers(6)) <= 2, u.coeffs, 0.0)
+        want = (nt.conserved_c(u, nt.GridSpec(n_points))
+                - (l6(u.coeffs) - l6(low)) / 6.0)
+        got = truncated_energy_batch(u.coeffs[None, :], 6, 2, n_points)[0]
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestQuintic:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import nls_transport as nt
+from nls_transport import transport
 from nls_transport.energies import EnergyParams
-from nls_transport.measures import sample_batch
+from nls_transport.flow import evolve_batch
+from nls_transport.measures import SAMPLE_CHUNK, sample_batch
+from nls_transport.parallel import run_chunked
 from nls_transport.spectral import conserved_c_batch, wavenumbers
 from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
                                      DensityPieces, ObservableKind, StudyKind,
+                                     _forward_c_lower_bound,
                                      _quadrature_weights, _simpson_weights,
                                      default_observable_battery, density_pieces,
                                      log_density_direct_batch)
@@ -368,3 +372,112 @@ class TestCutoffConservation:
         tame = c0 <= 2 * m.cutoff_r
         assert np.max(drift[tame]) <= 1e-8
         assert np.array_equal(c0 <= m.cutoff_r, c1 <= m.cutoff_r)
+
+
+class TestCutoffPrefilter:
+    """change_of_measure_test evolves only the rows whose C(u) or
+    _forward_c_lower_bound may be within the cutoff R."""
+
+    @staticmethod
+    def sextic(d, m):
+        return max(d.flow.grid.n_points, 6 * m.m_ambient + 2)
+
+    @staticmethod
+    def evolved_rows(monkeypatch, d, m, n, seed):
+        """The rows change_of_measure_test passes to evolve_batch, and the
+        rows the bound keeps, both as arrays of coefficients."""
+        seen = []
+
+        def recording(coeffs, *args):
+            seen.append(coeffs.copy())
+            return evolve_batch(coeffs, *args)
+
+        monkeypatch.setattr(transport, "evolve_batch", recording)
+        # log G is not under test here: without a cutoff the step control
+        # would integrate every sample, the largest ones included
+        monkeypatch.setattr(transport, "_masked_log_density",
+                            lambda coeffs, *args: np.zeros(coeffs.shape[0]))
+        const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
+        nt.change_of_measure_test(d, m, [const], n, nt.SeededRng(seed))
+        return np.concatenate(seen)
+
+    def test_sound_on_battery_chunks(self):
+        # R runs through C(Phi_t u) of chosen rows, which then sit on the
+        # cutoff (ties included): no row the cutoff keeps after the flow
+        # may be skipped, on four 8192-row chunks of the battery
+        d, fam = density_setup(n_cut=4, t=0.3)
+        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
+        n_points = self.sextic(d, m)
+        rng = nt.SeededRng(424242)
+
+        def chunk(lo, hi):
+            coeffs = sample_batch(rng.substream(lo), hi - lo, m)
+            fwd = evolve_batch(coeffs, 16, d.t, d.flow)
+            return (conserved_c_batch(coeffs, 16, n_points),
+                    _forward_c_lower_bound(coeffs, 16, 4, d.t, n_points),
+                    conserved_c_batch(fwd, 16, n_points))
+
+        for c0, bound, c1 in run_chunked(chunk, 4 * SAMPLE_CHUNK,
+                                         SAMPLE_CHUNK):
+            order = np.argsort(c1)
+            chosen = set(order[np.linspace(0, c1.size - 1, 40).astype(int)])
+            chosen |= set(np.argsort(np.abs(c1 - m.cutoff_r))[:20])
+            chosen.add(int(np.argmin(c1 - bound)))
+            for i in chosen:
+                r = c1[i]
+                skipped = (c0 > r) & (bound > r)
+                assert not skipped[i]
+                assert not np.any(skipped & (c1 <= r)), (i, r)
+            # and the bound is not vacuous at the battery cutoff
+            assert np.mean((c0 > m.cutoff_r) & (bound > m.cutoff_r)) > 0.75
+
+    def test_bound_is_c_less_margin_without_free_modes(self, monkeypatch):
+        # at N = M there are no free modes: the bound is C(u) less the
+        # margin, so every row with (1 - 1e-3) C(u) > R is skipped
+        d, fam = density_setup(n_cut=4, t=0.3)
+        m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam, cutoff_r=8.0)
+        n_points = self.sextic(d, m)
+        coeffs = sample_batch(nt.SeededRng(5), 400, m)
+        c = conserved_c_batch(coeffs, 4, n_points)
+        assert np.array_equal(_forward_c_lower_bound(coeffs, 4, 4, d.t,
+                                                     n_points),
+                              c - 1e-3 * c)
+        keep = ~((c > m.cutoff_r) & (c - 1e-3 * c > m.cutoff_r))
+        assert 0 < np.sum(keep) < coeffs.shape[0]
+        got = self.evolved_rows(monkeypatch, d, m, 400, 5)
+        assert np.array_equal(got, coeffs[keep])
+
+    def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
+        d, fam = density_setup(n_cut=3, t=0.25)
+        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        n_points = self.sextic(d, cut)
+        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
+        c = conserved_c_batch(coeffs, 8, n_points)
+        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t, n_points)
+        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
+        assert 0 < np.sum(keep) < coeffs.shape[0]
+        got = self.evolved_rows(monkeypatch, d, cut, 300, 40)
+        assert np.array_equal(got, coeffs[keep])
+        # the bound is that of the flow's truncation, also when the
+        # energy's is left at the ambient one
+        ambient = dataclasses.replace(d, energy=EnergyParams(n_cut=None,
+                                                             family=fam))
+        got = self.evolved_rows(monkeypatch, ambient, cut, 300, 40)
+        assert np.array_equal(got, coeffs[keep])
+        # with no cutoff every row is evolved
+        free = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
+        got = self.evolved_rows(monkeypatch, d, free, 300, 40)
+        assert np.array_equal(got, coeffs)
+
+    def test_evolve_rows_independent_of_batch(self):
+        # the compacted batch gives each kept row the bits of the full one
+        d, fam = density_setup(n_cut=4, t=0.3)
+        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam)
+        coeffs = sample_batch(nt.SeededRng(424242), 64, m)
+        full = evolve_batch(coeffs, 16, d.t, d.flow)
+        subset = [63, 5, 17, 40]
+        assert np.array_equal(evolve_batch(coeffs[subset], 16, d.t, d.flow),
+                              full[subset])
+        for i in subset:
+            assert np.array_equal(
+                evolve_batch(coeffs[i:i + 1], 16, d.t, d.flow)[0], full[i])
