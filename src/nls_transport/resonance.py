@@ -201,16 +201,17 @@ def psi_bound_ratios(n_cut: int, s_list) -> list[float]:
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
     best = [0.0] * len(s_list)
+    mag = np.arange(n_cut + 1, dtype=np.float64)
     for k1_lo in range(0, n_cut + 1):
         cols, om = tuple_table_k1(n_cut, k1_lo, k1_lo)
-        mags = np.sort(np.abs(cols), axis=1)[:, ::-1]
-        k1m = mags[:, 0].astype(np.float64)
-        k3m = mags[:, 2].astype(np.float64)
-        abs_cols = np.abs(cols).astype(np.float64)
-        gap = np.abs(om) + k3m**2
+        abs_cols = np.abs(cols)
+        mags = np.sort(abs_cols, axis=1)   # |k_(1)| is column 5, |k_(3)| 3
+        gap = np.abs(om) + mag[mags[:, 3]] ** 2
         for i, s in enumerate(s_list):
-            psi_v = np.sum(ALT_SIGNS * abs_cols ** (2 * s), axis=1)
-            denom = np.where(k1m > 0, k1m ** (2 * s - 2), 0.0) * gap
+            # powers of the n_cut + 1 magnitudes, gathered per tuple
+            psi_v = np.sum(ALT_SIGNS * (mag ** (2 * s))[abs_cols], axis=1)
+            denom = np.where(mags[:, 5] > 0, (mag ** (2 * s - 2))[mags[:, 5]],
+                             0.0) * gap
             bad = denom == 0
             if np.any(np.abs(psi_v[bad]) > 0):
                 raise AssertionError("tuple with zero denominator but psi != 0")

@@ -384,8 +384,8 @@ class TestCutoffPrefilter:
 
     @staticmethod
     def evolved_rows(monkeypatch, d, m, n, seed):
-        """The rows change_of_measure_test passes to evolve_batch, and the
-        rows the bound keeps, both as arrays of coefficients."""
+        """The rows change_of_measure_test passes to evolve_batch, stacked
+        in call order."""
         seen = []
 
         def recording(coeffs, *args):
