@@ -166,8 +166,7 @@ def run_convergence(cfg, outdir):
         study = convergence_study(kind, cfg["s"], cfg["t"], 8,
                                   cfg["n_list"], cfg["m_ambient"],
                                   SeededRng(cfg["seed"]),
-                                  family=_family(cfg), step=cfg["step"],
-                                  check_decrease=False)
+                                  family=_family(cfg), step=cfg["step"])
         sups = [r.sup_diff for r in study]   # rows come in increasing n_cut
         passed &= all(b < a for a, b in zip(sups, sups[1:]))
         rows.extend((r.kind, r.n_cut, cfg["m_ambient"], cfg["t"], r.sup_diff)

@@ -48,7 +48,7 @@ from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
 from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
-                       wavenumbers, weighted_norm_sq_batch)
+                       wavenumbers)
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
@@ -175,9 +175,9 @@ def r_correction(u: FourierState, p: EnergyParams) -> float:
 def e_modified(u: FourierState, p: EnergyParams) -> float:
     """Modified energy: half the weighted norm square of Pi_N u plus R."""
     n_cut = p.resolve_cut(u.m_ambient)
-    ks = wavenumbers(u.m_ambient)
-    keep = np.abs(ks) <= n_cut
-    norm_sq = float(weighted_norm_sq_batch(u.coeffs, p.family.multiplier(ks), keep))
+    low = slice(u.m_ambient - n_cut, u.m_ambient + n_cut + 1)
+    mult = p.family.multiplier(wavenumbers(u.m_ambient)[low])
+    norm_sq = float(np.sum(mult * np.abs(u.coeffs[low]) ** 2))
     return 0.5 * norm_sq + r_correction(u, p)
 
 

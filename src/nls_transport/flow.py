@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundViolated, ContractionRadiusExceeded, NonFiniteState)
-from .spectral import (FourierState, GridSpec, default_grid, grid_coefficients,
+from .spectral import (FourierState, default_grid, grid_coefficients,
                        grid_values, quintic_band, quintic_batch,
                        sobolev_norm_sq_sigma, truncated_energy_batch,
                        wavenumbers)
@@ -35,14 +35,10 @@ GROWTH_C_SIGMA = 1.0         # pinned constant in the a-priori growth bound
 class FlowParams:
     n_cut: int
     step: float = 1e-3
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         if not 0 < self.step <= 0.1:
             raise ValueError("step must lie in (0, 0.1]")
-        g = self.grid if self.grid is not None else default_grid(self.n_cut)
-        g.require_quintic(self.n_cut)
-        object.__setattr__(self, "grid", g)
 
 
 @dataclass(frozen=True)
@@ -106,8 +102,9 @@ def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     times in turn; raises NonFiniteState on overflow."""
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
+    n_points = default_grid(p.n_cut).n_points
     field = _twisted(ks[low].astype(np.float64) ** 2,
-                     lambda u: quintic_band(u, p.grid.n_points))
+                     lambda u: quintic_band(u, n_points))
     wb, t_prev = coeffs[..., low], 0.0
     for t in times:
         if t != t_prev:
@@ -194,9 +191,10 @@ def picard_iterates(u0: FourierState, t_small: float, p: FlowParams,
     lin = free * u0.coeffs                        # linear evolution of u0
     iterate = lin.copy()
     h = taus[1] - taus[0] if n_quad else 0.0
+    n_points = default_grid(p.n_cut).n_points
     out = []
     for _ in range(n_iter):
-        nl = quintic_batch(iterate, m, p.n_cut, p.grid.n_points)
+        nl = quintic_batch(iterate, m, p.n_cut, n_points)
         g = np.conj(free) * nl                    # e^{-i tau dxx} N(u(tau))
         integral = np.zeros_like(g)
         for j in range(0, n_quad - 1, 2):
@@ -243,7 +241,8 @@ def divergence_at(u: FourierState, p: FlowParams) -> float:
     _require_pure(u, p)
     dim = u.coeffs.size
     basis = np.vstack([np.eye(dim), 1j * np.eye(dim)])
-    d = -1j * _tangent_apply(u.coeffs, basis, p.grid.n_points)
+    d = -1j * _tangent_apply(u.coeffs, basis,
+                             default_grid(p.n_cut).n_points)
     return float(np.sum(np.diagonal(d[:dim]).real)
                  + np.sum(np.diagonal(d[dim:]).imag))
 
@@ -255,7 +254,7 @@ def jacobian_det(u0: FourierState, t: float, p: FlowParams) -> float:
     it) and its tangents along e_j and i e_j share the RK4 steps; the twist
     rotates each mode and leaves the determinant unchanged."""
     _require_pure(u0, p)
-    dim, n_points = u0.coeffs.size, p.grid.n_points
+    dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
 
     def product(u):
         return np.vstack([quintic_band(u[:1], n_points),
@@ -308,7 +307,7 @@ def growth_monitor(traj: Trajectory, sigma: float,
     ratio = float(np.exp(np.clip(np.max(log_excess), -700.0, 700.0)))
 
     mass_v = np.sum(np.abs(coeffs) ** 2, axis=-1)
-    c_v = truncated_energy_batch(coeffs, m, n_cut, 6 * m + 2)
+    c_v = truncated_energy_batch(coeffs, m, n_cut)
     mass_drift = float(np.max(np.abs(mass_v - mass_v[0]))
                        / max(mass_v[0], 1e-300))
     c_drift = float(np.max(np.abs(c_v - c_v[0])) / max(abs(c_v[0]), 1e-300))

@@ -11,7 +11,7 @@ directly from the raw counter output (fixed choice, never change it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -20,8 +20,8 @@ from scipy.special import ndtri
 from .energies import EnergyParams, r_correction_batch
 from .errors import MissingCutoff, NlsTransportError, WeightOverflow
 from .parallel import run_chunked
-from .spectral import (FourierState, GridSpec, WeightFamily,
-                       bracket_multiplier, conserved_c_batch, wavenumbers)
+from .spectral import (FourierState, WeightFamily, bracket_multiplier,
+                       conserved_c_batch, wavenumbers)
 
 LOG_WEIGHT_LIMIT = 700.0
 SAMPLE_CHUNK = 8192  # fixed chunk so reductions are split-independent
@@ -67,37 +67,14 @@ class McReport:
     estimate: float
     stderr: float
     n: int
-    target: float | None = None
-    seed: int | None = None
-    params: dict = field(default_factory=dict)
-
-    @property
-    def z(self) -> float | None:
-        if self.target is None:
-            return None
-        if self.stderr == 0.0:
-            return 0.0 if self.estimate == self.target else float("inf")
-        return (self.estimate - self.target) / self.stderr
-
-    def to_dict(self) -> dict:
-        d = {"estimate": self.estimate, "stderr": self.stderr, "n": self.n}
-        if self.target is not None:
-            d["target"] = self.target
-            d["z"] = self.z
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.params:
-            d["params"] = dict(self.params)
-        return d
 
 
-def mean_report(values: np.ndarray, target=None, seed=None, params=None) -> McReport:
+def mean_report(values: np.ndarray) -> McReport:
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     est = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return McReport(est, std / np.sqrt(n), n, target=target, seed=seed,
-                    params=params or {})
+    return McReport(est, std / np.sqrt(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +101,25 @@ def sample_state(rng: SeededRng, p: MeasureParams) -> FourierState:
 # ---------------------------------------------------------------------------
 # cutoff and weights
 
-def cutoff_indicator_batch(coeffs: np.ndarray, p: MeasureParams,
-                           grid: GridSpec) -> np.ndarray:
+def cutoff_indicator_batch(coeffs: np.ndarray, p: MeasureParams) -> np.ndarray:
     if p.cutoff_r is None:
         raise MissingCutoff("MeasureParams.cutoff_r is not set")
-    grid.require_sextic(p.m_ambient)
-    c = conserved_c_batch(coeffs, p.m_ambient, grid.n_points)
+    c = conserved_c_batch(coeffs, p.m_ambient)
     return (c <= p.cutoff_r).astype(np.float64)
 
 
-def cutoff_indicator(u: FourierState, p: MeasureParams, grid: GridSpec) -> int:
+def cutoff_indicator(u: FourierState, p: MeasureParams) -> int:
     """1 iff the conserved energy C(u) <= R, ties included."""
-    return int(cutoff_indicator_batch(u.coeffs[None, :], p, grid)[0])
+    return int(cutoff_indicator_batch(u.coeffs[None, :], p)[0])
 
 
 def log_wgm_weight_batch(coeffs: np.ndarray, p: MeasureParams,
-                         energy: EnergyParams, grid: GridSpec):
+                         energy: EnergyParams):
     """(indicator, log-weight) arrays; weight of the reweighted ensemble is
     indicator * exp(-R)."""
     if energy.family != p.family:
         raise ValueError("energy and measure must share one weight family")
-    ind = cutoff_indicator_batch(coeffs, p, grid)
+    ind = cutoff_indicator_batch(coeffs, p)
     log_w = -r_correction_batch(coeffs, p.m_ambient, energy)
     live = ind > 0
     if np.any(log_w[live] > LOG_WEIGHT_LIMIT):
@@ -152,15 +127,15 @@ def log_wgm_weight_batch(coeffs: np.ndarray, p: MeasureParams,
     return ind, log_w
 
 
-def wgm_weight(u: FourierState, p: MeasureParams, energy: EnergyParams,
-               grid: GridSpec) -> float:
+def wgm_weight(u: FourierState, p: MeasureParams,
+               energy: EnergyParams) -> float:
     """Unnormalized weight 1_{C(u) <= R} exp(-R_corr(u)) of the weighted
     ensemble against the Gaussian one."""
-    ind, log_w = log_wgm_weight_batch(u.coeffs[None, :], p, energy, grid)
+    ind, log_w = log_wgm_weight_batch(u.coeffs[None, :], p, energy)
     return float(ind[0] * np.exp(log_w[0])) if ind[0] > 0 else 0.0
 
 
-def partition_estimate(p: MeasureParams, energy: EnergyParams, grid: GridSpec,
+def partition_estimate(p: MeasureParams, energy: EnergyParams,
                        n_samples: int, rng: SeededRng) -> McReport:
     """Monte Carlo normalizing constant of the weighted ensemble; strictly
     positive and finite by construction of the weight."""
@@ -170,14 +145,11 @@ def partition_estimate(p: MeasureParams, energy: EnergyParams, grid: GridSpec,
 
     def body(lo, hi):
         coeffs = sample_batch(rng.substream(lo), hi - lo, p)
-        ind, log_w = log_wgm_weight_batch(coeffs, p, energy, grid)
+        ind, log_w = log_wgm_weight_batch(coeffs, p, energy)
         vals[lo:hi] = ind * np.exp(np.where(ind > 0, log_w, 0.0))
 
     run_chunked(body, n_samples, SAMPLE_CHUNK)
-    report = mean_report(vals, seed=rng.master_seed,
-                         params={"s": p.s, "m_ambient": p.m_ambient,
-                                 "cutoff_r": p.cutoff_r,
-                                 "n_cut": energy.n_cut})
+    report = mean_report(vals)
     if not np.isfinite(report.estimate) or report.estimate <= 0.0:
         raise NlsTransportError("partition estimate must be positive finite")
     return report
@@ -225,12 +197,10 @@ def lp_norm_mc(f, p_exp: float, measure: MeasureParams, n: int,
         vals[lo:hi] = np.abs(f(coeffs, measure.m_ambient)) ** p_exp
 
     run_chunked(body, n, SAMPLE_CHUNK)
-    base = mean_report(vals, seed=rng.master_seed)
+    base = mean_report(vals)
     est = base.estimate ** (1.0 / p_exp)
     if base.estimate > 0:
         stderr = base.stderr * est / (p_exp * base.estimate)
     else:
         stderr = 0.0
-    return McReport(est, stderr, n, seed=rng.master_seed,
-                    params={"p_exp": p_exp, "s": measure.s,
-                            "m_ambient": measure.m_ambient})
+    return McReport(est, stderr, n)

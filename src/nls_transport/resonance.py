@@ -16,7 +16,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import GridTooSmall
 from .spectral import WeightFamily
 
 ALT_SIGNS = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
@@ -55,20 +54,15 @@ def psi(t, family: WeightFamily) -> float:
     return float(np.sum(ALT_SIGNS * m))
 
 
-def enumerate_constrained(n_cut: int, filt: TupleFilter = TupleFilter.ALL,
-                          k1_range=None) -> Iterator[Tuple6]:
+def enumerate_constrained(
+        n_cut: int, filt: TupleFilter = TupleFilter.ALL) -> Iterator[Tuple6]:
     """Yield constrained tuples with all |k_j| <= n_cut, lexicographic in
     (k1..k5); k6 is solved from the constraint and range-checked.  Each k1
     is one tuple_table_k1 slice, filtered by Omega.
-
-    `k1_range` restricts the leading index for deterministic work splitting;
-    sub-streams over a partition of -n_cut..n_cut are disjoint and their
-    concatenation in order reproduces the full stream.
     """
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
-    lo, hi = (-n_cut, n_cut) if k1_range is None else k1_range
-    for k1 in range(lo, hi + 1):
+    for k1 in range(-n_cut, n_cut + 1):
         cols, om = tuple_table_k1(n_cut, k1, k1)
         if filt is TupleFilter.NON_RESONANT:
             cols = cols[om != 0]
@@ -230,8 +224,7 @@ def psi_bound_ratio(n_cut: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 # sum-as-integral identity
 
-def strichartz_sum(n_cut: int, kappa: int, mods, t_points: int | None = None,
-                   n_space: int | None = None) -> tuple[float, float]:
+def strichartz_sum(n_cut: int, kappa: int, mods) -> tuple[float, float]:
     """The constrained moduli sum at resonance level kappa, two ways.
 
     (a) brute force over the tuple table;
@@ -255,15 +248,8 @@ def strichartz_sum(n_cut: int, kappa: int, mods, t_points: int | None = None,
         brute = float(np.sum(prod))
 
     # time frequencies are Omega - kappa with |Omega| <= 3 n^2
-    t_needed = max(12 * n_cut * n_cut + 2, 3 * n_cut * n_cut + abs(kappa) + 1)
-    if t_points is None:
-        t_points = t_needed
-    if n_space is None:
-        n_space = 6 * n_cut + 2
-    if n_space < 6 * n_cut + 2:
-        raise GridTooSmall(f"space grid {n_space} < {6 * n_cut + 2}")
-    if t_points < t_needed:
-        raise GridTooSmall(f"time grid {t_points} < {t_needed}")
+    t_points = max(12 * n_cut * n_cut + 2, 3 * n_cut * n_cut + abs(kappa) + 1)
+    n_space = 6 * n_cut + 2
 
     ks = np.arange(-n_cut, n_cut + 1)
     ts = 2.0 * np.pi * np.arange(t_points) / t_points

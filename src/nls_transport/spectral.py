@@ -5,7 +5,17 @@ Conventions: the torus is [0, 2pi) with Lebesgue measure dx, functions are
 u(x) = sum_k u_k e^{ikx} with k = -M..M, and the Fourier pairing is
 u_k = (1/2pi) int u e^{-ikx} dx.  All physical-space products are evaluated
 on grids large enough that no aliased mode can reach the retained band, so
-spectral results agree with exact convolutions to roundoff.
+spectral results agree with exact convolutions to roundoff.  This module
+derives both grids, and no caller chooses one:
+
+  quintic rule  Pi_N(|u|^4 u) of a band |k| <= N needs G >= 6N + 2: the
+                product has bandwidth 5N, and an alias k -> k - G lands in
+                |k| <= N only if G <= 6N.  default_grid(N), the power of
+                two >= max(16, 8N), serves the flow, the Liouville checks,
+                Picard and Q.
+  sextic rule   int |u|^6 of a band |k| <= M, the mean of a band-6M
+                product, is exact on G > 6M points; sextic_integral_batch
+                uses G = 6M + 2, for C(u), E_N and the cutoff.
 """
 
 from __future__ import annotations
@@ -107,22 +117,6 @@ class GridSpec:
 
     n_points: int
 
-    def require_quintic(self, n_cut: int) -> None:
-        # quintic product of a Pi_N-truncated state has bandwidth 5N; an
-        # alias k -> k - G lands in |k| <= N only if G <= 6N
-        if self.n_points < 6 * n_cut + 2:
-            raise GridTooSmall(
-                f"grid {self.n_points} < {6 * n_cut + 2} needed for quintic "
-                f"dealiasing at n_cut={n_cut}"
-            )
-
-    def require_sextic(self, m_ambient: int) -> None:
-        if self.n_points < 6 * m_ambient + 2:
-            raise GridTooSmall(
-                f"grid {self.n_points} < {6 * m_ambient + 2} needed to "
-                f"integrate |u|^6 exactly at m_ambient={m_ambient}"
-            )
-
 
 def default_grid(n_cut: int) -> GridSpec:
     g = 16
@@ -183,41 +177,30 @@ def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
     return out
 
 
-def conserved_c_batch(coeffs: np.ndarray, m_ambient: int,
-                      n_points: int) -> np.ndarray:
+def conserved_c_batch(coeffs: np.ndarray, m_ambient: int) -> np.ndarray:
     ks = wavenumbers(m_ambient)
     mass_v = TWO_PI * np.sum(np.abs(coeffs) ** 2, axis=-1)
     grad_v = TWO_PI * np.sum(ks**2 * np.abs(coeffs) ** 2, axis=-1)
-    l6 = sextic_integral_batch(coeffs, m_ambient, n_points)
+    l6 = sextic_integral_batch(coeffs, m_ambient)
     return 0.5 * mass_v + 0.5 * grad_v + l6 / 6.0
 
 
-def sextic_integral_batch(coeffs: np.ndarray, m_ambient: int,
-                          n_points: int) -> np.ndarray:
-    """int |u|^6 dx for each row; exact when n_points >= 6M + 2."""
-    vals = grid_values(coeffs, m_ambient, n_points)
+def sextic_integral_batch(coeffs: np.ndarray, m_ambient: int) -> np.ndarray:
+    """Exact int |u|^6 dx per row, on the 6M + 2 points of the sextic rule."""
+    vals = grid_values(coeffs, m_ambient, 6 * m_ambient + 2)
     return TWO_PI * np.mean(np.abs(vals) ** 6, axis=-1)
 
 
-def truncated_energy_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
-                           n_points: int) -> np.ndarray:
+def truncated_energy_batch(coeffs: np.ndarray, m_ambient: int,
+                           n_cut: int) -> np.ndarray:
     """E_N(u) = C(Pi_N u) + (1/2)||(1 - Pi_N) u||_{H^1}^2, the invariant of
     the truncated flow: C with |Pi_N u|^6 in place of |u|^6.  It is
-    C(u) bit for bit at n_cut = m_ambient; n_points >= 6 n_cut + 2
-    integrates the sextic term exactly."""
+    C(u) bit for bit at n_cut = m_ambient."""
     ks = wavenumbers(m_ambient)
     high = np.abs(ks) > n_cut
     quad_high = np.pi * np.sum((1.0 + ks[high] ** 2)
                                * np.abs(coeffs[..., high]) ** 2, axis=-1)
-    return (conserved_c_batch(np.where(high, 0.0, coeffs), m_ambient, n_points)
-            + quad_high)
-
-
-def weighted_norm_sq_batch(coeffs: np.ndarray, mult: np.ndarray,
-                           keep=None) -> np.ndarray:
-    if keep is None:
-        return np.sum(mult * np.abs(coeffs) ** 2, axis=-1)
-    return np.sum(mult[keep] * np.abs(coeffs[..., keep]) ** 2, axis=-1)
+    return conserved_c_batch(np.where(high, 0.0, coeffs), m_ambient) + quad_high
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +231,22 @@ def mass(u: FourierState) -> float:
     return float(TWO_PI * np.sum(np.abs(u.coeffs) ** 2))
 
 
-def hamiltonian(u: FourierState, grid: GridSpec) -> float:
+def hamiltonian(u: FourierState) -> float:
     """(1/2) int |u_x|^2 + (1/6) int |u|^6, by exact spectral quadrature:
     C(u) less half the mass."""
-    return conserved_c(u, grid) - 0.5 * mass(u)
+    return conserved_c(u) - 0.5 * mass(u)
 
 
-def conserved_c(u: FourierState, grid: GridSpec) -> float:
+def conserved_c(u: FourierState) -> float:
     """(1/2) ||u||_{L^2}^2 + H(u); conserved by the truncated flow.  The
     same bits as conserved_c_batch, so a cutoff at R = C(u) keeps u."""
-    grid.require_sextic(u.m_ambient)
-    return float(conserved_c_batch(u.coeffs[None, :], u.m_ambient,
-                                   grid.n_points)[0])
+    return float(conserved_c_batch(u.coeffs[None, :], u.m_ambient)[0])
 
 
-def quintic_nonlinearity(u: FourierState, n_cut: int, grid: GridSpec) -> FourierState:
-    """Pi_N(|Pi_N u|^4 Pi_N u) on a dealiased grid; exact convolution."""
-    grid.require_quintic(n_cut)
-    out = quintic_batch(u.coeffs[None, :], u.m_ambient, n_cut, grid.n_points)[0]
+def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
+    """Pi_N(|Pi_N u|^4 Pi_N u) on the quintic grid; exact convolution."""
+    out = quintic_batch(u.coeffs[None, :], u.m_ambient, n_cut,
+                        default_grid(n_cut).n_points)[0]
     return FourierState(u.m_ambient, out)
 
 

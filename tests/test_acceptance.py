@@ -59,7 +59,7 @@ def test_02_oracle_equivalence():
         c = 0.5 * (rng.standard_normal(2 * m_amb + 1)
                    + 1j * rng.standard_normal(2 * m_amb + 1))
         u = nt.FourierState(m_amb, c)
-        got = nt.quintic_nonlinearity(u, n_cut, nt.default_grid(n_cut))
+        got = nt.quintic_nonlinearity(u, n_cut)
         expect = quintic_oracle(c, m_amb, n_cut)
         scale = max(1.0, float(np.max(np.abs(expect))))
         worst = max(worst, float(np.max(np.abs(got.coeffs - expect))) / scale)
@@ -109,7 +109,7 @@ def test_03_normal_form_identity():
         es = {k: nt.e_modified(nt.evolve(base, k * delta, flow), p)
               for k in (-2, -1, 1, 2)}
         fd = (es[-2] - 8 * es[-1] + 8 * es[1] - es[2]) / (12 * delta)
-        q = nt.q_derivative(base, p, flow.grid)
+        q = nt.q_derivative(base, p, nt.default_grid(8))
         worst = max(worst, abs(fd - q) / abs(q))
     report("ACCEPT-03", worst <= 1e-5,
            f"worst relative FD-vs-Q error {worst:.3e} over 10 times "
@@ -211,8 +211,7 @@ def test_08_convergence_in_truncation():
     passed = True
     for kind in (StudyKind.R, StudyKind.Q, StudyKind.G):
         rows = convergence_study(kind, 2.0, 0.3, 8, [4, 8, 16], 32,
-                                 nt.SeededRng(pinned.CONVERGENCE_SEED),
-                                 check_decrease=False)
+                                 nt.SeededRng(pinned.CONVERGENCE_SEED))
         sups = [r.sup_diff for r in rows]
         dec = all(b < a for a, b in zip(sups, sups[1:]))
         pin = np.allclose(sups, pinned.CONVERGENCE_SUP[kind.value],
@@ -284,13 +283,12 @@ def test_10_measure_sanity():
     from nls_transport.energies import r_correction_batch
     from nls_transport.measures import cutoff_indicator_batch, lp_norm_mc
     m32 = nt.MeasureParams(s=2.0, m_ambient=32, family=JB, cutoff_r=8.0)
-    grid = nt.GridSpec(256)
     l2_vals = []
     for n_cut in (4, 8, 16):
         energy = EnergyParams(n_cut=n_cut, family=JB)
 
         def weight(coeffs, m_amb, energy=energy):
-            ind = cutoff_indicator_batch(coeffs, m32, grid)
+            ind = cutoff_indicator_batch(coeffs, m32)
             r = r_correction_batch(coeffs, m_amb, energy)
             return ind * np.exp(np.abs(np.where(ind > 0, r, 0.0)))
 

@@ -240,7 +240,7 @@ class TestNormalFormIdentity:
             es = {m: nt.e_modified(nt.evolve(base, m * delta, flow), p)
                   for m in (-2, -1, 1, 2)}
             fd = (es[-2] - 8 * es[-1] + 8 * es[1] - es[2]) / (12 * delta)
-            q = nt.q_derivative(base, p, flow.grid)
+            q = nt.q_derivative(base, p, nt.default_grid(n_cut))
             assert fd == pytest.approx(q, rel=2e-7)
 
     def test_two_point_difference_converges(self, fam_eq, rng):
@@ -249,7 +249,7 @@ class TestNormalFormIdentity:
         u = nt.FourierState(n_cut, random_coeffs(rng, n_cut, scale=0.3))
         p = params(n_cut, fam_eq)
         flow = nt.FlowParams(n_cut=n_cut, step=5e-5)
-        q = nt.q_derivative(u, p, flow.grid)
+        q = nt.q_derivative(u, p, nt.default_grid(n_cut))
         errs = []
         for delta in (2e-3, 1e-3, 5e-4):
             fd = (nt.e_modified(nt.evolve(u, delta, flow), p)

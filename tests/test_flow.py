@@ -76,7 +76,7 @@ class TestEvolve:
         u = nt.FourierState(4, mu_like_coeffs(rng, 4))
         p = nt.FlowParams(n_cut=4, step=1e-4)
         a = nt.evolve(u, 0.3, p)
-        b = rk4_ungauged(u, 0.3, 4, 1e-4, p.grid.n_points)
+        b = rk4_ungauged(u, 0.3, 4, 1e-4, nt.default_grid(4).n_points)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-10
 
     def test_non_finite_detected(self):
@@ -258,7 +258,7 @@ class TestGrowthMonitor:
             vals = grid_values(c, 6, grid.n_points)
             return TWO_PI * np.mean(np.abs(vals) ** 6)
 
-        e_n = np.array([nt.conserved_c(s, grid)
+        e_n = np.array([nt.conserved_c(s)
                         - (l6(s.coeffs) - l6(np.where(low, s.coeffs, 0.0))) / 6
                         for s in traj.states])
         drift = np.max(np.abs(e_n - e_n[0])) / e_n[0]
@@ -289,8 +289,7 @@ class TestApproximationProperty:
         """Distance to the reference truncation decreases as the
         truncation grows through 4, 8, 16."""
         u = nt.FourierState(64, random_coeffs(rng, 64, scale=0.05))
-        ref = nt.evolve(u, 0.25, nt.FlowParams(n_cut=64, step=1e-3,
-                                               grid=nt.GridSpec(512)))
+        ref = nt.evolve(u, 0.25, nt.FlowParams(n_cut=64, step=1e-3))
         gaps = []
         for n_cut in (4, 8, 16, 32):
             p = nt.FlowParams(n_cut=n_cut, step=1e-3)

@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every function reads each of its parameters.
+every function reads each of its parameters, and only `spectral` constructs
+a GridSpec, since it derives every collocation grid.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -93,3 +94,24 @@ def test_no_unused_parameters_in_package():
     found = {path.name: unused_parameters(path.read_text(), runners)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def grid_constructions(source: str) -> list[int]:
+    """Lines that call GridSpec, by bare or dotted name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "GridSpec" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)))
+
+
+def test_detects_a_grid_construction():
+    source = ("from .spectral import GridSpec\nimport nls_transport as nt\n"
+              "a = GridSpec(16)\nb = nt.GridSpec(32)\nc = GridSpec\n")
+    assert grid_constructions(source) == [3, 4]
+
+
+def test_only_spectral_constructs_grids():
+    found = {path.name: grid_constructions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "spectral.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

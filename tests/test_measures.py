@@ -3,7 +3,7 @@ import pytest
 
 import nls_transport as nt
 from nls_transport.energies import EnergyParams
-from nls_transport.measures import (lp_norm_mc, mean_report, sample_batch,
+from nls_transport.measures import (lp_norm_mc, sample_batch,
                                     log_wgm_weight_batch)
 
 from conftest import random_coeffs
@@ -43,11 +43,10 @@ class TestSeededRng:
     def test_thread_count_invariance(self, monkeypatch):
         m = measure(cutoff=50.0)
         energy = EnergyParams(n_cut=4, family=m.family)
-        grid = nt.GridSpec(64)
         monkeypatch.setenv("NLS_TRANSPORT_THREADS", "1")
-        a = nt.partition_estimate(m, energy, grid, 2000, nt.SeededRng(5))
+        a = nt.partition_estimate(m, energy, 2000, nt.SeededRng(5))
         monkeypatch.setenv("NLS_TRANSPORT_THREADS", "4")
-        b = nt.partition_estimate(m, energy, grid, 2000, nt.SeededRng(5))
+        b = nt.partition_estimate(m, energy, 2000, nt.SeededRng(5))
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
@@ -103,36 +102,32 @@ class TestSampleState:
 class TestCutoff:
     def test_zero_state_inside(self):
         m = measure(cutoff=1.0)
-        assert nt.cutoff_indicator(nt.FourierState.zero(8),
-                                   m, nt.GridSpec(64)) == 1
+        assert nt.cutoff_indicator(nt.FourierState.zero(8), m) == 1
 
     def test_huge_state_outside(self):
         m = measure(cutoff=1.0)
         u = nt.FourierState.from_modes(8, {0: 50.0})
-        assert nt.cutoff_indicator(u, m, nt.GridSpec(64)) == 0
+        assert nt.cutoff_indicator(u, m) == 0
 
     def test_boundary_tie_included(self):
         m0 = measure(m_ambient=2)
         u = nt.FourierState.from_modes(2, {1: 0.7})
-        grid = nt.GridSpec(16)
-        r_exact = nt.conserved_c(u, grid)
+        r_exact = nt.conserved_c(u)
         on_tie = nt.MeasureParams(s=m0.s, m_ambient=2, family=m0.family,
                                   cutoff_r=r_exact)
-        assert nt.cutoff_indicator(u, on_tie, grid) == 1
+        assert nt.cutoff_indicator(u, on_tie) == 1
 
     def test_boundary_tie_included_random_states(self, rng):
         m0 = measure(m_ambient=3)
-        grid = nt.GridSpec(32)
         for _ in range(200):
             u = nt.FourierState(3, random_coeffs(rng, 3))
             on_tie = nt.MeasureParams(s=m0.s, m_ambient=3, family=m0.family,
-                                      cutoff_r=nt.conserved_c(u, grid))
-            assert nt.cutoff_indicator(u, on_tie, grid) == 1
+                                      cutoff_r=nt.conserved_c(u))
+            assert nt.cutoff_indicator(u, on_tie) == 1
 
     def test_missing_cutoff(self):
         with pytest.raises(nt.MissingCutoff):
-            nt.cutoff_indicator(nt.FourierState.zero(2), measure(m_ambient=2),
-                                nt.GridSpec(16))
+            nt.cutoff_indicator(nt.FourierState.zero(2), measure(m_ambient=2))
 
 
 class TestWgmWeight:
@@ -140,19 +135,19 @@ class TestWgmWeight:
         m = measure(cutoff=0.01, m_ambient=4)
         u = nt.FourierState.from_modes(4, {0: 2.0})
         energy = EnergyParams(n_cut=4, family=m.family)
-        assert nt.wgm_weight(u, m, energy, nt.GridSpec(32)) == 0.0
+        assert nt.wgm_weight(u, m, energy) == 0.0
 
     def test_single_mode_inside_is_one(self):
         m = measure(cutoff=100.0, m_ambient=4)
         u = nt.FourierState.from_modes(4, {2: 0.5})
         energy = EnergyParams(n_cut=4, family=m.family)
-        assert nt.wgm_weight(u, m, energy, nt.GridSpec(32)) == 1.0
+        assert nt.wgm_weight(u, m, energy) == 1.0
 
     def test_log_weight_is_minus_r(self, rng):
         m = measure(cutoff=1e6, m_ambient=3)
         energy = EnergyParams(n_cut=3, family=m.family)
         u = nt.sample_state(nt.SeededRng(3), m)
-        got = nt.wgm_weight(u, m, energy, nt.GridSpec(32))
+        got = nt.wgm_weight(u, m, energy)
         assert np.log(got) == pytest.approx(-nt.r_correction(u, energy),
                                             rel=1e-12)
 
@@ -161,7 +156,7 @@ class TestWgmWeight:
         other = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
         with pytest.raises(ValueError):
             nt.wgm_weight(nt.FourierState.zero(8), m,
-                          EnergyParams(n_cut=4, family=other), nt.GridSpec(64))
+                          EnergyParams(n_cut=4, family=other))
 
     def test_overflow_guard(self):
         m = measure(cutoff=1e30, m_ambient=2)
@@ -183,8 +178,7 @@ class TestWgmWeight:
         u = nt.FourierState(2, scale * base.coeffs)
         if nt.r_correction(u, energy) < -700:
             with pytest.raises(nt.WeightOverflow):
-                log_wgm_weight_batch(u.coeffs[None, :], m, energy,
-                                     nt.GridSpec(16))
+                log_wgm_weight_batch(u.coeffs[None, :], m, energy)
 
 
 class TestPartition:
@@ -192,19 +186,17 @@ class TestPartition:
         # truncation 0 keeps only the flat mode, where the correction is 0
         m = measure(cutoff=1e12, m_ambient=4)
         energy = EnergyParams(n_cut=0, family=m.family)
-        rep = nt.partition_estimate(m, energy, nt.GridSpec(32), 2000,
-                                    nt.SeededRng(21))
+        rep = nt.partition_estimate(m, energy, 2000, nt.SeededRng(21))
         assert rep.estimate == pytest.approx(1.0, abs=0)
         assert rep.stderr == 0.0
 
     def test_tiny_cutoff_matches_frequency(self):
         m = measure(cutoff=3.0, m_ambient=4)
         energy = EnergyParams(n_cut=0, family=m.family)
-        grid = nt.GridSpec(32)
-        rep = nt.partition_estimate(m, energy, grid, 4000, nt.SeededRng(22))
+        rep = nt.partition_estimate(m, energy, 4000, nt.SeededRng(22))
         block = sample_batch(nt.SeededRng(22), 4000, m)
         from nls_transport.measures import cutoff_indicator_batch
-        freq = float(np.mean(cutoff_indicator_batch(block, m, grid)))
+        freq = float(np.mean(cutoff_indicator_batch(block, m)))
         assert 0 < rep.estimate < 1
         assert rep.estimate == pytest.approx(freq, abs=0)
 
@@ -212,16 +204,15 @@ class TestPartition:
         # modest cutoff keeps the weights bounded so the error scales cleanly
         m = measure(cutoff=3.0, m_ambient=4)
         energy = EnergyParams(n_cut=2, family=m.family)
-        grid = nt.GridSpec(32)
-        small = nt.partition_estimate(m, energy, grid, 2000, nt.SeededRng(23))
-        large = nt.partition_estimate(m, energy, grid, 32000, nt.SeededRng(23))
+        small = nt.partition_estimate(m, energy, 2000, nt.SeededRng(23))
+        large = nt.partition_estimate(m, energy, 32000, nt.SeededRng(23))
         assert large.stderr == pytest.approx(small.stderr / 4.0, rel=0.4)
 
     def test_needs_enough_samples(self):
         m = measure(cutoff=1.0)
         with pytest.raises(ValueError):
             nt.partition_estimate(m, EnergyParams(n_cut=0, family=m.family),
-                                  nt.GridSpec(64), 10, nt.SeededRng(1))
+                                  10, nt.SeededRng(1))
 
 
 class TestMoments:
@@ -275,7 +266,6 @@ class TestLpNorm:
         """L^2 norms of the cutoff exponential weight stay finite and of
         one scale as the correction's truncation varies."""
         m = measure(s=2.0, m_ambient=32, cutoff=8.0)
-        grid = nt.GridSpec(256)
         vals = []
         for n_cut in (4, 8, 16):
             energy = EnergyParams(n_cut=n_cut, family=m.family)
@@ -283,7 +273,7 @@ class TestLpNorm:
             def f(coeffs, m_amb, energy=energy):
                 from nls_transport.measures import cutoff_indicator_batch
                 from nls_transport.energies import r_correction_batch
-                ind = cutoff_indicator_batch(coeffs, m, grid)
+                ind = cutoff_indicator_batch(coeffs, m)
                 r = r_correction_batch(coeffs, m_amb, energy)
                 return ind * np.exp(np.abs(np.where(ind > 0, r, 0.0)))
 
@@ -292,17 +282,3 @@ class TestLpNorm:
             vals.append(rep.estimate)
         spread = max(vals) / max(min(vals), 1e-300)
         assert spread <= 2.0
-
-
-class TestMeanReport:
-    def test_z_against_target(self):
-        rep = mean_report(np.array([1.0, 2.0, 3.0]), target=2.0)
-        assert rep.z == 0.0
-        rep2 = mean_report(np.array([1.0, 2.0, 3.0]), target=0.0)
-        assert rep2.z == pytest.approx(2.0 / rep2.stderr)
-
-    def test_json_round_trip(self):
-        rep = mean_report(np.array([1.0, 2.0]), target=1.5, seed=3,
-                          params={"s": 2.0})
-        doc = rep.to_dict()
-        assert doc["n"] == 2 and doc["target"] == 1.5 and "z" in doc

@@ -66,9 +66,6 @@ class TestEnumeration:
     def test_deterministic_order_and_split(self):
         full = list(nt.enumerate_constrained(2))
         assert full == list(nt.enumerate_constrained(2))
-        split = (list(nt.enumerate_constrained(2, k1_range=(-2, 0)))
-                 + list(nt.enumerate_constrained(2, k1_range=(1, 2))))
-        assert full == split
 
     def test_table_matches_generator(self):
         cols, om = tuple_table(2)
@@ -186,11 +183,6 @@ class TestStrichartzSum:
         mods = [np.abs(rng.standard_normal(7)) for _ in range(6)]
         brute, quad = nt.strichartz_sum(3, 2, mods)
         assert abs(brute - quad) <= 1e-10 * max(1.0, brute)
-
-    def test_grid_too_small(self):
-        mods = [np.ones(5)] * 6
-        with pytest.raises(nt.GridTooSmall):
-            nt.strichartz_sum(2, 0, mods, t_points=10)
 
     @pytest.mark.parametrize("n_cut", [2, 3, 4])
     def test_agreement_sweep(self, n_cut):

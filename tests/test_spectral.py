@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import nls_transport as nt
 from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
-                                    quintic_batch, truncated_energy_batch,
-                                    wavenumbers)
+                                    quintic_batch, sextic_integral_batch,
+                                    truncated_energy_batch, wavenumbers)
 
 from conftest import random_coeffs
 from oracles import quintic_oracle
@@ -96,29 +96,21 @@ class TestNorms:
 class TestInvariants:
     def test_zero_state(self):
         u = nt.FourierState.zero(2)
-        g = nt.GridSpec(32)
         assert nt.mass(u) == 0.0
-        assert nt.hamiltonian(u, g) == 0.0
-        assert nt.conserved_c(u, g) == 0.0
+        assert nt.hamiltonian(u) == 0.0
+        assert nt.conserved_c(u) == 0.0
 
     def test_constant_state(self):
         c = 1.3
         u = nt.FourierState.from_modes(2, {0: c})
-        g = nt.GridSpec(32)
         assert nt.mass(u) == pytest.approx(2 * np.pi * c**2, rel=1e-14)
-        assert nt.hamiltonian(u, g) == pytest.approx(2 * np.pi / 6 * c**6, rel=1e-13)
-        assert nt.conserved_c(u, g) == pytest.approx(
+        assert nt.hamiltonian(u) == pytest.approx(2 * np.pi / 6 * c**6, rel=1e-13)
+        assert nt.conserved_c(u) == pytest.approx(
             np.pi * c**2 + np.pi / 3 * c**6, rel=1e-13)
 
     def test_single_wave(self):
         u = nt.FourierState.from_modes(2, {1: 1.0})
-        g = nt.GridSpec(32)
-        assert nt.hamiltonian(u, g) == pytest.approx(np.pi + np.pi / 3, rel=1e-13)
-
-    def test_grid_too_small(self):
-        u = nt.FourierState.from_modes(6, {6: 1.0})
-        with pytest.raises(nt.GridTooSmall):
-            nt.hamiltonian(u, nt.GridSpec(16))
+        assert nt.hamiltonian(u) == pytest.approx(np.pi + np.pi / 3, rel=1e-13)
 
     def test_parseval(self, rng):
         m = 5
@@ -129,14 +121,25 @@ class TestInvariants:
             assert quad == pytest.approx(nt.mass(u), rel=1e-13)
 
 
+class TestSexticRule:
+    def test_derived_grid_matches_oversampled_quadrature(self, rng):
+        # the 6M + 2 points the module derives against four times as many
+        for m in range(1, 17):
+            coeffs = np.stack([random_coeffs(rng, m) for _ in range(4)])
+            vals = grid_values(coeffs, m, 4 * (6 * m + 2))
+            want = TWO_PI * np.mean(np.abs(vals) ** 6, axis=-1)
+            assert np.allclose(sextic_integral_batch(coeffs, m), want,
+                               rtol=1e-13, atol=0.0), m
+
+
 class TestTruncatedEnergy:
     """E_N, the invariant of the truncated flow: C with |Pi_N u|^6 in place
     of |u|^6."""
 
     def test_full_band_is_c(self, rng):
         coeffs = np.stack([random_coeffs(rng, 5) for _ in range(8)])
-        got = truncated_energy_batch(coeffs, 5, 5, 32)
-        want = conserved_c_batch(coeffs, 5, 32)
+        got = truncated_energy_batch(coeffs, 5, 5)
+        want = conserved_c_batch(coeffs, 5)
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_free_modes_leave_the_sextic_term(self):
@@ -149,9 +152,9 @@ class TestTruncatedEnergy:
             return TWO_PI * np.mean(np.abs(grid_values(c, 6, n_points)) ** 6)
 
         low = np.where(np.abs(wavenumbers(6)) <= 2, u.coeffs, 0.0)
-        want = (nt.conserved_c(u, nt.GridSpec(n_points))
+        want = (nt.conserved_c(u)
                 - (l6(u.coeffs) - l6(low)) / 6.0)
-        got = truncated_energy_batch(u.coeffs[None, :], 6, 2, n_points)[0]
+        got = truncated_energy_batch(u.coeffs[None, :], 6, 2)[0]
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -159,7 +162,7 @@ class TestQuintic:
     def test_single_mode(self):
         c = 0.7 - 0.2j
         u = nt.FourierState.from_modes(4, {2: c})
-        out = nt.quintic_nonlinearity(u, 4, nt.default_grid(4))
+        out = nt.quintic_nonlinearity(u, 4)
         expect = abs(c) ** 4 * c
         assert out.coeff(2) == pytest.approx(expect, rel=1e-14)
         mask = np.ones(9, dtype=bool)
@@ -168,25 +171,20 @@ class TestQuintic:
 
     def test_high_support_gives_zero(self):
         u = nt.FourierState.from_modes(6, {5: 1.0, -6: 2.0})
-        out = nt.quintic_nonlinearity(u, 2, nt.default_grid(2))
+        out = nt.quintic_nonlinearity(u, 2)
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_three_mode_oracle(self):
         u = nt.FourierState.from_modes(1, {-1: 1.0, 0: 1.0, 1: 1.0})
-        out = nt.quintic_nonlinearity(u, 1, nt.default_grid(1))
+        out = nt.quintic_nonlinearity(u, 1)
         expect = quintic_oracle(u.coeffs, 1, 1)
         assert np.allclose(out.coeffs, expect, rtol=1e-12, atol=1e-12)
-
-    def test_grid_too_small(self):
-        u = nt.FourierState.from_modes(4, {1: 1.0})
-        with pytest.raises(nt.GridTooSmall):
-            nt.quintic_nonlinearity(u, 4, nt.GridSpec(24))
 
     @given(state_strategy(max_m=4))
     @settings(max_examples=60, deadline=None)
     def test_matches_convolution_oracle(self, u):
         n_cut = u.m_ambient
-        out = nt.quintic_nonlinearity(u, n_cut, nt.default_grid(n_cut))
+        out = nt.quintic_nonlinearity(u, n_cut)
         expect = quintic_oracle(u.coeffs, u.m_ambient, n_cut)
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(out.coeffs - expect)) <= 1e-12 * scale

@@ -126,7 +126,7 @@ class TestStepControl:
 
     def test_large_energy_sample_within_tolerance(self):
         coeffs, d = self.two_formula_samples()
-        c = conserved_c_batch(coeffs, 8, 64)
+        c = conserved_c_batch(coeffs, 8)
         i = int(np.argmin(np.abs(c - 79.0)))
         assert abs(c[i] - 79.0) < 1.0
         row = coeffs[i:i + 1]
@@ -172,7 +172,7 @@ class TestStepControl:
         # after every allowed halving
         coeffs, _ = self.two_formula_samples()
         d, _ = density_setup(n_cut=8, t=0.5, step=0.02)
-        c = conserved_c_batch(coeffs, 8, 64)
+        c = conserved_c_batch(coeffs, 8)
         with pytest.raises(nt.StepUnresolved, match="1 row"):
             log_density_direct_batch(coeffs[[int(np.argmax(c))]], 8, d)
 
@@ -246,6 +246,21 @@ class TestObservables:
         coeffs = mu_like_coeffs(rng, 3)[None, :]
         assert f.evaluate_batch(coeffs, 3)[0] == 1.0
 
+    def test_rows_independent_of_batch(self):
+        # change_of_measure_test evaluates the observables on the rows the
+        # cutoff leaves live, so a row must not depend on its batch
+        _, fam = density_setup()
+        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam)
+        coeffs = sample_batch(nt.SeededRng(424242), 2000, m)
+        subset = np.arange(0, 2000, 7)
+        for spec in default_observable_battery(4):
+            full = spec.evaluate_batch(coeffs, 16)
+            part = spec.evaluate_batch(coeffs[subset], 16)
+            alone = [spec.evaluate_batch(coeffs[i:i + 1], 16)[0]
+                     for i in subset]
+            assert np.array_equal(part, full[subset]), spec.name
+            assert np.array_equal(alone, full[subset]), spec.name
+
 
 class TestChangeOfMeasure:
     def test_battery_small(self):
@@ -298,7 +313,7 @@ class TestConvergenceStudy:
 
     def test_reference_row_is_zero(self):
         rows = nt.convergence_study(StudyKind.R, 2.0, 0.1, 4, [8], 8,
-                                    nt.SeededRng(5), check_decrease=False)
+                                    nt.SeededRng(5))
         assert rows[0].sup_diff == 0.0
 
     def test_single_mode_states_vanish(self):
@@ -359,12 +374,11 @@ class TestCutoffConservation:
         fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
         m = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=6.0)
         flow = nt.FlowParams(n_cut=8, step=1e-3)
-        grid = nt.GridSpec(64)
         coeffs = sample_batch(nt.SeededRng(77), 200, m)
         fwd = nt.flow.evolve_batch(coeffs, 8, 0.5, flow)
         from nls_transport.spectral import conserved_c_batch
-        c0 = conserved_c_batch(coeffs, 8, 64)
-        c1 = conserved_c_batch(fwd, 8, 64)
+        c0 = conserved_c_batch(coeffs, 8)
+        c1 = conserved_c_batch(fwd, 8)
         drift = np.abs(c1 - c0) / np.maximum(c0, 1e-30)
         # drift at the fixed step grows with amplitude; on the energy range
         # the cutoff actually probes it stays at integrator level, and no
@@ -377,10 +391,6 @@ class TestCutoffConservation:
 class TestCutoffPrefilter:
     """change_of_measure_test evolves only the rows whose C(u) or
     _forward_c_lower_bound may be within the cutoff R."""
-
-    @staticmethod
-    def sextic(d, m):
-        return max(d.flow.grid.n_points, 6 * m.m_ambient + 2)
 
     @staticmethod
     def evolved_rows(monkeypatch, d, m, n, seed):
@@ -407,15 +417,14 @@ class TestCutoffPrefilter:
         # may be skipped, on four 8192-row chunks of the battery
         d, fam = density_setup(n_cut=4, t=0.3)
         m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
-        n_points = self.sextic(d, m)
         rng = nt.SeededRng(424242)
 
         def chunk(lo, hi):
             coeffs = sample_batch(rng.substream(lo), hi - lo, m)
             fwd = evolve_batch(coeffs, 16, d.t, d.flow)
-            return (conserved_c_batch(coeffs, 16, n_points),
-                    _forward_c_lower_bound(coeffs, 16, 4, d.t, n_points),
-                    conserved_c_batch(fwd, 16, n_points))
+            return (conserved_c_batch(coeffs, 16),
+                    _forward_c_lower_bound(coeffs, 16, 4, d.t),
+                    conserved_c_batch(fwd, 16))
 
         for c0, bound, c1 in run_chunked(chunk, 4 * SAMPLE_CHUNK,
                                          SAMPLE_CHUNK):
@@ -436,11 +445,9 @@ class TestCutoffPrefilter:
         # margin, so every row with (1 - 1e-3) C(u) > R is skipped
         d, fam = density_setup(n_cut=4, t=0.3)
         m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam, cutoff_r=8.0)
-        n_points = self.sextic(d, m)
         coeffs = sample_batch(nt.SeededRng(5), 400, m)
-        c = conserved_c_batch(coeffs, 4, n_points)
-        assert np.array_equal(_forward_c_lower_bound(coeffs, 4, 4, d.t,
-                                                     n_points),
+        c = conserved_c_batch(coeffs, 4)
+        assert np.array_equal(_forward_c_lower_bound(coeffs, 4, 4, d.t),
                               c - 1e-3 * c)
         keep = ~((c > m.cutoff_r) & (c - 1e-3 * c > m.cutoff_r))
         assert 0 < np.sum(keep) < coeffs.shape[0]
@@ -450,10 +457,9 @@ class TestCutoffPrefilter:
     def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
         d, fam = density_setup(n_cut=3, t=0.25)
         cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        n_points = self.sextic(d, cut)
         coeffs = sample_batch(nt.SeededRng(40), 300, cut)
-        c = conserved_c_batch(coeffs, 8, n_points)
-        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t, n_points)
+        c = conserved_c_batch(coeffs, 8)
+        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
         keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
         assert 0 < np.sum(keep) < coeffs.shape[0]
         got = self.evolved_rows(monkeypatch, d, cut, 300, 40)
