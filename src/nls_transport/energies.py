@@ -26,12 +26,20 @@ q2 = conj(q1) as (k1..k6) -> (k2, k1, k4, k3, k6, k5) conjugates the
 six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
 points, enough for the mean of a band-6N product.
 
-Memory: fields are built in (rows, nodes, G) blocks of at most CELL_BUDGET
-complex cells, and v one row block at a time; Q keeps at most ten block
-arrays alive, so a call needs at most 160 MiB of work space beyond a few
-floats per row, whatever the batch size (a test holds q_derivative_batch to
-it).  Node blocks depend only on N, so a row's value does not depend on its
-batch.
+Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^16
+complex cells, 1 MiB per array, so that a tile's passes stay in cache:
+whole rows where a row fits (N <= 8), else one row and a slice of its nodes
+(N = 16, 32), with v built once per tile of rows.  A tile stores g and h
+per node, then sums them over fixed blocks of CELL_BUDGET // G nodes, so
+each R, q0 and q1 adds the same terms in the same order whatever the tile.
+`parallel.run_chunked` hands the row tiles to its pool.  Tiles depend only
+on N, so a row's value depends neither on its batch nor on the thread
+count.
+
+Memory: a tile keeps at most ten arrays alive, about 10 MiB per worker, so
+a call on up to four workers needs at most 64 MiB of work space beyond a
+few floats per row, whatever the batch size (a test holds
+q_derivative_batch to it at the default worker count).
 
 Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
 A value within _ROUNDING times such a bound is rounding noise of an exact
@@ -47,12 +55,14 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
+from .parallel import run_chunked
 from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
                        wavenumbers)
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
-CELL_BUDGET = 1 << 20  # complex cells (rows x time nodes x grid points) per block
+CELL_BUDGET = 1 << 20  # complex cells (time nodes x grid points) per node block
+_TILE = 1 << 16        # complex cells (rows x time nodes x grid points) per tile
 _ROUNDING = 64 * np.finfo(np.float64).eps
 
 
@@ -128,28 +138,39 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     h_sum = np.zeros(wb.shape[0], dtype=np.complex128)
     big_v, big_vm = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     n_nodes = weights.size
+    tile_j = min(n_nodes, max(1, _TILE // n_points))
+    tile_r = max(1, _TILE // (tile_j * n_points))
     step_j = min(n_nodes, max(1, CELL_BUDGET // n_points))
-    step_r = max(1, CELL_BUDGET // (step_j * n_points))
-    for lo in range(0, wb.shape[0], step_r):
-        rows = slice(lo, lo + step_r)
+
+    def tile(lo, hi):
+        rows, band = slice(lo, hi), wb[lo:hi]
+        g = np.empty((hi - lo, n_nodes))
+        h = np.empty((hi - lo, n_nodes), dtype=np.complex128)
         if grid is not None:
-            vb = quintic_batch(wb[rows], n_cut, n_cut, grid.n_points)
+            vb = quintic_batch(band, n_cut, n_cut, grid.n_points)
             big_v[rows], big_vm[rows] = wiener(vb)
-        for j in range(0, n_nodes, step_j):
-            ph, w = phases[j:j + step_j], weights[j:j + step_j]
-            f = _fields(wb[rows], ph, n_points)
-            fm = _fields(mult * wb[rows], ph, n_points)
+        for j in range(0, n_nodes, tile_j):
+            nodes, ph = slice(j, j + tile_j), phases[j:j + tile_j]
+            f = _fields(band, ph, n_points)
+            fm = _fields(mult * band, ph, n_points)
             a = f.real ** 2 + f.imag ** 2
-            g = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag), axis=-1)
-            r_sum[rows] += np.sum(w * g, axis=-1)
-            g_sum[rows] += np.sum(g, axis=-1)
+            g[:, nodes] = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag),
+                                  axis=-1)
             if grid is not None:
                 v = _fields(vb, ph, n_points)
                 # the field of m v and conj(f) are not kept: less work space
-                h = np.mean(a * ((_fields(mult * vb, ph, n_points) * a
-                                  + 2.0 * v * fm * np.conj(f)) * np.conj(f)
-                                 - 3.0 * v * np.conj(fm) * a), axis=-1)
-                h_sum[rows] += np.sum(w * h, axis=-1)
+                h[:, nodes] = np.mean(
+                    a * ((_fields(mult * vb, ph, n_points) * a
+                          + 2.0 * v * fm * np.conj(f)) * np.conj(f)
+                         - 3.0 * v * np.conj(fm) * a), axis=-1)
+        for j in range(0, n_nodes, step_j):
+            nodes, w = slice(j, j + step_j), weights[j:j + step_j]
+            r_sum[rows] += np.sum(w * g[:, nodes], axis=-1)
+            g_sum[rows] += np.sum(g[:, nodes], axis=-1)
+            if grid is not None:
+                h_sum[rows] += np.sum(w * h[:, nodes], axis=-1)
+
+    run_chunked(tile, wb.shape[0], tile_r)
 
     big, big_m = wiener(wb)
     spread = np.sum(np.abs(weights))

@@ -62,6 +62,7 @@ GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
 _MAX_HALVINGS = 6    # finest step tried is flow.step / 2**_MAX_HALVINGS
+_DENSITY_CHUNK = 512  # kept rows per chunk of the lp-density solves
 
 
 @dataclass(frozen=True)
@@ -487,10 +488,22 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
     if mass == 0.0:
         raise NlsTransportError("cutoff keeps no samples; raise cutoff_r")
 
+    kept = np.flatnonzero(ind > 0)
+
     def log_g_at(n_cut: int) -> np.ndarray:
+        """Direct log G on the kept rows, solved in fixed chunks of
+        _DENSITY_CHUNK on every core, and -inf on the others; a row's value
+        does not depend on its chunk."""
         dd = replace(d, energy=EnergyParams(n_cut=n_cut, family=m.family),
                      flow=FlowParams(n_cut=n_cut, step=d.flow.step))
-        return _masked_log_density(coeffs, m.m_ambient, dd, ind > 0)
+        out = np.full(n, -np.inf)
+
+        def body(lo, hi):
+            rows = kept[lo:hi]
+            out[rows] = log_density_direct_batch(coeffs[rows], m.m_ambient, dd)
+
+        run_chunked(body, kept.size, _DENSITY_CHUNK)
+        return out
 
     g_ref = np.exp(log_g_at(m.m_ambient))
     rows = []

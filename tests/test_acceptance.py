@@ -8,7 +8,6 @@ import time
 from itertools import product
 
 import numpy as np
-import pytest
 
 import nls_transport as nt
 from nls_transport import pinned
@@ -17,8 +16,7 @@ from nls_transport.measures import sample_batch
 from nls_transport.transport import (ObservableKind, StudyKind,
                                      change_of_measure_test,
                                      convergence_study,
-                                     default_observable_battery,
-                                     log_density_direct_batch)
+                                     default_observable_battery)
 
 from oracles import q_derivative_oracle, quintic_oracle, r_oracle
 

@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from nls_transport import cli, transport
 from nls_transport.cli import main

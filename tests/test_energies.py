@@ -210,7 +210,7 @@ class TestInvariances:
                 base_q, rel=1e-9, abs=1e-11)
 
     def test_rows_independent_of_batch(self, fam_jb, rng):
-        # 130 rows at N = 8 span two blocks of CELL_BUDGET cells
+        # 130 rows at N = 8 fill 22 tiles of six rows each
         coeffs = np.stack([random_coeffs(rng, 8) for _ in range(130)])
         p, grid = params(8, fam_jb), nt.default_grid(8)
         r = r_correction_batch(coeffs, 8, p)
@@ -219,6 +219,39 @@ class TestInvariances:
             assert np.array_equal(r_correction_batch(coeffs[rows], 8, p), r[rows])
             assert np.array_equal(q_derivative_batch(coeffs[rows], 8, p, grid),
                                   q[rows])
+
+    @pytest.mark.parametrize("n_cut,n_rows", [(4, 60), (8, 13), (16, 2),
+                                              (32, 2)])
+    def test_rows_independent_of_threads_and_tiles(self, n_cut, n_rows,
+                                                   fam_jb, rng, monkeypatch):
+        # 60 rows at N = 4 and 13 at N = 8 fill several tiles of whole rows;
+        # at N = 16 and 32 a tile is a slice of one row's nodes.  Tiles of
+        # CELL_BUDGET cells and of 4096 cells (which splits the rows at
+        # N = 8) must give the same bits as the production tile.
+        from nls_transport import energies
+        coeffs = np.stack([random_coeffs(rng, n_cut)
+                           for _ in range(n_rows)])
+        p, grid = params(n_cut, fam_jb), nt.default_grid(n_cut)
+
+        def both():
+            return (r_correction_batch(coeffs, n_cut, p),
+                    q_derivative_batch(coeffs, n_cut, p, grid))
+
+        monkeypatch.setenv("NLS_TRANSPORT_THREADS", "1")
+        r, q = both()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # threads interleave as often as they can
+        try:
+            for threads in ("2", "3"):
+                monkeypatch.setenv("NLS_TRANSPORT_THREADS", threads)
+                for tile in (energies._TILE, energies.CELL_BUDGET, 1 << 12):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(energies, "_TILE", tile)
+                        r_t, q_t = both()
+                    assert np.array_equal(r_t, r), (threads, tile)
+                    assert np.array_equal(q_t, q), (threads, tile)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_outputs_are_real_floats(self, fam_jb, rng):
         u = nt.FourierState(2, random_coeffs(rng, 2))

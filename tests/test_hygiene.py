@@ -1,6 +1,7 @@
-"""Source hygiene: every module of the package uses each name it imports,
-every function reads each of its parameters, and only `spectral` constructs
-a GridSpec, since it derives every collocation grid.
+"""Source hygiene: every module of the package and of the tests uses each
+name it imports, every function of the package reads each of its
+parameters, and only `spectral` constructs a GridSpec, since it derives
+every collocation grid.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -11,7 +12,8 @@ so their parameters are exempt.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nls_transport"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "nls_transport"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +43,12 @@ def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unused_imports_in_tests():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(TESTS.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
