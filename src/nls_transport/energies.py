@@ -27,19 +27,23 @@ six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
 points, enough for the mean of a band-6N product.
 
 Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^16
-complex cells, 1 MiB per array, so that a tile's passes stay in cache:
-whole rows where a row fits (N <= 8), else one row and a slice of its nodes
-(N = 16, 32), with v built once per tile of rows.  A tile stores g and h
+complex cells, 1 MiB per array: whole rows where a row fits (N <= 8), else
+one row and a slice of its nodes (N = 16, 32), with v built once per tile of
+rows.  2^16 lies in the flat bottom, 2^15 to 2^18, of a one-thread sweep of
+Q at N = 8 and 16 (BENCH_qtiles.json); 2^12 pays more Python overhead per
+tile, and 2^19 or more takes 1.7 to 2 times as long.  A tile stores g and h
 per node, then sums them over fixed blocks of CELL_BUDGET // G nodes, so
 each R, q0 and q1 adds the same terms in the same order whatever the tile.
-`parallel.run_chunked` hands the row tiles to its pool.  Tiles depend only
-on N, so a row's value depends neither on its batch nor on the thread
-count.
+`parallel.run_chunked_capped` hands the row tiles to at most
+_TILES_IN_FLIGHT = 4 pool threads.  Tiles depend only on N, so a row's value
+depends neither on its batch nor on the thread count.
 
-Memory: a tile keeps at most ten arrays alive, about 10 MiB per worker, so
-a call on up to four workers needs at most 64 MiB of work space beyond a
-few floats per row, whatever the batch size (a test holds
-q_derivative_batch to it at the default worker count).
+Memory: a tile keeps about ten 1 MiB arrays alive.  A thread keeps the heap
+its tiles freed, so the work space grows with the threads that ran tiles,
+not with the tiles run at once.  With at most four such threads, a call
+needs at most 64 MiB of work space beyond a few floats per row, whatever
+the batch size and the worker count (a test holds q_derivative_batch to it
+on eight workers).
 
 Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
 A value within _ROUNDING times such a bound is rounding noise of an exact
@@ -55,7 +59,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
-from .parallel import run_chunked
+from .parallel import run_chunked_capped
 from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
                        wavenumbers)
 
@@ -63,6 +67,7 @@ AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
 CELL_BUDGET = 1 << 20  # complex cells (time nodes x grid points) per node block
 _TILE = 1 << 16        # complex cells (rows x time nodes x grid points) per tile
+_TILES_IN_FLIGHT = 4   # threads that compute tiles, which bounds the work space
 _ROUNDING = 64 * np.finfo(np.float64).eps
 
 
@@ -88,9 +93,10 @@ class EnergyParams:
 
 
 def _band(coeffs: np.ndarray, m_ambient: int, n_cut: int) -> np.ndarray:
-    """Restrict (..., 2M+1) coefficients to the block -N..N, as (rows, 2N+1)."""
-    block = coeffs[..., m_ambient - n_cut:m_ambient + n_cut + 1]
-    return block.reshape(-1, 2 * n_cut + 1)
+    """The block -N..N of (..., 2M+1) coefficients as (rows, 2N+1), a view
+    unless the rows must be gathered into one array first."""
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    return rows[:, m_ambient - n_cut:m_ambient + n_cut + 1]
 
 
 @lru_cache(maxsize=8)
@@ -136,6 +142,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     wb = _band(coeffs, m_ambient, n_cut)
     r_sum, g_sum = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     h_sum = np.zeros(wb.shape[0], dtype=np.complex128)
+    big, big_m = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     big_v, big_vm = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     n_nodes = weights.size
     tile_j = min(n_nodes, max(1, _TILE // n_points))
@@ -144,6 +151,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
 
     def tile(lo, hi):
         rows, band = slice(lo, hi), wb[lo:hi]
+        big[rows], big_m[rows] = wiener(band)
         g = np.empty((hi - lo, n_nodes))
         h = np.empty((hi - lo, n_nodes), dtype=np.complex128)
         if grid is not None:
@@ -170,9 +178,8 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
             if grid is not None:
                 h_sum[rows] += np.sum(w * h[:, nodes], axis=-1)
 
-    run_chunked(tile, wb.shape[0], tile_r)
+    run_chunked_capped(tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT)
 
-    big, big_m = wiener(wb)
     spread = np.sum(np.abs(weights))
     r = _snap(r_sum, spread * big ** 5 * big_m)
     if grid is None:

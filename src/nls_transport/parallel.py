@@ -37,8 +37,17 @@ def _mark_pool_thread() -> None:
 def run_chunked(fn, n: int, chunk: int) -> list:
     """Evaluate fn(lo, hi) over fixed chunks of range(n); results returned
     in chunk order regardless of scheduling."""
-    ranges = chunk_ranges(n, chunk)
-    workers = worker_count()
+    return _run(fn, chunk_ranges(n, chunk), worker_count())
+
+
+def run_chunked_capped(fn, n: int, chunk: int, cap: int) -> list:
+    """run_chunked on at most `cap` threads.  Each thread keeps the heap its
+    chunks freed, so the cap, not the core count, bounds the peak memory of
+    bodies with a large work space."""
+    return _run(fn, chunk_ranges(n, chunk), min(worker_count(), cap))
+
+
+def _run(fn, ranges, workers: int) -> list:
     if (workers <= 1 or len(ranges) <= 1
             or getattr(_pool_thread, "active", False)):
         return [fn(lo, hi) for lo, hi in ranges]

@@ -62,7 +62,7 @@ GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
 _MAX_HALVINGS = 6    # finest step tried is flow.step / 2**_MAX_HALVINGS
-_DENSITY_CHUNK = 512  # kept rows per chunk of the lp-density solves
+_DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 
 
 @dataclass(frozen=True)
@@ -488,21 +488,16 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
     if mass == 0.0:
         raise NlsTransportError("cutoff keeps no samples; raise cutoff_r")
 
-    kept = np.flatnonzero(ind > 0)
-
     def log_g_at(n_cut: int) -> np.ndarray:
-        """Direct log G on the kept rows, solved in fixed chunks of
-        _DENSITY_CHUNK on every core, and -inf on the others; a row's value
-        does not depend on its chunk."""
         dd = replace(d, energy=EnergyParams(n_cut=n_cut, family=m.family),
                      flow=FlowParams(n_cut=n_cut, step=d.flow.step))
-        out = np.full(n, -np.inf)
+        out = np.empty(n)
 
-        def body(lo, hi):
-            rows = kept[lo:hi]
-            out[rows] = log_density_direct_batch(coeffs[rows], m.m_ambient, dd)
+        def body(lo, hi):   # a row's log G does not depend on its chunk
+            out[lo:hi] = _masked_log_density(coeffs[lo:hi], m.m_ambient, dd,
+                                             ind[lo:hi] > 0)
 
-        run_chunked(body, kept.size, _DENSITY_CHUNK)
+        run_chunked(body, n, _DENSITY_CHUNK)
         return out
 
     g_ref = np.exp(log_g_at(m.m_ambient))

@@ -157,7 +157,9 @@ class TestWorkSpace:
         """q_derivative_batch, in a fresh interpreter, raises the peak RSS by
         no more than the energies docstring states: on 8 rows at N = 32, and
         on a (1000 samples, 201 nodes, 2M+1) trajectory block at N = 4,
-        M = 16, whose size must not enter the work space."""
+        M = 16, whose size must not enter the work space.  It runs on eight
+        workers, more than ever compute tiles, as the worker count must not
+        enter the work space either."""
         from nls_transport import energies
         bound = float(re.search(r"at most (\d+) MiB", energies.__doc__)[1])
         script = textwrap.dedent("""
@@ -184,7 +186,8 @@ class TestWorkSpace:
         for args in (("32", "32", "8", "0"), ("16", "4", "1000", "201")):
             out = subprocess.run([sys.executable, "-c", script, *args],
                                  check=True, capture_output=True, text=True,
-                                 env=dict(os.environ, PYTHONPATH=src))
+                                 env=dict(os.environ, PYTHONPATH=src,
+                                          NLS_TRANSPORT_THREADS="8"))
             assert float(out.stdout) <= bound, args
 
 

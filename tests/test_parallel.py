@@ -1,6 +1,6 @@
 import threading
 
-from nls_transport.parallel import run_chunked
+from nls_transport.parallel import run_chunked, run_chunked_capped
 
 
 def test_nested_call_runs_in_its_callers_thread(monkeypatch):
@@ -24,3 +24,17 @@ def test_calls_outside_a_pool_start_one(monkeypatch):
     # after a nested call, the calling thread still hands chunks to a pool
     idents = run_chunked(lambda lo, hi: threading.get_ident(), 4, 1)
     assert threading.get_ident() not in idents
+
+
+def test_capped_call_runs_on_at_most_cap_threads(monkeypatch):
+    monkeypatch.setenv("NLS_TRANSPORT_THREADS", "8")
+    barrier = threading.Barrier(3)
+
+    def body(lo, hi):
+        if lo < 3:   # the first three chunks run at once, on three threads
+            barrier.wait(timeout=10)
+        return lo, threading.get_ident()
+
+    results = run_chunked_capped(body, 40, 1, 3)
+    assert [lo for lo, _ in results] == list(range(40))
+    assert len({ident for _, ident in results}) == 3
