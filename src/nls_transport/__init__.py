@@ -8,19 +8,18 @@ from .errors import (BoundViolated, ConfigInvalid, ContractionRadiusExceeded,
                      GridTooSmall, MissingCutoff, NlsTransportError,
                      NonFiniteState, StepUnresolved, TruncationExceedsAmbient,
                      WeightOverflow)
-from .flow import (FlowParams, GrowthReport, Trajectory, check_factorization,
-                   divergence_at, evolve, evolve_trajectory, growth_monitor,
-                   jacobian_det, picard_solve)
+from .flow import (FlowParams, GrowthReport, Trajectory, divergence_at, evolve,
+                   evolve_trajectory, growth_monitor, jacobian_det)
 from .measures import (McReport, MeasureParams, SeededRng, cutoff_indicator,
                        lp_norm_mc, moment_growth_mc, partition_estimate,
                        sample_state, wgm_weight)
-from .resonance import (OrderedMagnitudes, Tuple6, TupleFilter, counting_check,
-                        enumerate_constrained, omega, order_desc, psi,
-                        psi_bound_ratio, strichartz_sum)
+from .resonance import (Tuple6, TupleFilter, counting_check,
+                        enumerate_constrained, omega, psi, psi_bound_ratio,
+                        strichartz_sum)
 from .spectral import (FourierState, GridSpec, WeightFamily, WeightKind,
                        conserved_c, default_grid, hamiltonian, load_state,
                        mass, project_low, quintic_nonlinearity, save_state,
-                       sobolev_norm_sq, sobolev_norm_sq_sigma, wiener_norm)
+                       sobolev_norm_sq, sobolev_norm_sq_sigma)
 from .transport import (DensityParams, GAUSS_FORM_FACTOR, ObservableKind,
                         ObservableSpec, StudyKind, change_of_measure_test,
                         convergence_study, density_direct, density_normal_form,

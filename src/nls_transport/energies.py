@@ -32,8 +32,8 @@ one row and a slice of its nodes (N = 16, 32), with v built once per tile of
 rows.  2^16 lies in the flat bottom, 2^15 to 2^18, of a one-thread sweep of
 Q at N = 8 and 16 (BENCH_qtiles.json); 2^12 pays more Python overhead per
 tile, and 2^19 or more takes 1.7 to 2 times as long.  A tile stores g and h
-per node, then sums them over fixed blocks of CELL_BUDGET // G nodes, so
-each R, q0 and q1 adds the same terms in the same order whatever the tile.
+per node, then sums each row over all its nodes with one np.sum, so each R,
+q0 and q1 adds the same terms in the same order whatever the tile.
 `parallel.run_chunked_capped` hands the row tiles to at most
 _TILES_IN_FLIGHT = 4 pool threads.  Tiles depend only on N, so a row's value
 depends neither on its batch nor on the thread count.
@@ -65,7 +65,6 @@ from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
-CELL_BUDGET = 1 << 20  # complex cells (time nodes x grid points) per node block
 _TILE = 1 << 16        # complex cells (rows x time nodes x grid points) per tile
 _TILES_IN_FLIGHT = 4   # threads that compute tiles, which bounds the work space
 _ROUNDING = 64 * np.finfo(np.float64).eps
@@ -147,7 +146,6 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     n_nodes = weights.size
     tile_j = min(n_nodes, max(1, _TILE // n_points))
     tile_r = max(1, _TILE // (tile_j * n_points))
-    step_j = min(n_nodes, max(1, CELL_BUDGET // n_points))
 
     def tile(lo, hi):
         rows, band = slice(lo, hi), wb[lo:hi]
@@ -171,12 +169,10 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
                     a * ((_fields(mult * vb, ph, n_points) * a
                           + 2.0 * v * fm * np.conj(f)) * np.conj(f)
                          - 3.0 * v * np.conj(fm) * a), axis=-1)
-        for j in range(0, n_nodes, step_j):
-            nodes, w = slice(j, j + step_j), weights[j:j + step_j]
-            r_sum[rows] += np.sum(w * g[:, nodes], axis=-1)
-            g_sum[rows] += np.sum(g[:, nodes], axis=-1)
-            if grid is not None:
-                h_sum[rows] += np.sum(w * h[:, nodes], axis=-1)
+        r_sum[rows] = np.sum(weights * g, axis=-1)
+        g_sum[rows] = np.sum(g, axis=-1)
+        if grid is not None:
+            h_sum[rows] = np.sum(weights * h, axis=-1)
 
     run_chunked_capped(tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT)
 
@@ -200,12 +196,20 @@ def r_correction(u: FourierState, p: EnergyParams) -> float:
     return float(r_correction_batch(u.coeffs[None, :], u.m_ambient, p)[0])
 
 
+def low_norm_sq_batch(coeffs: np.ndarray, m_ambient: int,
+                      p: EnergyParams) -> np.ndarray:
+    """S(Pi_N u) = sum_{|k| <= N} m(k) |u_k|^2 per row of a (..., 2M+1)
+    block.  A basic slice keeps each row contiguous, so every row is summed
+    in the same order whatever the batch around it."""
+    n_cut = p.resolve_cut(m_ambient)
+    low = slice(m_ambient - n_cut, m_ambient + n_cut + 1)
+    mult = p.family.multiplier(wavenumbers(m_ambient)[low])
+    return np.sum(mult * np.abs(coeffs[..., low]) ** 2, axis=-1)
+
+
 def e_modified(u: FourierState, p: EnergyParams) -> float:
     """Modified energy: half the weighted norm square of Pi_N u plus R."""
-    n_cut = p.resolve_cut(u.m_ambient)
-    low = slice(u.m_ambient - n_cut, u.m_ambient + n_cut + 1)
-    mult = p.family.multiplier(wavenumbers(u.m_ambient)[low])
-    norm_sq = float(np.sum(mult * np.abs(u.coeffs[low]) ** 2))
+    norm_sq = float(low_norm_sq_batch(u.coeffs[None, :], u.m_ambient, p)[0])
     return 0.5 * norm_sq + r_correction(u, p)
 
 

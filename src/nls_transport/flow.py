@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundViolated, ContractionRadiusExceeded, NonFiniteState)
+from .errors import BoundViolated, NonFiniteState
 from .spectral import (FourierState, default_grid, grid_coefficients,
-                       grid_values, quintic_band, quintic_batch,
-                       sobolev_norm_sq_sigma, truncated_energy_batch,
-                       wavenumbers)
+                       grid_values, quintic_band, sobolev_norm_sq_sigma,
+                       truncated_energy_batch, wavenumbers)
 
-# algebra constant in the local-time window 1/(3 C R^4); calibrated so the
-# 2/3 contraction holds with margin throughout the admitted window
-PICARD_CONTRACTION_C = 0.75
 GROWTH_C_SIGMA = 1.0         # pinned constant in the a-priori growth bound
 
 
@@ -161,59 +157,6 @@ def evolve_trajectory(u0: FourierState, t_final: float, p: FlowParams,
 
 
 # ---------------------------------------------------------------------------
-# Duhamel fixed-point cross-check
-
-def picard_local_time(u0: FourierState) -> float:
-    """Local window of the contraction argument, 1/(3 C R^4) with
-    R = 1 + 2 ||u0||_{H^1}."""
-    radius = 1.0 + 2.0 * np.sqrt(sobolev_norm_sq_sigma(u0, 1.0))
-    return 1.0 / (3.0 * PICARD_CONTRACTION_C * radius**4)
-
-
-def picard_iterates(u0: FourierState, t_small: float, p: FlowParams,
-                    n_iter: int, n_quad: int = 64) -> list[FourierState]:
-    """Successive Duhamel iterates at time t_small (geometric convergence
-    inside the local window); the integral uses composite Simpson on the
-    iterate's time grid."""
-    if abs(t_small) > picard_local_time(u0):
-        raise ContractionRadiusExceeded(
-            f"|t|={abs(t_small)} exceeds local window {picard_local_time(u0)}"
-        )
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    if n_quad % 2 or n_quad < 2:
-        raise ValueError("n_quad must be even and >= 2")
-    m = u0.m_ambient
-    ks = wavenumbers(m)
-    k2 = ks.astype(np.float64) ** 2
-    taus = np.linspace(0.0, t_small, n_quad + 1)
-    free = np.exp(-1j * np.outer(taus, k2))      # e^{i tau dxx} on each node
-    lin = free * u0.coeffs                        # linear evolution of u0
-    iterate = lin.copy()
-    h = taus[1] - taus[0] if n_quad else 0.0
-    n_points = default_grid(p.n_cut).n_points
-    out = []
-    for _ in range(n_iter):
-        nl = quintic_batch(iterate, m, p.n_cut, n_points)
-        g = np.conj(free) * nl                    # e^{-i tau dxx} N(u(tau))
-        integral = np.zeros_like(g)
-        for j in range(0, n_quad - 1, 2):
-            integral[j + 1] = integral[j] + (h / 12.0) * (
-                5.0 * g[j] + 8.0 * g[j + 1] - g[j + 2])
-            integral[j + 2] = integral[j] + (h / 3.0) * (
-                g[j] + 4.0 * g[j + 1] + g[j + 2])
-        iterate = free * (u0.coeffs - 1j * integral)
-        out.append(FourierState(m, iterate[-1]))
-    return out
-
-
-def picard_solve(u0: FourierState, t_small: float, p: FlowParams,
-                 n_iter: int, n_quad: int = 64) -> FourierState:
-    """Independent small-time solution via the Duhamel fixed point."""
-    return picard_iterates(u0, t_small, p, n_iter, n_quad)[-1]
-
-
-# ---------------------------------------------------------------------------
 # Liouville checks on the pure low-mode block
 
 def _require_pure(u: FourierState, p: FlowParams):
@@ -322,18 +265,3 @@ def growth_monitor(traj: Trajectory, sigma: float,
         raise BoundViolated(f"conserved energy drift {c_drift} > {c_tol}")
     return report
 
-
-def check_factorization(u0: FourierState, t: float, p: FlowParams) -> float:
-    """l^2 distance between the flow of u0 and (nonlinear block on low
-    modes) + (free rotation on high modes); structurally zero, guards
-    regressions."""
-    full = evolve(u0, t, p)
-    ks = u0.wavenumbers()
-    low = np.abs(ks) <= p.n_cut
-    low_part = evolve(FourierState(u0.m_ambient, np.where(low, u0.coeffs, 0)),
-                      t, p)
-    recombined = low_part.coeffs.copy()
-    high = ~low
-    recombined[high] = (np.exp(-1j * ks[high].astype(np.float64) ** 2 * t)
-                        * u0.coeffs[high])
-    return float(np.linalg.norm(full.coeffs - recombined))

@@ -92,6 +92,15 @@ def sample_batch(rng: SeededRng, n: int, p: MeasureParams) -> np.ndarray:
     return out
 
 
+def sample_map(f, rng: SeededRng, n: int, p: MeasureParams) -> np.ndarray:
+    """f(coeffs) over samples 0..n-1 of rng, drawn in the fixed chunks of
+    SAMPLE_CHUNK on the pool; f puts a chunk's samples on the last axis of
+    its array, and the chunks are joined along it in sample order."""
+    return np.concatenate(run_chunked(
+        lambda lo, hi: f(sample_batch(rng.substream(lo), hi - lo, p)),
+        n, SAMPLE_CHUNK), axis=-1)
+
+
 def sample_state(rng: SeededRng, p: MeasureParams) -> FourierState:
     """One draw of the Gaussian ensemble: independent standard complex
     Gaussians per mode, scaled by 1/sqrt(m(k))."""
@@ -141,15 +150,12 @@ def partition_estimate(p: MeasureParams, energy: EnergyParams,
     positive and finite by construction of the weight."""
     if n_samples < 1000:
         raise ValueError("partition estimate needs n >= 1e3")
-    vals = np.empty(n_samples, dtype=np.float64)
 
-    def body(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, p)
+    def weight(coeffs):
         ind, log_w = log_wgm_weight_batch(coeffs, p, energy)
-        vals[lo:hi] = ind * np.exp(np.where(ind > 0, log_w, 0.0))
+        return ind * np.exp(np.where(ind > 0, log_w, 0.0))
 
-    run_chunked(body, n_samples, SAMPLE_CHUNK)
-    report = mean_report(vals)
+    report = mean_report(sample_map(weight, rng, n_samples, p))
     if not np.isfinite(report.estimate) or report.estimate <= 0.0:
         raise NlsTransportError("partition estimate must be positive finite")
     return report
@@ -167,13 +173,9 @@ def moment_growth_mc(p: MeasureParams, sigma: float, m_max: int,
     if m_max < 2 or m_max % 2:
         raise ValueError("m_max must be even and >= 2")
     mult = bracket_multiplier(wavenumbers(p.m_ambient), sigma)
-    norms = np.empty(n_samples, dtype=np.float64)
-
-    def body(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, p)
-        norms[lo:hi] = np.sqrt(np.sum(mult * np.abs(coeffs) ** 2, axis=-1))
-
-    run_chunked(body, n_samples, SAMPLE_CHUNK)
+    norms = sample_map(
+        lambda coeffs: np.sqrt(np.sum(mult * np.abs(coeffs) ** 2, axis=-1)),
+        rng, n_samples, p)
     out = []
     for m in range(2, m_max + 1, 2):
         est = float(np.mean(norms**m) ** (1.0 / m))
@@ -190,14 +192,9 @@ def lp_norm_mc(f, p_exp: float, measure: MeasureParams, n: int,
     """
     if p_exp < 1.0:
         raise ValueError("p_exp must be >= 1")
-    vals = np.empty(n, dtype=np.float64)
-
-    def body(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, measure)
-        vals[lo:hi] = np.abs(f(coeffs, measure.m_ambient)) ** p_exp
-
-    run_chunked(body, n, SAMPLE_CHUNK)
-    base = mean_report(vals)
+    base = mean_report(sample_map(
+        lambda coeffs: np.abs(f(coeffs, measure.m_ambient)) ** p_exp,
+        rng, n, measure))
     est = base.estimate ** (1.0 / p_exp)
     if base.estimate > 0:
         stderr = base.stderr * est / (p_exp * base.estimate)

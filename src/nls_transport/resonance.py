@@ -9,7 +9,6 @@ resonant (Omega = 0) and non-resonant parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -92,22 +91,6 @@ def tuple_table_k1(n_cut: int, k1_lo: int, k1_hi: int) -> tuple[np.ndarray, np.n
     om = (cols[:, 0] ** 2 - cols[:, 1] ** 2 + cols[:, 2] ** 2
           - cols[:, 3] ** 2 + cols[:, 4] ** 2 - cols[:, 5] ** 2)
     return cols, om
-
-
-@dataclass(frozen=True)
-class OrderedMagnitudes:
-    perm: tuple    # positions (1-based) sorted by |k| descending
-    mags: tuple    # the sorted magnitudes
-
-
-def order_desc(t) -> OrderedMagnitudes:
-    """Stable magnitude ordering |k_(1)| >= ... >= |k_(6)|, ties by position."""
-    mags = [abs(int(x)) for x in t]
-    order = sorted(range(len(mags)), key=lambda i: (-mags[i], i))
-    return OrderedMagnitudes(
-        perm=tuple(i + 1 for i in order),
-        mags=tuple(mags[i] for i in order),
-    )
 
 
 # ---------------------------------------------------------------------------

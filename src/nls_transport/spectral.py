@@ -11,8 +11,8 @@ derives both grids, and no caller chooses one:
   quintic rule  Pi_N(|u|^4 u) of a band |k| <= N needs G >= 6N + 2: the
                 product has bandwidth 5N, and an alias k -> k - G lands in
                 |k| <= N only if G <= 6N.  default_grid(N), the power of
-                two >= max(16, 8N), serves the flow, the Liouville checks,
-                Picard and Q.
+                two >= max(16, 8N), serves the flow, the Liouville checks
+                and Q.
   sextic rule   int |u|^6 of a band |k| <= M, the mean of a band-6M
                 product, is exact on G > 6M points; sextic_integral_batch
                 uses G = 6M + 2, for C(u), E_N and the cutoff.
@@ -248,11 +248,6 @@ def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
     out = quintic_batch(u.coeffs[None, :], u.m_ambient, n_cut,
                         default_grid(n_cut).n_points)[0]
     return FourierState(u.m_ambient, out)
-
-
-def wiener_norm(u: FourierState) -> float:
-    """sum_k |u_k|, the absolutely-summable-coefficients norm."""
-    return float(np.sum(np.abs(u.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,13 @@ from enum import Enum
 
 import numpy as np
 
-from .energies import (EnergyParams, q_derivative_batch, r_correction_batch)
+from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
+                       r_correction_batch)
 from .errors import MissingCutoff, NlsTransportError, StepUnresolved
 from .flow import FlowParams, evolve_batch, trajectory_batch
-from .measures import (McReport, MeasureParams, SeededRng, SAMPLE_CHUNK,
-                       cutoff_indicator_batch, mean_report, sample_batch)
+from .measures import (McReport, MeasureParams, SeededRng,
+                       cutoff_indicator_batch, mean_report, sample_batch,
+                       sample_map)
 from .parallel import run_chunked
 from .spectral import (FourierState, WeightFamily, WeightKind,
                        bracket_multiplier, default_grid,
@@ -116,26 +118,16 @@ def _quadrature_weights(n_nodes: int, h: float):
     return rule, estimate
 
 
-def _norm_sq_low(coeffs: np.ndarray, m_ambient: int, n_cut: int,
-                 energy: EnergyParams) -> np.ndarray:
-    # a basic slice keeps each row contiguous, so every row is summed in the
-    # same order whatever the batch around it
-    low = slice(m_ambient - n_cut, m_ambient + n_cut + 1)
-    mult = energy.family.multiplier(wavenumbers(m_ambient)[low])
-    return np.sum(mult * np.abs(coeffs[..., low]) ** 2, axis=-1)
-
-
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     """(log G, accepted step) per row of a (batch, dim) block: the direct
     formula at the largest of flow.step, flow.step/2, ... whose Richardson
     error estimate is within DENSITY_TOL."""
-    n_cut = d.energy.resolve_cut(m_ambient)
-    s0 = _norm_sq_low(coeffs, m_ambient, n_cut, d.energy)
+    s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
         bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
                            replace(d.flow, step=step))
-        ds = _norm_sq_low(bwd, m_ambient, n_cut, d.energy) - s0[rows]
+        ds = low_norm_sq_batch(bwd, m_ambient, d.energy) - s0[rows]
         return -0.5 * GAUSS_FORM_FACTOR * ds
 
     log_g = np.empty(coeffs.shape[0])
@@ -376,17 +368,12 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     docstring).  The evolved rows keep their bits, since each row of a flow
     solve is independent of the rows around it.
     """
-    n_cut = d.energy.resolve_cut(m.m_ambient)
-    if m.m_ambient < n_cut:
-        raise ValueError("ambient truncation below density truncation")
+    d.energy.resolve_cut(m.m_ambient)   # raises before any sample is drawn
     obs = list(observables)
-    lhs_vals = np.zeros((len(obs), n))
-    rhs_vals = np.empty((len(obs), n))
 
-    def body(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-        ind_u = ind_fwd = np.ones(hi - lo)
-        live = np.ones(hi - lo, dtype=bool)
+    def body(coeffs):
+        ind_u = ind_fwd = np.ones(coeffs.shape[0])
+        live = np.ones(coeffs.shape[0], dtype=bool)
         if m.cutoff_r is not None:
             ind_u = cutoff_indicator_batch(coeffs, m)
             bound = _forward_c_lower_bound(coeffs, m.m_ambient, d.flow.n_cut,
@@ -396,13 +383,13 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         if m.cutoff_r is not None:
             ind_fwd = cutoff_indicator_batch(fwd, m)
         g = np.exp(_masked_log_density(coeffs, m.m_ambient, d, ind_u > 0))
+        vals = np.zeros((2, len(obs), coeffs.shape[0]))
         for j, spec in enumerate(obs):
-            lhs_vals[j, lo:hi][live] = (ind_fwd
-                                        * spec.evaluate_batch(fwd, m.m_ambient))
-            rhs_vals[j, lo:hi] = (ind_u * spec.evaluate_batch(coeffs, m.m_ambient)
-                                  * g)
+            vals[0, j, live] = ind_fwd * spec.evaluate_batch(fwd, m.m_ambient)
+            vals[1, j] = ind_u * spec.evaluate_batch(coeffs, m.m_ambient) * g
+        return vals
 
-    run_chunked(body, n, SAMPLE_CHUNK)
+    lhs_vals, rhs_vals = sample_map(body, rng, n, m)
     out = []
     for j, spec in enumerate(obs):
         lhs = mean_report(lhs_vals[j])

@@ -229,7 +229,7 @@ class TestInvariances:
                                                    fam_jb, rng, monkeypatch):
         # 60 rows at N = 4 and 13 at N = 8 fill several tiles of whole rows;
         # at N = 16 and 32 a tile is a slice of one row's nodes.  Tiles of
-        # CELL_BUDGET cells and of 4096 cells (which splits the rows at
+        # 2^20 cells and of 4096 cells (which splits the rows at
         # N = 8) must give the same bits as the production tile.
         from nls_transport import energies
         coeffs = np.stack([random_coeffs(rng, n_cut)
@@ -247,7 +247,7 @@ class TestInvariances:
         try:
             for threads in ("2", "3"):
                 monkeypatch.setenv("NLS_TRANSPORT_THREADS", threads)
-                for tile in (energies._TILE, energies.CELL_BUDGET, 1 << 12):
+                for tile in (energies._TILE, 1 << 20, 1 << 12):
                     with monkeypatch.context() as patch:
                         patch.setattr(energies, "_TILE", tile)
                         r_t, q_t = both()

@@ -75,21 +75,6 @@ class TestEnumeration:
         assert all(nt.omega(t) == o for t, o in zip(gen, om))
 
 
-class TestOrdering:
-    def test_reference_example(self):
-        got = nt.order_desc((-1, 0, 2, 0, 0, 1))
-        assert got.mags == (2, 1, 1, 0, 0, 0)
-        assert got.perm[0] == 3
-
-    def test_all_zero(self):
-        assert nt.order_desc((0, 0, 0, 0, 0, 0)).mags == (0,) * 6
-
-    def test_direct_sort(self):
-        got = nt.order_desc((3, 2, 1, 0, 0, 2))
-        assert got.mags == (3, 2, 2, 1, 0, 0)
-        assert got.perm == (1, 2, 6, 3, 4, 5)
-
-
 class TestCounting:
     def test_two_factor_example(self):
         res = nt.counting_check([2, 2], [1, -1], 0)

@@ -197,14 +197,6 @@ class TestQuintic:
             assert np.array_equal(batch[i], single)
 
 
-class TestWienerNorm:
-    def test_examples(self):
-        assert nt.wiener_norm(nt.FourierState.zero(3)) == 0.0
-        assert nt.wiener_norm(nt.FourierState.from_modes(4, {3: 2.0})) == 2.0
-        u = nt.FourierState.from_modes(1, {-1: 1.0, 0: 1.0, 1: 1.0})
-        assert nt.wiener_norm(u) == pytest.approx(3.0, rel=1e-15)
-
-
 class TestSnapshotFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         u = nt.FourierState(6, random_coeffs(rng, 6) * np.pi)
