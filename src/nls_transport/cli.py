@@ -58,7 +58,9 @@ DEFAULTS = {
 }
 
 
-def _validate(cfg: dict) -> dict:
+def _validate(cfg: dict, command: str) -> dict:
+    """Reject values the command's study cannot run with; a key is checked
+    only by the subcommands that read it."""
     if not 1.5 < cfg["s"] <= 4.0:
         raise ConfigInvalid("s must lie in (1.5, 4]")
     if not 0 <= cfg["n_cut"] <= cfg["m_ambient"] <= 128:
@@ -73,6 +75,17 @@ def _validate(cfg: dict) -> dict:
         raise ConfigInvalid("n_samples must be >= 1")
     if cfg["quad_points"] < 3 or cfg["quad_points"] % 2 == 0:
         raise ConfigInvalid("quad_points must be odd and >= 3")
+    if command in ("convergence", "lp-density") and not all(
+            0 <= n <= cfg["m_ambient"] for n in cfg["n_list"]):
+        raise ConfigInvalid("n_list entries must lie in [0, m_ambient]")
+    if command == "convergence" and not cfg["n_list"]:
+        raise ConfigInvalid("n_list must not be empty")
+    if command == "moments" and (cfg["m_max"] < 2 or cfg["m_max"] % 2):
+        raise ConfigInvalid("m_max must be even and >= 2")
+    if command == "simulate" and cfg["n_snapshots"] < 2:
+        raise ConfigInvalid("n_snapshots must be >= 2")
+    if command == "simulate" and abs(cfg["wave_k"]) > cfg["m_ambient"]:
+        raise ConfigInvalid("wave_k must satisfy |wave_k| <= m_ambient")
     return cfg
 
 
@@ -153,7 +166,10 @@ def run_transport_mc(cfg, outdir):
     rows = [(r.observable.name, r.lhs.estimate, r.lhs.stderr,
              r.rhs.estimate, r.rhs.stderr, r.z) for r in results]
     worst = max(abs(r.z) for r in results)
-    passed = worst <= 4.0
+    # a zero standard error means a side had no spread to compare: too few
+    # samples, or a cutoff that kept none
+    passed = worst <= 4.0 and all(r.lhs.stderr > 0 and r.rhs.stderr > 0
+                                  for r in results)
     summary = {"max_abs_z": worst, "tolerance_z": 4.0,
                "cutoff_r": m.cutoff_r}
     return passed, summary, ("observable", "lhs", "lhs_stderr", "rhs",
@@ -340,7 +356,7 @@ def resolve_config(args) -> dict:
     for key in ("n_cut", "m_ambient", "n_samples", "quad_points", "m_max",
                 "seed", "wave_k", "n_snapshots"):
         cfg[key] = int(cfg[key])
-    return _validate(cfg)
+    return _validate(cfg, args.command)
 
 
 def main(argv=None) -> int:

@@ -392,12 +392,10 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     lhs_vals, rhs_vals = sample_map(body, rng, n, m)
     out = []
     for j, spec in enumerate(obs):
-        lhs = mean_report(lhs_vals[j])
-        rhs = mean_report(rhs_vals[j])
-        diff = lhs_vals[j] - rhs_vals[j]
-        stderr = float(np.std(diff, ddof=1) / np.sqrt(n))
-        z = float(np.mean(diff) / stderr) if stderr > 0 else 0.0
-        out.append(ObservableComparison(spec, lhs, rhs, z))
+        diff = mean_report(lhs_vals[j] - rhs_vals[j])
+        z = float(diff.estimate / diff.stderr) if diff.stderr > 0 else 0.0
+        out.append(ObservableComparison(spec, mean_report(lhs_vals[j]),
+                                        mean_report(rhs_vals[j]), z))
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nls_transport import cli, transport
 from nls_transport.cli import main
@@ -25,6 +26,20 @@ class TestConfigHandling:
                     "--output", str(tmp_path)])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["convergence", "--n-list", "4,64", "--m-ambient", "32"],
+        ["moments", "--m-max", "7"],
+        ["simulate", "--n-snapshots", "1"],
+        ["simulate", "--wave-k", "40"],
+    ])
+    def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
+                                                 args):
+        code = run(args + ["--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"FAIL {args[0]}: invalid config: ")
+        assert not (tmp_path / args[0]).exists()
 
     def test_command_line_wins_over_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -66,6 +81,14 @@ class TestCommands:
         for row in rows.strip().splitlines()[1:]:
             fields = row.split(",")
             assert float(fields[2]) > 0 and float(fields[4]) > 0
+
+    def test_transport_mc_without_spread_fails(self, tmp_path, capsys):
+        # one sample gives every row a zero standard error and z = 0
+        code = run(["transport-mc", "--n-samples", "1", "--n-cut", "2",
+                    "--m-ambient", "4", "--t", "0.2", "--cutoff-r", "5",
+                    "--output", str(tmp_path)])
+        assert code == 1
+        assert "FAIL transport-mc" in capsys.readouterr().out
 
     def test_liouville_small(self, tmp_path):
         code = run(["liouville", "--n-samples", "3", "--n-cut", "2",

@@ -1,7 +1,7 @@
 """Source hygiene: every module of the package and of the tests uses each
-name it imports, every function of the package reads each of its
-parameters, and only `spectral` constructs a GridSpec, since it derives
-every collocation grid.
+name it imports, every function of the package and of the test oracles
+reads each of its parameters, and only `spectral` constructs a GridSpec,
+since it derives every collocation grid.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -100,7 +100,7 @@ def test_no_unused_parameters_in_package():
     runners = cli_runners()
     assert "run_lemmas" in runners
     found = {path.name: unused_parameters(path.read_text(), runners)
-             for path in sorted(PACKAGE.glob("*.py"))}
+             for path in sorted(PACKAGE.glob("*.py")) + [TESTS / "oracles.py"]}
     assert {name: names for name, names in found.items() if names} == {}
 
 

@@ -3,8 +3,10 @@ import pytest
 
 import nls_transport as nt
 from nls_transport.energies import EnergyParams
-from nls_transport.measures import (lp_norm_mc, sample_batch,
+from nls_transport.measures import (SAMPLE_CHUNK, lp_norm_mc, mean_report,
+                                    moment_growth_mc, sample_batch,
                                     log_wgm_weight_batch)
+from nls_transport.spectral import bracket_multiplier, wavenumbers
 
 from conftest import random_coeffs
 
@@ -48,6 +50,33 @@ class TestSeededRng:
         monkeypatch.setenv("NLS_TRANSPORT_THREADS", "4")
         b = nt.partition_estimate(m, energy, 2000, nt.SeededRng(5))
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+
+    def test_chunks_join_in_sample_order(self, monkeypatch):
+        # three chunks, the last of five samples
+        m = measure(m_ambient=4)
+        n = 2 * SAMPLE_CHUNK + 5
+
+        def mode_sq(coeffs, m_ambient):
+            return np.abs(coeffs[..., m_ambient + 1]) ** 2
+
+        def estimates():
+            return (moment_growth_mc(m, 1.0, 4, n, nt.SeededRng(8)),
+                    lp_norm_mc(mode_sq, 3.0, m, n, nt.SeededRng(8)))
+
+        monkeypatch.setenv("NLS_TRANSPORT_THREADS", "1")
+        one = estimates()
+        monkeypatch.setenv("NLS_TRANSPORT_THREADS", "2")
+        assert estimates() == one
+        block = sample_batch(nt.SeededRng(8), n, m)
+        mult = bracket_multiplier(wavenumbers(4), 1.0)
+        norms = np.sqrt(np.sum(mult * np.abs(block) ** 2, axis=-1))
+        for k, est, _ in one[0]:
+            assert est == float(np.mean(norms**k) ** (1.0 / k))
+        base = mean_report(np.abs(mode_sq(block, 4)) ** 3.0)
+        est = base.estimate ** (1.0 / 3.0)
+        assert one[1] == nt.McReport(
+            est, base.stderr * est / (3.0 * base.estimate), n)
 
 
 class TestSampleState:
