@@ -290,13 +290,13 @@ def run_moments(cfg, outdir):
     z = np.max(np.abs(var - target) / se)
     rows = [("mode_variance", int(k), float(v), float(tv))
             for k, v, tv in zip(ks, var, target)]
-    pts = moment_growth_mc(m, min(cfg["sigma"], m.s - 0.6), cfg["m_max"],
-                           cfg["n_samples"], rng)
+    sigma = min(cfg["sigma"], m.s - 0.6)   # the study needs sigma < s - 1/2
+    pts = moment_growth_mc(m, sigma, cfg["m_max"], cfg["n_samples"], rng)
     ratio_max = max(r for _, _, r in pts)
     rows += [("moment", mm, est, ratio) for mm, est, ratio in pts]
     passed = z <= 4.0 and ratio_max <= pinned.MOMENT_RATIO_BOUND
     summary = {"max_variance_z": float(z), "max_moment_ratio": ratio_max,
-               "ratio_bound": pinned.MOMENT_RATIO_BOUND}
+               "ratio_bound": pinned.MOMENT_RATIO_BOUND, "sigma": sigma}
     return passed, summary, ("check", "index", "value", "reference"), rows
 
 

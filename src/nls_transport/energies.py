@@ -60,8 +60,8 @@ from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
 from .parallel import run_chunked_capped
-from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
-                       wavenumbers)
+from .spectral import (FourierState, GridSpec, WeightFamily, modulus_sq,
+                       quintic_batch, wavenumbers)
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
@@ -159,7 +159,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
             nodes, ph = slice(j, j + tile_j), phases[j:j + tile_j]
             f = _fields(band, ph, n_points)
             fm = _fields(mult * band, ph, n_points)
-            a = f.real ** 2 + f.imag ** 2
+            a = modulus_sq(f)
             g[:, nodes] = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag),
                                   axis=-1)
             if grid is not None:

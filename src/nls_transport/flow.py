@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import BoundViolated, NonFiniteState
 from .spectral import (FourierState, default_grid, grid_coefficients,
-                       grid_values, quintic_band, sobolev_norm_sq_sigma,
-                       truncated_energy_batch, wavenumbers)
+                       grid_values, modulus_sq, quintic_band,
+                       sobolev_norm_sq_sigma, truncated_energy_batch,
+                       wavenumbers)
 
 GROWTH_C_SIGMA = 1.0         # pinned constant in the a-priori growth bound
 
@@ -167,12 +168,14 @@ def _require_pure(u: FourierState, p: FlowParams):
 def _tangent_apply(u: np.ndarray, h: np.ndarray, n_points: int) -> np.ndarray:
     """DN(u)[h] = Pi_N(3|u|^4 h + 2|u|^2 u^2 conj(h)), the derivative of the
     quintic product N(u) = Pi_N(|u|^4 u), for band coefficients u (2N+1,)
-    and each row of h (n, 2N+1).  It is real- but not complex-linear."""
+    and each row of h (n, 2N+1).  It is real- but not complex-linear.
+    |u|^2 is quintic_band's modulus_sq, so the derivative is taken of the
+    formula the flow evaluates."""
     m = u.shape[-1] // 2
     vals = grid_values(u, m, n_points)
     hv = grid_values(h, m, n_points)
-    dnl = (3.0 * np.abs(vals) ** 4 * hv
-           + 2.0 * np.abs(vals) ** 2 * vals**2 * np.conj(hv))
+    mod2 = modulus_sq(vals)
+    dnl = 3.0 * (mod2 * mod2) * hv + 2.0 * mod2 * vals**2 * np.conj(hv)
     return grid_coefficients(dnl, wavenumbers(m))
 
 

@@ -2,11 +2,17 @@
 measure weights, and Monte Carlo estimators.
 
 Reproducibility contract: every variate is a pure function of
-(master_seed, stream_id, draw index).  Streams use counter-based Philox
-keyed by (master_seed, stream_id); one stream per sample, so any batch
-split or execution order reproduces identical ensembles.  Gaussians are
-produced by the inverse-CDF transform applied to 53-bit uniforms built
-directly from the raw counter output (fixed choice, never change it).
+(master_seed, stream_id, draw index).  A stream is the counter-based
+Philox4x64-10 generator (Salmon et al., SC 2011) keyed by the exact
+uint64 pair (master_seed mod 2^64, stream_id mod 2^64); its draws are the
+four words of the blocks at counters 1, 2, ..., as numpy's
+Philox(key=...).random_raw gives them.  One stream per sample, so any
+batch split or execution order reproduces identical ensembles.
+Gaussians are produced by the inverse-CDF transform applied to 53-bit
+uniforms built directly from the raw counter output (fixed choice, never
+change it).  The rounds are computed in numpy for a whole block of
+streams at once, with the 64 x 64 -> 128-bit products built from 32-bit
+halves.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 from scipy.special import ndtri
 
 from .energies import EnergyParams, r_correction_batch
@@ -25,6 +30,42 @@ from .spectral import (FourierState, WeightFamily, bracket_multiplier,
 
 LOG_WEIGHT_LIMIT = 700.0
 SAMPLE_CHUNK = 8192  # fixed chunk so reductions are split-independent
+_ROW_BLOCK = 1024    # streams drawn together: keeps the round arrays small
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit product m * x, for a constant
+    m and a uint64 array x, from the 32-bit halves of both."""
+    m_lo, m_hi = np.uint64(m & _LOW32), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> 32
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    carry = (lo_lo >> 32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    high = x_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + (carry >> 32)
+    return high, x * np.uint64(m)
+
+
+def philox_raw(key0: int, key1: int, rows: int, n: int) -> np.ndarray:
+    """(rows, n) raw words of Philox4x64-10; row i is keyed by the exact
+    uint64 pair (key0, key1 + i) mod 2^64 and holds its first n draws, the
+    blocks at counters 1, 2, ... in word order."""
+    n_blocks = -(-n // 4)
+    k0 = key0 % 2**64
+    k1 = np.arange(rows, dtype=np.uint64) + np.uint64(key1 % 2**64)
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64),
+                         (rows, n_blocks))
+    c1 = c2 = c3 = np.zeros((rows, n_blocks), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        bump0 = np.uint64((k0 + r * _PHILOX_W[0]) % 2**64)
+        bump1 = k1 + np.uint64(r * _PHILOX_W[1] % 2**64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ bump0, lo1, hi0 ^ c3 ^ bump1[:, None], lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(rows, -1)[:, :n]
 
 
 @dataclass(frozen=True)
@@ -38,10 +79,13 @@ class SeededRng:
         return SeededRng(self.master_seed, self.stream_id + offset)
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via inverse CDF on (0,1) uniforms from the
-        raw 64-bit counter stream."""
-        raw = Philox(key=[self.master_seed % 2**64,
-                          self.stream_id % 2**64]).random_raw(n)
+        """n standard normals of this stream; one row of normal_rows."""
+        return self.normal_rows(1, n)[0]
+
+    def normal_rows(self, rows: int, n: int) -> np.ndarray:
+        """(rows, n) standard normals, row i from substream(i): inverse CDF
+        on (0,1) uniforms from the raw 64-bit counter stream."""
+        raw = philox_raw(self.master_seed, self.stream_id, rows, n)
         uniforms = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
         return ndtri(uniforms)
 
@@ -82,13 +126,15 @@ def mean_report(values: np.ndarray) -> McReport:
 
 def sample_batch(rng: SeededRng, n: int, p: MeasureParams) -> np.ndarray:
     """(n, 2M+1) coefficients; sample i is drawn from rng.substream(i) as
-    u_k = (a + i b) sqrt(1/2) / sqrt(m(k)), a,b standard normals in k order."""
+    u_k = (a + i b) sqrt(1/2) / sqrt(m(k)), a,b standard normals in k order.
+    The streams are drawn in blocks of _ROW_BLOCK rows."""
     dim = 2 * p.m_ambient + 1
     scale = np.sqrt(0.5 / p.family.multiplier(wavenumbers(p.m_ambient)))
     out = np.empty((n, dim), dtype=np.complex128)
-    for i in range(n):
-        z = rng.substream(i).normals(2 * dim)
-        out[i] = (z[:dim] + 1j * z[dim:]) * scale
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(n, lo + _ROW_BLOCK)
+        z = rng.substream(lo).normal_rows(hi - lo, 2 * dim)
+        out[lo:hi] = (z[:, :dim] + 1j * z[:, dim:]) * scale
     return out
 
 

@@ -148,18 +148,28 @@ def grid_coefficients(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.fft.fft(values, axis=-1)[..., keep % n_points] / n_points
 
 
+def modulus_sq(vals: np.ndarray) -> np.ndarray:
+    """|v|^2 per cell as re^2 + im^2: no hypot, and squared again for |v|^4
+    without a pow."""
+    return vals.real ** 2 + vals.imag ** 2
+
+
 def quintic_band(band: np.ndarray, n_points: int) -> np.ndarray:
     """Pi_N(|u|^4 u) for u given by its (..., 2N+1) band coefficients,
     k = -N..N; exact when n_points >= 6N + 2 dealiases the quintic band.
-    The grid array is transformed and multiplied in place: it is the hot
-    path of every flow stage, and fewer large temporaries cost less."""
+    It is the hot path of every flow stage, so the grid array is
+    transformed and multiplied in place, |u|^4 is the square of
+    modulus_sq, and the transforms scale by norm="forward" (the inverse
+    not at all, the forward by 1/G: on the power-of-two grids of
+    default_grid these are the bits of scaling in separate passes)."""
     idx = wavenumbers(band.shape[-1] // 2) % n_points
     vals = np.zeros(band.shape[:-1] + (n_points,), dtype=np.complex128)
     vals[..., idx] = band
-    np.fft.ifft(vals, axis=-1, out=vals)
-    vals *= n_points
-    vals *= np.abs(vals) ** 4
-    return np.fft.fft(vals, axis=-1, out=vals)[..., idx] / n_points
+    np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
+    mod4 = modulus_sq(vals)
+    mod4 *= mod4
+    vals *= mod4
+    return np.fft.fft(vals, axis=-1, norm="forward", out=vals)[..., idx]
 
 
 def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,

@@ -101,6 +101,15 @@ class TestCommands:
                     "--output", str(tmp_path)])
         assert code == 0
 
+    def test_moments_manifest_records_sigma_used(self, tmp_path):
+        # sigma is lowered to s - 0.6 = 1.4; the summary says so
+        run(["moments", "--n-samples", "200", "--m-ambient", "8",
+             "--sigma", "2.0", "--m-max", "4", "--output", str(tmp_path)])
+        manifest = json.loads(
+            (tmp_path / "moments" / "manifest.json").read_text())
+        assert manifest["config"]["sigma"] == 2.0
+        assert manifest["summary"]["sigma"] == 2.0 - 0.6
+
     def test_rerun_byte_identical(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 import nls_transport as nt
 from nls_transport.energies import EnergyParams
 from nls_transport.measures import (SAMPLE_CHUNK, lp_norm_mc, mean_report,
-                                    moment_growth_mc, sample_batch,
-                                    log_wgm_weight_batch)
+                                    moment_growth_mc, philox_raw,
+                                    sample_batch, log_wgm_weight_batch)
 from nls_transport.spectral import bracket_multiplier, wavenumbers
 
 from conftest import random_coeffs
@@ -41,6 +42,33 @@ class TestSeededRng:
         parts = np.vstack([sample_batch(rng, 4, m),
                            sample_batch(rng.substream(4), 6, m)])
         assert np.array_equal(whole, parts)
+
+    def test_split_across_row_block(self):
+        # 1025 rows are drawn in two blocks, of 1024 and 1
+        m = measure(m_ambient=3)
+        rng = nt.SeededRng(31, 7)
+        whole = sample_batch(rng, 1025, m)
+        parts = np.vstack([sample_batch(rng.substream(i), 1, m)
+                           for i in (1023, 1024)])
+        assert np.array_equal(whole[1023:], parts)
+        assert np.array_equal(whole[:700], sample_batch(rng, 700, m))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_raw_words_equal_numpy_philox(self, seed):
+        # stream ids 2^64 - 2 .. 2^64 + 1 wrap to 2^64 - 2, 2^64 - 1, 0, 1
+        for stream in (0, 2**63 - 1, 2**64 - 2):
+            for n in (1, 3, 4, 66, 67):
+                got = philox_raw(seed, stream, 4, n)
+                for i in range(4):
+                    key = np.array([seed, (stream + i) % 2**64],
+                                   dtype=np.uint64)
+                    assert np.array_equal(got[i],
+                                          Philox(key=key).random_raw(n))
+
+    @pytest.mark.parametrize("pair", [(2**63 + 5, 2**63 + 6), (-5, -6)])
+    def test_seeds_past_int64_do_not_collide(self, pair):
+        a, b = (nt.SeededRng(seed).normals(8) for seed in pair)
+        assert not np.array_equal(a, b)
 
     def test_thread_count_invariance(self, monkeypatch):
         m = measure(cutoff=50.0)
