@@ -30,7 +30,7 @@ from .spectral import (FourierState, WeightFamily, bracket_multiplier,
 
 LOG_WEIGHT_LIMIT = 700.0
 SAMPLE_CHUNK = 8192  # fixed chunk so reductions are split-independent
-_ROW_BLOCK = 1024    # streams drawn together: keeps the round arrays small
+_ROW_BLOCK = 256     # streams drawn together; 1024 added 3 MiB of peak RSS
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)

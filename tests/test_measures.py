@@ -43,15 +43,14 @@ class TestSeededRng:
                            sample_batch(rng.substream(4), 6, m)])
         assert np.array_equal(whole, parts)
 
-    def test_split_across_row_block(self):
-        # 1025 rows are drawn in two blocks, of 1024 and 1
+    def test_split_across_row_blocks(self):
+        # the splits fall inside the row blocks of the whole draw
         m = measure(m_ambient=3)
         rng = nt.SeededRng(31, 7)
         whole = sample_batch(rng, 1025, m)
-        parts = np.vstack([sample_batch(rng.substream(i), 1, m)
-                           for i in (1023, 1024)])
-        assert np.array_equal(whole[1023:], parts)
-        assert np.array_equal(whole[:700], sample_batch(rng, 700, m))
+        parts = np.vstack([sample_batch(rng.substream(lo), hi - lo, m)
+                           for lo, hi in ((0, 300), (300, 1000), (1000, 1025))])
+        assert np.array_equal(whole, parts)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
     def test_raw_words_equal_numpy_philox(self, seed):
