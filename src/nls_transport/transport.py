@@ -17,12 +17,13 @@ truncation these are theorems, not approximations, so the Monte Carlo
 change-of-measure z-scores measure nothing but sampling noise and the
 numerical error of the flow and the quadrature.
 
-That error is controlled, not assumed small.  `flow.step` is the starting,
-largest step: each row's direct log G is evaluated at h and h/2, and the
-Richardson estimate (16/15)|L_h - L_{h/2}| of the error of L_h is held
-against DENSITY_TOL.  A row within it keeps L_h.  The others move on to
-h/2, h/4, ..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15
-is within DENSITY_TOL; a row still above it after _MAX_HALVINGS halvings
+That error is controlled, not assumed small.  `flow.step` is the starting
+step h: each row's direct log G is evaluated at 2h and h, and the
+Richardson estimate |L_2h - L_h|/15 of the error of L_h is held against
+DENSITY_TOL.  A row within it keeps L_h.  The others move on to h/2, h/4,
+..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15 is within
+DENSITY_TOL; a pair of equal step lists or a non-finite value estimates
+nothing, and a row still above the tolerance after _MAX_HALVINGS halvings
 raises StepUnresolved.  `density_pieces` reads all three log densities of a
 batch off that solve and one backward trajectory per accepted step: R at its
 ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
@@ -31,13 +32,14 @@ by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
 `change_of_measure_test` evolves forward only the rows the cutoff may keep
 after the flow.  The truncated flow conserves E_N (C with |Pi_N u|^6 in
 place of |u|^6) and moves the modes above N by exact phases, which bounds
-C(Phi_N(t) u) >= E_N(u) - ||a||_6^5 ||b(t)||_6 from below without a solve,
-with a the modes |k| <= N and b the others (`_forward_c_lower_bound`).  A
-row with C(u) > R and a bound above R + 1e-3 E_N(u), the margin covering
-rounding and the integrator's drift of E_N, has both indicators 0.  Its
-two terms are then exact zeros without the solve, as they were with it:
-indicator times observable gave 0.0 for the finite, non-negative
-observables of the battery, and G is not computed where C(u) > R.
+C(Phi_N(t) u) >= E_N(u) - [X - (X^{1/6} - ||b(t)||_6)_+^6]/6 from below
+without a solve, with a the modes |k| <= N, b the others and X an upper
+bound on ||a||_6^6 (`_forward_c_lower_bound`).  A row with C(u) > R and a
+bound above R + 1e-3 E_N(u), the margin covering rounding and the
+integrator's drift of E_N, has both indicators 0.  Its two terms are then
+exact zeros without the solve, as they were with it: indicator times
+observable gave 0.0 for the finite, non-negative observables of the
+battery, and G is not computed where C(u) > R.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ import numpy as np
 
 from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
                        r_correction_batch)
-from .errors import MissingCutoff, NlsTransportError, StepUnresolved
-from .flow import FlowParams, evolve_batch, trajectory_batch
+from .errors import (MissingCutoff, NlsTransportError, NonFiniteState,
+                     StepUnresolved)
+from .flow import FlowParams, _steps, evolve_batch, trajectory_batch
 from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
@@ -71,8 +74,9 @@ _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 class DensityParams:
     """Settings of the log-density evaluation.
 
-    `flow.step` is the starting (largest) RK4 step; rows are refined by
-    halving until the estimated step error of log G is within DENSITY_TOL.
+    `flow.step` is the starting RK4 step h; the step error of log G at h is
+    estimated against a solve at 2h, and rows are refined by halving until
+    the estimated error is within DENSITY_TOL (see `_controlled_direct`).
     `quad_points` are the equispaced Simpson nodes of the Q integral, which
     Richardson extrapolation combines with the Simpson rule on every other
     node; with quad_points - 1 a multiple of 4 the combination covers the
@@ -118,48 +122,62 @@ def _quadrature_weights(n_nodes: int, h: float):
     return rule, estimate
 
 
+class _LadderFlow(FlowParams):
+    """FlowParams at a step of the ladder: the coarse step 2h of its first
+    pair may exceed the (0, 0.1] asked of the starting step h."""
+
+    def __post_init__(self):
+        if not self.step > 0:
+            raise ValueError("step must be positive")
+
+
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
-    """(log G, accepted step) per row of a (batch, dim) block: the direct
-    formula at the largest of flow.step, flow.step/2, ... whose Richardson
-    error estimate is within DENSITY_TOL."""
+    """(log G, accepted step) per row of a (batch, dim) block.
+
+    With h = flow.step, each row is solved at 2h and h, then at h/2, h/4,
+    ... as long as it is unresolved.  A row accepts the first L_{h'},
+    h' = h, h/2, ..., h/2**_MAX_HALVINGS, whose Richardson estimate
+    |L_{2h'} - L_{h'}|/15 is within DENSITY_TOL; L_{h'} is then bit for bit
+    the fixed-step formula at h'.  A pair whose two step lists are equal
+    (0 < |t| <= h') is one solve twice and gives no estimate, and a
+    non-finite value gives none either, so neither resolves a row; a solve
+    that overflows gives NaN on its own rows only.  A row unresolved at the
+    finest step raises StepUnresolved."""
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
-        bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
-                           replace(d.flow, step=step))
+        try:
+            bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
+                               _LadderFlow(n_cut=d.flow.n_cut, step=step))
+        except NonFiniteState:
+            if rows.size == 1:
+                return np.array([np.nan])
+            half = rows.size // 2
+            return np.concatenate([direct(rows[:half], step),
+                                   direct(rows[half:], step)])
         ds = low_norm_sq_batch(bwd, m_ambient, d.energy) - s0[rows]
         return -0.5 * GAUSS_FORM_FACTOR * ds
 
     log_g = np.empty(coeffs.shape[0])
     steps = np.empty(coeffs.shape[0])
-
-    def settle(rows, values, err, step):
-        ok = err <= DENSITY_TOL
-        log_g[rows[ok]] = values[ok]
-        steps[rows[ok]] = step
-        return ~ok
-
     rows = np.arange(coeffs.shape[0])
-    step = d.flow.step
-    coarse, fine = direct(rows, step), direct(rows, step / 2)
-    # the starting step keeps L_h itself where its estimate
-    # (16/15)|L_h - L_{h/2}| allows, so resolved rows are bit for bit the
-    # fixed-step formula; a refined row keeps the finer L_{h/2}, whose
-    # estimate is |L_h - L_{h/2}|/15
-    left = settle(rows, coarse, (16.0 / 15.0) * np.abs(coarse - fine), step)
-    rows, coarse, fine = rows[left], coarse[left], fine[left]
-    for halving in range(1, _MAX_HALVINGS + 1):
-        step /= 2
+    coarse = direct(rows, 2.0 * d.flow.step)
+    for halving in range(_MAX_HALVINGS + 1):
+        step = d.flow.step / 2**halving
+        fine = direct(rows, step)
         err = np.abs(coarse - fine) / 15.0
-        left = settle(rows, fine, err, step)
-        if not np.any(left):
+        # equal step lists are one solve twice, which estimates nothing;
+        # at t = 0 both are the exact identity
+        if d.t != 0.0 and _steps(-d.t, 2.0 * step) == _steps(-d.t, step):
+            err[:] = np.inf
+        ok = err <= DENSITY_TOL
+        log_g[rows[ok]] = fine[ok]
+        steps[rows[ok]] = step
+        rows, coarse, err = rows[~ok], fine[~ok], err[~ok]
+        if rows.size == 0:
             return log_g, steps
-        if halving == _MAX_HALVINGS:
-            break
-        rows, coarse = rows[left], fine[left]
-        fine = direct(rows, step / 2)
     raise StepUnresolved(
-        f"{np.sum(left)} row(s) still above the log-density tolerance "
+        f"{rows.size} row(s) still above the log-density tolerance "
         f"{DENSITY_TOL} at the finest step {step:g}; worst error estimate "
         f"{np.max(err):.3e}")
 
@@ -326,16 +344,26 @@ def _forward_c_lower_bound(coeffs: np.ndarray, m_ambient: int, n_cut: int,
     less a margin of 1e-3 E_N(u); n_cut is the N of the flow.
 
     Write Phi_N(t) u = a + b with a its modes |k| <= N and b the others;
-    b = e^{-i k^2 t} u_high is exact.  The truncated flow conserves
-    E_N = C(a + b) with |a|^6 in place of |a + b|^6 (spectral
-    `truncated_energy_batch`) and the mass of a.  Convexity gives
-    |a + b|^6 >= |a|^6 - 6 |a|^5 |b| pointwise and Hoelder
-    int |a|^5 |b| <= ||a||_6^5 ||b||_6, so
+    b = e^{-i k^2 t} u_high is exact, so beta = ||b(t)||_6 is too.  The
+    truncated flow conserves E_N = C(a + b) with |a|^6 in place of
+    |a + b|^6 (spectral `truncated_energy_batch`) and the mass of a, so
+    C(Phi_N(t) u) = E_N - X/6 + ||a + b||_6^6 / 6 with X = ||a||_6^6.
+    Minkowski gives ||a + b||_6 >= (X^{1/6} - beta)_+, hence
 
-        C(Phi_N(t) u) >= E_N(u) - ||a||_6^5 ||b(t)||_6,
+        C(Phi_N(t) u) >= E_N - [X - (X^{1/6} - beta)_+^6] / 6,
 
-    where ||a||_6^6 = 6 (E_N - (1/2)||a||_{H^1}^2 - (1/2)||b||_{H^1}^2) is at
-    most 6 (E_N - (1/2)||b||_{H^1}^2 - (1/2)||a||_{L^2}^2), all conserved.
+    a bound that decreases in X, so an upper bound on X may stand in for
+    it.  With E' = E_N - quad(b), quad(b) = pi sum_{|k|>N} (1+k^2)|u_k|^2,
+    the conserved split pi sum (1+k^2)|a_k|^2 = E' - X/6 gives
+    X <= 6 (E' - pi sum |a_k|^2).  Cauchy-Schwarz on the band gives
+    ||a||_inf^2 <= c_N sum (1+k^2)|a_k|^2, c_N = sum_{|k|<=N} 1/(1+k^2),
+    and X <= ||a||_inf^4 mass(a), so X <= A (E' - X/6)^2 with
+    A = mass(a) (c_N/pi)^2: X is at most 6 (E' - y) with
+    y = 6E' / (3 + sqrt(9 + 6 A E')), the root of A y^2 = 6 (E' - y).
+    The smaller of the two is used.  The deficit is taken as
+    min(beta, x) sum_j x^{5-j} z^j / 6 with x = X^{1/6} and
+    z = (x - beta)_+, which is exactly 0 with no free modes.
+
     The margin covers rounding and the RK4 drift of E_N along the computed
     flow: while that drift stays below 1e-3 E_N, a row whose value exceeds
     R has C(evolve_batch(u)) > R.  A non-finite row gives NaN, which
@@ -344,12 +372,23 @@ def _forward_c_lower_bound(coeffs: np.ndarray, m_ambient: int, n_cut: int,
     ks = wavenumbers(m_ambient)
     high = np.abs(ks) > n_cut
     e_n = truncated_energy_batch(coeffs, m_ambient, n_cut)
-    quad = np.pi * np.where(high, 1.0 + ks**2, 1.0) * np.abs(coeffs) ** 2
-    a6 = np.maximum(6.0 * (e_n - np.sum(quad, axis=-1)), 0.0)
+    mod2 = np.abs(coeffs) ** 2
+    e_free = e_n - np.pi * np.sum(np.where(high, (1.0 + ks**2) * mod2, 0.0),
+                                  axis=-1)
+    half_mass = np.pi * np.sum(np.where(high, 0.0, mod2), axis=-1)
+    c_n = np.sum(1.0 / (1.0 + ks[~high] ** 2.0))
+    a_coef = 2.0 * half_mass * (c_n / np.pi) ** 2
+    root = 6.0 * e_free / (3.0 + np.sqrt(9.0 + 6.0 * a_coef * e_free))
+    x = np.maximum(6.0 * (e_free - np.maximum(half_mass, root)),
+                   0.0) ** (1.0 / 6.0)
     phases = np.exp(-1j * ks.astype(np.float64) ** 2 * t)
     b = np.where(high, phases, 0.0) * coeffs
-    b6 = sextic_integral_batch(b, m_ambient)
-    return e_n - a6 ** (5.0 / 6.0) * b6 ** (1.0 / 6.0) - 1e-3 * e_n
+    beta = sextic_integral_batch(b, m_ambient) ** (1.0 / 6.0)
+    z = np.maximum(x - beta, 0.0)
+    # x^6 - z^6 = (x - z) sum_j x^{5-j} z^j, with x - z = min(beta, x)
+    power_sum = x**5 + x**4 * z + x**3 * z**2 + x**2 * z**3 + x * z**4 + z**5
+    deficit = np.minimum(beta, x) * power_sum / 6.0
+    return e_n - deficit - 1e-3 * e_n
 
 
 def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,

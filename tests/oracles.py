@@ -5,7 +5,9 @@ constraints solved one variable at a time) and share no code with the
 package's evaluation paths, so agreement is a genuine cross-check.  The
 Duhamel (Picard) reference of the flow shares only `spectral.quintic_batch`
 and `spectral.sobolev_norm_sq_sigma` with the package; `check_factorization`
-recombines two production flows.
+recombines two production flows.  `holder_c_lower_bound` is the cutoff
+prefilter's first bound, the reference its sharper successor must not fall
+below.
 """
 
 import itertools
@@ -15,8 +17,9 @@ import numpy as np
 from nls_transport.errors import ContractionRadiusExceeded
 from nls_transport.flow import evolve
 from nls_transport.spectral import (FourierState, default_grid,
-                                    quintic_batch, sobolev_norm_sq_sigma,
-                                    wavenumbers)
+                                    quintic_batch, sextic_integral_batch,
+                                    sobolev_norm_sq_sigma,
+                                    truncated_energy_batch, wavenumbers)
 
 
 def quintic_oracle(coeffs, m_ambient, n_cut):
@@ -260,3 +263,19 @@ def check_factorization(u0, t, p):
     recombined[high] = (np.exp(-1j * ks[high].astype(np.float64) ** 2 * t)
                         * u0.coeffs[high])
     return float(np.linalg.norm(full.coeffs - recombined))
+
+
+def holder_c_lower_bound(coeffs, m_ambient, n_cut, t):
+    """E_N(u) - ||a||_6^5 ||b(t)||_6 - 1e-3 E_N(u), the first lower bound on
+    C(Phi_N(t) u) of the cutoff prefilter, from |a + b|^6 >= |a|^6
+    - 6 |a|^5 |b| and Hoelder, with ||a||_6^6 <= 6 (E_N - quad(b)
+    - pi sum_{|k|<=N} |u_k|^2); a the modes |k| <= N, b the others."""
+    ks = wavenumbers(m_ambient)
+    high = np.abs(ks) > n_cut
+    e_n = truncated_energy_batch(coeffs, m_ambient, n_cut)
+    quad = np.pi * np.where(high, 1.0 + ks**2, 1.0) * np.abs(coeffs) ** 2
+    a6 = np.maximum(6.0 * (e_n - np.sum(quad, axis=-1)), 0.0)
+    phases = np.exp(-1j * ks.astype(np.float64) ** 2 * t)
+    b6 = sextic_integral_batch(np.where(high, phases, 0.0) * coeffs,
+                               m_ambient)
+    return e_n - a6 ** (5.0 / 6.0) * b6 ** (1.0 / 6.0) - 1e-3 * e_n

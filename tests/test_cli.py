@@ -153,6 +153,25 @@ class TestCommands:
         start = cli.DEFAULTS["step"]
         assert summary["refined_rows"] == int(np.sum(accepted[0] < start))
 
+    def test_density_check_at_largest_step(self, tmp_path, monkeypatch):
+        # --step 0.1 is valid, and the ladder's coarse solve at 2h = 0.2,
+        # beyond FlowParams' check, runs through transport.evolve_batch
+        # like every other solve
+        seen = []
+        evolve = transport.evolve_batch
+
+        def recording(coeffs, m_ambient, t, p):
+            seen.append(p.step)
+            return evolve(coeffs, m_ambient, t, p)
+
+        monkeypatch.setattr(transport, "evolve_batch", recording)
+        args = ["density-check", "--step", "0.1", "--n-samples", "3",
+                "--n-cut", "2", "--m-ambient", "4", "--t", "0.3",
+                "--quad-points", "51", "--seed", "7",
+                "--output", str(tmp_path)]
+        assert run(args) == 0
+        assert seen[:2] == [0.2, 0.1]
+
     def test_convergence_runs_each_study_once(self, tmp_path, monkeypatch,
                                               capsys):
         calls = []

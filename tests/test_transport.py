@@ -18,6 +18,7 @@ from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
                                      log_density_direct_batch)
 
 from conftest import mu_like_coeffs
+from oracles import holder_c_lower_bound
 
 
 def density_setup(n_cut=4, t=0.3, s=2.0, quad_points=201, step=1e-3):
@@ -166,6 +167,59 @@ class TestStepControl:
             for name in names:
                 assert np.array_equal(getattr(got, name),
                                       getattr(pieces, name)[rows]), (rows, name)
+
+    def test_ladder_values_are_fixed_step_values(self):
+        # the ladder starts at the pair (2h, h): a row is accepted at h
+        # exactly where |L_2h - L_h|/15 is within the tolerance, with the
+        # bits of L_h, and a refined row has the bits of the fixed-step
+        # formula at its accepted step
+        coeffs, d = self.two_formula_samples()
+        h = d.flow.step
+        got, steps = transport._controlled_direct(coeffs, 8, d)
+        coarse = fixed_step_direct(coeffs, 8, d, 2 * h)
+        at_h = fixed_step_direct(coeffs, 8, d, h)
+        resolved = np.abs(coarse - at_h) / 15.0 <= DENSITY_TOL
+        assert 0 < np.sum(resolved) < coeffs.shape[0]
+        assert np.array_equal(steps == h, resolved)
+        assert np.array_equal(got[resolved], at_h[resolved])
+        for step in np.unique(steps[~resolved]):
+            rows = steps == step
+            assert np.array_equal(got[rows],
+                                  fixed_step_direct(coeffs[rows], 8, d, step))
+
+    def test_one_step_pair_gives_no_estimate(self):
+        # at |t| < h the solves at 2h and h, and at h and h/2 while
+        # |t| <= h/2, are one RK4 step of length t each: their difference
+        # is 0 and estimates nothing.  The largest samples, whose one-step
+        # values are far off, stay unresolved; moderate ones are accepted
+        # only at a step below |t|, within the tolerance of a fine
+        # reference
+        coeffs, _ = self.two_formula_samples()
+        d, _ = density_setup(n_cut=8, t=0.05, step=0.1)
+        order = np.argsort(conserved_c_batch(coeffs, 8))
+        for i in order[-3:]:
+            with pytest.raises(nt.StepUnresolved):
+                log_density_direct_batch(coeffs[i:i + 1], 8, d)
+        rows = order[:5]
+        got, steps = transport._controlled_direct(coeffs[rows], 8, d)
+        assert np.all(steps < d.t)
+        ref = fixed_step_direct(coeffs[rows], 8, d, 1e-4)
+        assert np.max(np.abs(got - ref)) <= DENSITY_TOL
+
+    def test_overflowing_coarse_solve_spares_its_batch(self):
+        # at h = 0.04 the coarse solve at 2h overflows on five samples,
+        # which are then resolved at finer steps; the other rows keep the
+        # values they have without them
+        coeffs, _ = self.two_formula_samples()
+        d, _ = density_setup(n_cut=8, t=0.5, step=0.04)
+        batch = [i for i in range(20) if i not in (4, 8, 19)]
+        overflow = [3, 6, 7, 11, 17]
+        got, steps = transport._controlled_direct(coeffs[batch], 8, d)
+        assert np.all(np.isfinite(got))
+        assert np.all(steps[np.isin(batch, overflow)] < d.flow.step)
+        tame = [i for i in batch if i not in overflow]
+        alone = transport._controlled_direct(coeffs[tame], 8, d)
+        assert np.array_equal(got[np.isin(batch, tame)], alone[0])
 
     def test_unresolved_row_raises(self):
         # the largest starting step leaves a large-energy sample unresolved
@@ -439,6 +493,25 @@ class TestCutoffPrefilter:
                 assert not np.any(skipped & (c1 <= r)), (i, r)
             # and the bound is not vacuous at the battery cutoff
             assert np.mean((c0 > m.cutoff_r) & (bound > m.cutoff_r)) > 0.75
+
+    def test_sharper_than_holder_bound_on_battery_chunks(self):
+        # on every row of four 8192-row chunks of the battery, the bound is
+        # at least the Hoelder bound it replaced and at most C(Phi_t u)
+        d, fam = density_setup(n_cut=4, t=0.3)
+        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
+        rng = nt.SeededRng(424242)
+
+        def chunk(lo, hi):
+            coeffs = sample_batch(rng.substream(lo), hi - lo, m)
+            fwd = evolve_batch(coeffs, 16, d.t, d.flow)
+            return (holder_c_lower_bound(coeffs, 16, 4, d.t),
+                    _forward_c_lower_bound(coeffs, 16, 4, d.t),
+                    conserved_c_batch(fwd, 16))
+
+        for old, bound, c1 in run_chunked(chunk, 4 * SAMPLE_CHUNK,
+                                          SAMPLE_CHUNK):
+            assert np.all(bound >= old)
+            assert np.all(bound <= c1)
 
     def test_bound_is_c_less_margin_without_free_modes(self, monkeypatch):
         # at N = M there are no free modes: the bound is C(u) less the
