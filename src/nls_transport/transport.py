@@ -22,9 +22,11 @@ step h: each row's direct log G is evaluated at 2h and h, and the
 Richardson estimate |L_2h - L_h|/15 of the error of L_h is held against
 DENSITY_TOL.  A row within it keeps L_h.  The others move on to h/2, h/4,
 ..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15 is within
-DENSITY_TOL; a pair of equal step lists or a non-finite value estimates
-nothing, and a row still above the tolerance after _MAX_HALVINGS halvings
-raises StepUnresolved.  `density_pieces` reads all three log densities of a
+DENSITY_TOL.  A pair estimates only when its coarse solve takes a full
+step of 2h', so at 0 < |t| < 2h the ladder starts at the largest
+h' = h/2^j with 2h' <= |t|.  A non-finite value estimates nothing, and a
+row still above the tolerance after _MAX_HALVINGS halvings of the starting
+step raises StepUnresolved.  `density_pieces` reads all three log densities of a
 batch off that solve and one backward trajectory per accepted step: R at its
 ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
 by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
@@ -53,7 +55,7 @@ from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
                        r_correction_batch)
 from .errors import (MissingCutoff, NlsTransportError, NonFiniteState,
                      StepUnresolved)
-from .flow import FlowParams, _steps, evolve_batch, trajectory_batch
+from .flow import FlowParams, evolve_batch, trajectory_batch
 from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
@@ -74,9 +76,11 @@ _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 class DensityParams:
     """Settings of the log-density evaluation.
 
-    `flow.step` is the starting RK4 step h; the step error of log G at h is
-    estimated against a solve at 2h, and rows are refined by halving until
-    the estimated error is within DENSITY_TOL (see `_controlled_direct`).
+    `flow.step` is the starting RK4 step h, or the largest h/2^j with
+    2h/2^j <= |t| where 0 < |t| < 2h; the step error of log G at it is
+    estimated against a solve at twice it, and rows are refined by halving
+    until the estimated error is within DENSITY_TOL (see
+    `_controlled_direct`).
     `quad_points` are the equispaced Simpson nodes of the Q integral, which
     Richardson extrapolation combines with the Simpson rule on every other
     node; with quad_points - 1 a multiple of 4 the combination covers the
@@ -134,52 +138,59 @@ class _LadderFlow(FlowParams):
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     """(log G, accepted step) per row of a (batch, dim) block.
 
-    With h = flow.step, each row is solved at 2h and h, then at h/2, h/4,
-    ... as long as it is unresolved.  A row accepts the first L_{h'},
-    h' = h, h/2, ..., h/2**_MAX_HALVINGS, whose Richardson estimate
-    |L_{2h'} - L_{h'}|/15 is within DENSITY_TOL; L_{h'} is then bit for bit
-    the fixed-step formula at h'.  A pair whose two step lists are equal
-    (0 < |t| <= h') is one solve twice and gives no estimate, and a
-    non-finite value gives none either, so neither resolves a row; a solve
-    that overflows gives NaN on its own rows only.  A row unresolved at the
+    With h0 the starting step, each row is solved at 2h0 and h0, then at
+    h0/2, h0/4, ... as long as it is unresolved.  A row accepts the first
+    L_{h'}, h' = h0, h0/2, ..., h0/2**_MAX_HALVINGS, whose Richardson
+    estimate |L_{2h'} - L_{h'}|/15 is within DENSITY_TOL; L_{h'} is then
+    bit for bit the fixed-step formula at h'.  The estimate holds only when
+    the coarse solve takes at least one full step of 2h': below that the
+    two solves are one step of t or nearly so, and their errors cancel.  So
+    h0 is flow.step where |t| >= 2 flow.step or t = 0 (both solves are then
+    the identity), and otherwise the largest flow.step/2^j with 2h0 <= |t|.
+    A non-finite value gives no estimate and resolves no row; a solve that
+    overflows gives NaN on its own rows only.  A row unresolved at the
     finest step raises StepUnresolved."""
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
         try:
-            bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
-                               _LadderFlow(n_cut=d.flow.n_cut, step=step))
+            # an overflow is caught as NonFiniteState or left as inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
+                                   _LadderFlow(n_cut=d.flow.n_cut, step=step))
+                s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
         except NonFiniteState:
             if rows.size == 1:
                 return np.array([np.nan])
             half = rows.size // 2
             return np.concatenate([direct(rows[:half], step),
                                    direct(rows[half:], step)])
-        ds = low_norm_sq_batch(bwd, m_ambient, d.energy) - s0[rows]
-        return -0.5 * GAUSS_FORM_FACTOR * ds
+        return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
 
+    start = d.flow.step
+    while d.t != 0.0 and abs(d.t) < 2.0 * start:
+        start /= 2
     log_g = np.empty(coeffs.shape[0])
     steps = np.empty(coeffs.shape[0])
     rows = np.arange(coeffs.shape[0])
-    coarse = direct(rows, 2.0 * d.flow.step)
+    coarse = direct(rows, 2.0 * start)
     for halving in range(_MAX_HALVINGS + 1):
-        step = d.flow.step / 2**halving
+        step = start / 2**halving
         fine = direct(rows, step)
         err = np.abs(coarse - fine) / 15.0
-        # equal step lists are one solve twice, which estimates nothing;
-        # at t = 0 both are the exact identity
-        if d.t != 0.0 and _steps(-d.t, 2.0 * step) == _steps(-d.t, step):
-            err[:] = np.inf
         ok = err <= DENSITY_TOL
         log_g[rows[ok]] = fine[ok]
         steps[rows[ok]] = step
         rows, coarse, err = rows[~ok], fine[~ok], err[~ok]
         if rows.size == 0:
             return log_g, steps
+    finite = err[np.isfinite(err)]
+    worst = (f"worst error estimate {np.max(finite):.3e}" if finite.size
+             else "no finite error estimate")
     raise StepUnresolved(
         f"{rows.size} row(s) still above the log-density tolerance "
-        f"{DENSITY_TOL} at the finest step {step:g}; worst error estimate "
-        f"{np.max(err):.3e}")
+        f"{DENSITY_TOL} at the finest step {step:g}, "
+        f"{err.size - finite.size} of them non-finite; {worst}")
 
 
 def log_density_direct_batch(coeffs: np.ndarray, m_ambient: int,

@@ -5,8 +5,11 @@ import pytest
 
 from nls_transport import cli, transport
 from nls_transport.cli import main
+from nls_transport.energies import low_norm_sq_batch
+from nls_transport.flow import FlowParams, evolve_batch
+from nls_transport.measures import SeededRng, sample_batch
 from nls_transport.reporting import write_csv
-from nls_transport.transport import StudyKind
+from nls_transport.transport import DENSITY_TOL, GAUSS_FORM_FACTOR, StudyKind
 
 
 def run(args):
@@ -171,6 +174,28 @@ class TestCommands:
                 "--output", str(tmp_path)]
         assert run(args) == 0
         assert seen[:2] == [0.2, 0.1]
+
+    def test_density_check_at_tiny_t(self, tmp_path):
+        # at |t| far below the step, the ladder starts at the largest
+        # h/2^j with 2h/2^j <= |t|: every row resolves, within the
+        # tolerance of a fixed-step solve at |t|/100
+        t = 1e-5
+        args = ["density-check", "--t", str(t), "--n-samples", "3",
+                "--n-cut", "2", "--m-ambient", "4", "--quad-points", "51",
+                "--seed", "7", "--output", str(tmp_path)]
+        assert run(args) == 0
+        rows = (tmp_path / "density-check" / "density-check.csv").read_text()
+        got = np.array([float(r.split(",")[1])
+                        for r in rows.strip().splitlines()[1:]])
+        cfg = dict(cli.DEFAULTS, t=t, n_samples=3, n_cut=2, m_ambient=4,
+                   seed=7)
+        coeffs = sample_batch(SeededRng(7), 3, cli._measure(cfg))
+        energy = cli._density(cfg).energy
+        bwd = evolve_batch(coeffs, 4, -t, FlowParams(n_cut=2, step=t / 100))
+        ref = -0.5 * GAUSS_FORM_FACTOR * (low_norm_sq_batch(bwd, 4, energy)
+                                          - low_norm_sq_batch(coeffs, 4,
+                                                              energy))
+        assert np.max(np.abs(got - ref)) <= DENSITY_TOL
 
     def test_convergence_runs_each_study_once(self, tmp_path, monkeypatch,
                                               capsys):

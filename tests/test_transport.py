@@ -187,23 +187,24 @@ class TestStepControl:
             assert np.array_equal(got[rows],
                                   fixed_step_direct(coeffs[rows], 8, d, step))
 
-    def test_one_step_pair_gives_no_estimate(self):
-        # at |t| < h the solves at 2h and h, and at h and h/2 while
-        # |t| <= h/2, are one RK4 step of length t each: their difference
-        # is 0 and estimates nothing.  The largest samples, whose one-step
-        # values are far off, stay unresolved; moderate ones are accepted
-        # only at a step below |t|, within the tolerance of a fine
-        # reference
-        coeffs, _ = self.two_formula_samples()
-        d, _ = density_setup(n_cut=8, t=0.05, step=0.1)
-        order = np.argsort(conserved_c_batch(coeffs, 8))
-        for i in order[-3:]:
-            with pytest.raises(nt.StepUnresolved):
-                log_density_direct_batch(coeffs[i:i + 1], 8, d)
-        rows = order[:5]
-        got, steps = transport._controlled_direct(coeffs[rows], 8, d)
-        assert np.all(steps < d.t)
-        ref = fixed_step_direct(coeffs[rows], 8, d, 1e-4)
+    @pytest.mark.parametrize("t", [0.05, 0.101])
+    def test_short_time_starts_below_half_t(self, t):
+        # at |t| < 2h the solves at 2h and h are one RK4 step of length t,
+        # or nearly so, and their errors cancel: at t = 1.01 h, starting
+        # at h would accept rows whose error is 20 to 100 times the
+        # tolerance.  The ladder starts at the largest h/2^j with
+        # 2h/2^j <= |t|, so moderate samples are accepted within the
+        # tolerance of a fine reference, and the largest stays unresolved
+        d, fam = density_setup(n_cut=2, t=t, step=0.1)
+        m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam)
+        coeffs = sample_batch(nt.SeededRng(7), 20, m)
+        c = conserved_c_batch(coeffs, 4)
+        with pytest.raises(nt.StepUnresolved):
+            log_density_direct_batch(coeffs[[np.argmax(c)]], 4, d)
+        rows = c < 20.0
+        got, steps = transport._controlled_direct(coeffs[rows], 4, d)
+        assert np.all(steps <= d.t / 2)
+        ref = fixed_step_direct(coeffs[rows], 4, d, 1e-4)
         assert np.max(np.abs(got - ref)) <= DENSITY_TOL
 
     def test_overflowing_coarse_solve_spares_its_batch(self):
