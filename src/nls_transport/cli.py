@@ -152,7 +152,7 @@ def run_density_check(cfg, outdir):
     summary = {"max_abs_diff": worst, "tolerance": tol,
                "max_quadrature_error":
                    GAUSS_FORM_FACTOR * float(np.max(pieces.q_error)),
-               "refined_rows": int(np.sum(pieces.steps < d.flow.step))}
+               "refined_rows": int(np.sum(pieces.steps < d.start_step))}
     return passed, summary, ("sample", "log_g_direct", "log_g_normal_form",
                              "abs_diff", "log_f_weighted"), rows
 

@@ -26,24 +26,32 @@ q2 = conj(q1) as (k1..k6) -> (k2, k1, k4, k3, k6, k5) conjugates the
 six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
 points, enough for the mean of a band-6N product.
 
-Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^16
-complex cells, 1 MiB per array: whole rows where a row fits (N <= 8), else
-one row and a slice of its nodes (N = 16, 32), with v built once per tile of
-rows.  2^16 lies in the flat bottom, 2^15 to 2^18, of a one-thread sweep of
-Q at N = 8 and 16 (BENCH_qtiles.json); 2^12 pays more Python overhead per
-tile, and 2^19 or more takes 1.7 to 2 times as long.  A tile stores g and h
-per node, then sums each row over all its nodes with one np.sum, so each R,
-q0 and q1 adds the same terms in the same order whatever the tile.
+Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^15
+complex cells: whole rows where a row fits (N <= 8), else one row and a
+slice of its nodes (N = 16, 32), with v built once per tile of rows.  Each
+thread that runs tiles allocates its work buffers once per call, _TILE
+cells each: complex f, fm, v and two scratch arrays, real |f|^2 and two
+scratch arrays.  A tile writes its fields and the integrands of g and h into
+views of them with out= and in-place ufuncs, in the operation order of the
+formulas above, so the buffers change no bit; `_fields` zeroes the padding
+of its buffer again on each use.  With some 25 fresh temporaries per tile
+instead, Q spends most of its time in the allocator.  Two one-thread sweeps
+of Q at N = 8 and 16 with the buffers (BENCH_qbuffers.json) put 2^15 in the
+flat bottom, 2^14 to 2^16, of both; 2^12 pays more Python overhead per tile,
+and 2^18 or more takes 1.3 to 1.8 times as long.  2^15 also needs half the
+buffers of 2^16.  A tile stores g and h per node, then sums each row over
+all its nodes with one np.sum, so each R, q0 and q1 adds the same terms in
+the same order whatever the tile.
 `parallel.run_chunked_capped` hands the row tiles to at most
 _TILES_IN_FLIGHT = 4 pool threads.  Tiles depend only on N, so a row's value
 depends neither on its batch nor on the thread count.
 
-Memory: a tile keeps about ten 1 MiB arrays alive.  A thread keeps the heap
-its tiles freed, so the work space grows with the threads that ran tiles,
-not with the tiles run at once.  With at most four such threads, a call
-needs at most 64 MiB of work space beyond a few floats per row, whatever
-the batch size and the worker count (a test holds q_derivative_batch to it
-on eight workers).
+Memory: a thread's buffers take 5 x 16 + 3 x 8 bytes per cell, 3.25 MiB,
+and the call frees them once its tiles are done.  So the work space grows
+with the threads that ran tiles, not with the tiles run.  With at most four
+such threads, a call needs at most 64 MiB of work space beyond a few floats
+per row, whatever the batch size and the worker count (a test holds
+q_derivative_batch to it on eight workers).
 
 Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
 A value within _ROUNDING times such a bound is rounding noise of an exact
@@ -52,6 +60,7 @@ zero (a single mode, a support with no non-resonant tuple) and returns 0.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,12 +69,12 @@ from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
 from .parallel import run_chunked_capped
-from .spectral import (FourierState, GridSpec, WeightFamily, modulus_sq,
-                       quintic_batch, wavenumbers)
+from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
+                       wavenumbers)
 
 AMBIENT = None  # sentinel n_cut: use the state's own truncation
 
-_TILE = 1 << 16        # complex cells (rows x time nodes x grid points) per tile
+_TILE = 1 << 15        # complex cells (rows x time nodes x grid points) per tile
 _TILES_IN_FLIGHT = 4   # threads that compute tiles, which bounds the work space
 _ROUNDING = 64 * np.finfo(np.float64).eps
 
@@ -113,14 +122,25 @@ def _space_time_rule(n_cut: int):
             next_fast_len(6 * n_cut + 1))
 
 
-def _fields(band: np.ndarray, phases: np.ndarray, n_points: int) -> np.ndarray:
+def _fields(band: np.ndarray, phases: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_k c_k e^{i(k x_l + k^2 t_j)} for each row of a (rows, 2N+1) band
-    and each node of `phases`, as (rows, nodes, G)."""
-    n_cut = phases.shape[-1] // 2
-    spec = np.zeros((band.shape[0], phases.shape[0], n_points),
-                    dtype=np.complex128)
-    spec[..., np.arange(-n_cut, n_cut + 1) % n_points] = band[:, None, :] * phases
-    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
+    and each node of `phases`, written into `out`, (rows, nodes, G).  The
+    band k = 0..N goes to the first N + 1 points, k = -N..-1 to the last N,
+    and the padding between them is zeroed again, as `out` is reused."""
+    n_cut, n_points = phases.shape[-1] // 2, out.shape[-1]
+    np.multiply(band[:, None, n_cut:], phases[:, n_cut:],
+                out=out[..., :n_cut + 1])
+    np.multiply(band[:, None, :n_cut], phases[:, :n_cut],
+                out=out[..., n_points - n_cut:])
+    out[..., n_cut + 1:n_points - n_cut] = 0.0
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
+
+
+def _tile_shape(n_nodes: int, n_points: int) -> tuple[int, int]:
+    """(rows, nodes) per tile: whole rows while one fits in _TILE cells,
+    else one row and a slice of its nodes."""
+    tile_j = min(n_nodes, max(1, _TILE // n_points))
+    return max(1, _TILE // (tile_j * n_points)), tile_j
 
 
 def _snap(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -144,37 +164,74 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     big, big_m = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     big_v, big_vm = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     n_nodes = weights.size
-    tile_j = min(n_nodes, max(1, _TILE // n_points))
-    tile_r = max(1, _TILE // (tile_j * n_points))
+    tile_r, tile_j = _tile_shape(n_nodes, n_points)
+    cells = tile_r * tile_j * n_points
+    dtypes = [np.complex128] * 2 + [np.float64] * 3
+    if grid is not None:
+        dtypes += [np.complex128] * 3
+    buffers = {}   # thread id -> its work buffers, for this call only
+
+    def work_space(shape):
+        """This thread's buffers as `shape` views: f, fm, |f|^2, two real
+        scratch arrays and, for Q, v and two complex scratch arrays."""
+        key = threading.get_ident()
+        if key not in buffers:
+            buffers[key] = [np.empty(cells, dtype) for dtype in dtypes]
+        size = shape[0] * shape[1] * shape[2]
+        return [b[:size].reshape(shape) for b in buffers[key]]
 
     def tile(lo, hi):
         rows, band = slice(lo, hi), wb[lo:hi]
         big[rows], big_m[rows] = wiener(band)
+        band_m = mult * band
         g = np.empty((hi - lo, n_nodes))
         h = np.empty((hi - lo, n_nodes), dtype=np.complex128)
         if grid is not None:
             vb = quintic_batch(band, n_cut, n_cut, grid.n_points)
+            vb_m = mult * vb
             big_v[rows], big_vm[rows] = wiener(vb)
         for j in range(0, n_nodes, tile_j):
             nodes, ph = slice(j, j + tile_j), phases[j:j + tile_j]
-            f = _fields(band, ph, n_points)
-            fm = _fields(mult * band, ph, n_points)
-            a = modulus_sq(f)
-            g[:, nodes] = np.mean(a * a * (fm.imag * f.real - fm.real * f.imag),
-                                  axis=-1)
+            f, fm, a, r1, r2, *vbufs = work_space((hi - lo, ph.shape[0],
+                                                   n_points))
+            _fields(band, ph, f)
+            _fields(band_m, ph, fm)
+            # g = mean |f|^4 (fm.imag f.real - fm.real f.imag)
+            np.square(f.real, out=a)
+            np.square(f.imag, out=r1)
+            np.add(a, r1, out=a)
+            np.multiply(fm.imag, f.real, out=r1)
+            np.multiply(fm.real, f.imag, out=r2)
+            np.subtract(r1, r2, out=r1)
+            np.multiply(a, a, out=r2)
+            np.multiply(r2, r1, out=r2)
+            g[:, nodes] = np.mean(r2, axis=-1)
             if grid is not None:
-                v = _fields(vb, ph, n_points)
-                # the field of m v and conj(f) are not kept: less work space
-                h[:, nodes] = np.mean(
-                    a * ((_fields(mult * vb, ph, n_points) * a
-                          + 2.0 * v * fm * np.conj(f)) * np.conj(f)
-                         - 3.0 * v * np.conj(fm) * a), axis=-1)
+                # h = mean a ((vm a + 2 v fm conj f) conj f - 3 v conj(fm) a)
+                v, c1, c2 = vbufs
+                _fields(vb, ph, v)
+                _fields(vb_m, ph, c1)
+                np.conjugate(f, out=f)
+                np.multiply(c1, a, out=c1)
+                np.multiply(2.0, v, out=c2)
+                np.multiply(c2, fm, out=c2)
+                np.multiply(c2, f, out=c2)
+                np.add(c1, c2, out=c1)
+                np.multiply(c1, f, out=c1)
+                np.conjugate(fm, out=fm)
+                np.multiply(3.0, v, out=c2)
+                np.multiply(c2, fm, out=c2)
+                np.multiply(c2, a, out=c2)
+                np.subtract(c1, c2, out=c1)
+                np.multiply(a, c1, out=c1)
+                h[:, nodes] = np.mean(c1, axis=-1)
         r_sum[rows] = np.sum(weights * g, axis=-1)
         g_sum[rows] = np.sum(g, axis=-1)
         if grid is not None:
             h_sum[rows] = np.sum(weights * h, axis=-1)
 
     run_chunked_capped(tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT)
+    buffers.clear()   # the per-row arithmetic below may reuse that memory
 
     spread = np.sum(np.abs(weights))
     r = _snap(r_sum, spread * big ** 5 * big_m)

@@ -41,9 +41,9 @@ def run_chunked(fn, n: int, chunk: int) -> list:
 
 
 def run_chunked_capped(fn, n: int, chunk: int, cap: int) -> list:
-    """run_chunked on at most `cap` threads.  Each thread keeps the heap its
-    chunks freed, so the cap, not the core count, bounds the peak memory of
-    bodies with a large work space."""
+    """run_chunked on at most `cap` threads.  A body with a large work space
+    keeps one per thread, so the cap, not the core count, bounds its peak
+    memory."""
     return _run(fn, chunk_ranges(n, chunk), min(worker_count(), cap))
 
 

@@ -76,11 +76,11 @@ _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 class DensityParams:
     """Settings of the log-density evaluation.
 
-    `flow.step` is the starting RK4 step h, or the largest h/2^j with
-    2h/2^j <= |t| where 0 < |t| < 2h; the step error of log G at it is
-    estimated against a solve at twice it, and rows are refined by halving
-    until the estimated error is within DENSITY_TOL (see
-    `_controlled_direct`).
+    `start_step` is the RK4 step the ladder starts at: `flow.step` = h, or
+    the largest h/2^j with 2h/2^j <= |t| where 0 < |t| < 2h.  The step
+    error of log G at it is estimated against a solve at twice it, and rows
+    are refined by halving until the estimated error is within DENSITY_TOL
+    (see `_controlled_direct`).
     `quad_points` are the equispaced Simpson nodes of the Q integral, which
     Richardson extrapolation combines with the Simpson rule on every other
     node; with quad_points - 1 a multiple of 4 the combination covers the
@@ -97,6 +97,13 @@ class DensityParams:
             raise ValueError("quad_points must be odd and >= 3")
         if self.energy.n_cut is not None and self.energy.n_cut != self.flow.n_cut:
             raise ValueError("flow and energy truncations must agree")
+
+    @property
+    def start_step(self) -> float:
+        start = self.flow.step
+        while self.t != 0.0 and abs(self.t) < 2.0 * start:
+            start /= 2
+        return start
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -145,8 +152,9 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     bit for bit the fixed-step formula at h'.  The estimate holds only when
     the coarse solve takes at least one full step of 2h': below that the
     two solves are one step of t or nearly so, and their errors cancel.  So
-    h0 is flow.step where |t| >= 2 flow.step or t = 0 (both solves are then
-    the identity), and otherwise the largest flow.step/2^j with 2h0 <= |t|.
+    h0 = d.start_step is flow.step where |t| >= 2 flow.step or t = 0 (both
+    solves are then the identity), and otherwise the largest flow.step/2^j
+    with 2h0 <= |t|.
     A non-finite value gives no estimate and resolves no row; a solve that
     overflows gives NaN on its own rows only.  A row unresolved at the
     finest step raises StepUnresolved."""
@@ -167,9 +175,7 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
                                    direct(rows[half:], step)])
         return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
 
-    start = d.flow.step
-    while d.t != 0.0 and abs(d.t) < 2.0 * start:
-        start /= 2
+    start = d.start_step
     log_g = np.empty(coeffs.shape[0])
     steps = np.empty(coeffs.shape[0])
     rows = np.arange(coeffs.shape[0])

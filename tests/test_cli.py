@@ -197,6 +197,25 @@ class TestCommands:
                                                               energy))
         assert np.max(np.abs(got - ref)) <= DENSITY_TOL
 
+    @pytest.mark.parametrize("args,refined", [
+        (["--t", "1e-5", "--n-cut", "2", "--m-ambient", "4"], 0),
+        (["--t", "0.0015", "--n-cut", "2", "--m-ambient", "4"], 0),
+        # perfbench's density-check config at seed 2024: one row of four
+        # is accepted at h/2
+        (["--t", "0.5", "--n-cut", "8", "--m-ambient", "8", "--seed",
+          "2024"], 1),
+    ])
+    def test_refined_rows_counted_below_ladder_start(self, tmp_path, args,
+                                                     refined):
+        # at 0 < |t| < 2h the ladder starts below h, and a row accepted at
+        # its start is not refined.  51 nodes are too few for the check to
+        # pass at N = 8, but the accepted steps do not depend on them.
+        run(["density-check", "--n-samples", "4", "--quad-points", "51",
+             *args, "--output", str(tmp_path)])
+        doc = json.loads((tmp_path / "density-check" / "manifest.json"
+                          ).read_text())
+        assert doc["summary"]["refined_rows"] == refined
+
     def test_convergence_runs_each_study_once(self, tmp_path, monkeypatch,
                                               capsys):
         calls = []

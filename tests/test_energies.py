@@ -256,6 +256,34 @@ class TestInvariances:
         finally:
             sys.setswitchinterval(switch)
 
+    @pytest.mark.parametrize("n_cut", [4, 8, 16, 32])
+    def test_reused_buffers_carry_nothing_over(self, n_cut, fam_jb, rng,
+                                               monkeypatch):
+        # on one thread each tile reuses the buffers of the tile before it;
+        # a row must keep its bits alone and last behind rows ten times as
+        # large: at N = 4 and 8 in a partial last tile of rows, at N = 16
+        # and 32 over node slices whose last one is shorter
+        from nls_transport import energies
+        phases, _, n_points = energies._space_time_rule(n_cut)
+        n_nodes = phases.shape[0]
+        tile_r, tile_j = energies._tile_shape(n_nodes, n_points)
+        if n_cut <= 8:
+            assert tile_j == n_nodes and tile_r > 2
+            n_big = tile_r + 1   # a full tile, then one big row and the row
+        else:
+            assert tile_r == 1 and n_nodes % tile_j != 0
+            n_big = 2
+        row = random_coeffs(rng, n_cut)
+        coeffs = np.stack([10.0 * random_coeffs(rng, n_cut)
+                           for _ in range(n_big)] + [row])
+        p, grid = params(n_cut, fam_jb), nt.default_grid(n_cut)
+        monkeypatch.setenv("NLS_TRANSPORT_THREADS", "1")
+        assert np.array_equal(r_correction_batch(coeffs, n_cut, p)[-1:],
+                              r_correction_batch(row[None, :], n_cut, p))
+        assert np.array_equal(
+            q_derivative_batch(coeffs, n_cut, p, grid)[-1:],
+            q_derivative_batch(row[None, :], n_cut, p, grid))
+
     def test_outputs_are_real_floats(self, fam_jb, rng):
         u = nt.FourierState(2, random_coeffs(rng, 2))
         assert isinstance(nt.r_correction(u, params(2, fam_jb)), float)
