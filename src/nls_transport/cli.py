@@ -82,6 +82,8 @@ def _validate(cfg: dict, command: str) -> dict:
         raise ConfigInvalid("n_list must not be empty")
     if command == "moments" and (cfg["m_max"] < 2 or cfg["m_max"] % 2):
         raise ConfigInvalid("m_max must be even and >= 2")
+    if command == "moments" and cfg["n_samples"] < 2:
+        raise ConfigInvalid("moments needs n_samples >= 2 for its variance z")
     if command == "simulate" and cfg["n_snapshots"] < 2:
         raise ConfigInvalid("n_snapshots must be >= 2")
     if command == "simulate" and abs(cfg["wave_k"]) > cfg["m_ambient"]:
@@ -103,11 +105,10 @@ def _measure(cfg: dict) -> MeasureParams:
 
 
 def _density(cfg: dict) -> DensityParams:
-    fam = _family(cfg)
     return DensityParams(
         t=cfg["t"],
-        energy=EnergyParams(n_cut=cfg["n_cut"], family=fam),
-        flow=FlowParams(n_cut=cfg["n_cut"], step=cfg["step"]),
+        energy=EnergyParams(n_cut=cfg["n_cut"], family=_family(cfg)),
+        step=cfg["step"],
         quad_points=cfg["quad_points"],
     )
 
@@ -179,10 +180,9 @@ def run_transport_mc(cfg, outdir):
 def run_convergence(cfg, outdir):
     rows, passed = [], True
     for kind in (StudyKind.R, StudyKind.Q, StudyKind.G):
-        study = convergence_study(kind, cfg["s"], cfg["t"], 8,
+        study = convergence_study(kind, _family(cfg), cfg["t"], 8,
                                   cfg["n_list"], cfg["m_ambient"],
-                                  SeededRng(cfg["seed"]),
-                                  family=_family(cfg), step=cfg["step"])
+                                  SeededRng(cfg["seed"]), cfg["step"])
         sups = [r.sup_diff for r in study]   # rows come in increasing n_cut
         passed &= all(b < a for a, b in zip(sups, sups[1:]))
         rows.extend((r.kind, r.n_cut, cfg["m_ambient"], cfg["t"], r.sup_diff)
@@ -192,7 +192,9 @@ def run_convergence(cfg, outdir):
 
 
 def run_liouville(cfg, outdir):
-    n_cut = min(cfg["n_cut"], 3)
+    # the checks run at truncations and a time of their own, which the
+    # summary records: the divergence at N <= 3, the determinant at N = 2
+    n_cut, det_n_cut, det_t = min(cfg["n_cut"], 3), 2, 0.5
     flow = FlowParams(n_cut=n_cut, step=cfg["step"])
     fam = _family(cfg)
     m = MeasureParams(s=cfg["s"], m_ambient=n_cut, family=fam)
@@ -203,15 +205,18 @@ def run_liouville(cfg, outdir):
         div = divergence_at(u, flow)
         worst_div = max(worst_div, abs(div))
         rows.append(("divergence", i, div))
-    u2 = FourierState(2, sample_batch(SeededRng(cfg["seed"] + 1), 1,
-                                      MeasureParams(s=cfg["s"], m_ambient=2,
-                                                    family=fam))[0])
+    m2 = MeasureParams(s=cfg["s"], m_ambient=det_n_cut, family=fam)
+    u2 = FourierState(det_n_cut,
+                      sample_batch(SeededRng(cfg["seed"] + 1), 1, m2)[0])
     scale = np.sqrt(sobolev_norm_sq_sigma(u2, 1.0))
-    u2 = FourierState(2, u2.coeffs / max(scale, 1.0))
-    det = jacobian_det(u2, 0.5, FlowParams(n_cut=2, step=cfg["step"]))
+    u2 = FourierState(det_n_cut, u2.coeffs / max(scale, 1.0))
+    det = jacobian_det(u2, det_t, FlowParams(n_cut=det_n_cut,
+                                             step=cfg["step"]))
     rows.append(("jacobian_det_minus_1", 0, det - 1.0))
     passed = worst_div <= 1e-6 and abs(det - 1.0) <= 1e-6
-    summary = {"max_abs_divergence": worst_div, "det_minus_one": det - 1.0}
+    summary = {"max_abs_divergence": worst_div, "det_minus_one": det - 1.0,
+               "divergence_n_cut": n_cut, "det_n_cut": det_n_cut,
+               "det_t": det_t}
     return passed, summary, ("check", "index", "value"), rows
 
 

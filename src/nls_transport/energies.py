@@ -72,8 +72,6 @@ from .parallel import run_chunked_capped
 from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
                        wavenumbers)
 
-AMBIENT = None  # sentinel n_cut: use the state's own truncation
-
 _TILE = 1 << 15        # complex cells (rows x time nodes x grid points) per tile
 _TILES_IN_FLIGHT = 4   # threads that compute tiles, which bounds the work space
 _ROUNDING = 64 * np.finfo(np.float64).eps
@@ -81,23 +79,21 @@ _ROUNDING = 64 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Truncation and weight family for the normal-form quantities.
+    """Truncation N and weight family for the normal-form quantities.
+    The untruncated functionals' finite proxy is N = the state's own
+    truncation M."""
 
-    n_cut=None means "ambient": evaluate at the state's own truncation,
-    the finite proxy for the untruncated functionals.
-    """
-
-    n_cut: int | None
+    n_cut: int
     family: WeightFamily
 
     def resolve_cut(self, m_ambient: int) -> int:
-        n = m_ambient if self.n_cut is None else self.n_cut
-        if n > m_ambient:
+        """n_cut, checked against the ambient truncation of the states."""
+        if self.n_cut > m_ambient:
             raise TruncationExceedsAmbient(
-                f"n_cut={n} exceeds ambient truncation {m_ambient}")
-        if n < 0:
+                f"n_cut={self.n_cut} exceeds ambient truncation {m_ambient}")
+        if self.n_cut < 0:
             raise ValueError("n_cut must be >= 0")
-        return n
+        return self.n_cut
 
 
 def _band(coeffs: np.ndarray, m_ambient: int, n_cut: int) -> np.ndarray:

@@ -17,10 +17,6 @@ class NonFiniteState(NlsTransportError):
     """A coefficient became NaN or Inf during evolution."""
 
 
-class ContractionRadiusExceeded(NlsTransportError):
-    """Requested time exceeds the fixed-point iteration's local window."""
-
-
 class MissingCutoff(NlsTransportError):
     """Operation requires a cutoff radius but none was configured."""
 

@@ -98,8 +98,6 @@ class MeasureParams:
     cutoff_r: float | None = None
 
     def __post_init__(self):
-        if not self.s > 1.5:
-            raise ValueError("measure requires s > 3/2")
         if self.cutoff_r is not None and not self.cutoff_r > 0:
             raise ValueError("cutoff_r must be positive when present")
         if self.family.s != self.s:

@@ -17,8 +17,8 @@ truncation these are theorems, not approximations, so the Monte Carlo
 change-of-measure z-scores measure nothing but sampling noise and the
 numerical error of the flow and the quadrature.
 
-That error is controlled, not assumed small.  `flow.step` is the starting
-step h: each row's direct log G is evaluated at 2h and h, and the
+That error is controlled, not assumed small.  `DensityParams.step` is the
+starting step h: each row's direct log G is evaluated at 2h and h, and the
 Richardson estimate |L_2h - L_h|/15 of the error of L_h is held against
 DENSITY_TOL.  A row within it keeps L_h.  The others move on to h/2, h/4,
 ..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15 is within
@@ -60,27 +60,28 @@ from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
 from .parallel import run_chunked
-from .spectral import (FourierState, WeightFamily, WeightKind,
-                       bracket_multiplier, default_grid,
-                       sextic_integral_batch, truncated_energy_batch,
-                       wavenumbers)
+from .spectral import (FourierState, WeightFamily, bracket_multiplier,
+                       default_grid, sextic_integral_batch,
+                       truncated_energy_batch, wavenumbers)
 
 GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
-_MAX_HALVINGS = 6    # finest step tried is flow.step / 2**_MAX_HALVINGS
+_MAX_HALVINGS = 6    # finest step tried is start_step / 2**_MAX_HALVINGS
 _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Settings of the log-density evaluation.
+    """Settings of the log-density evaluation: G_{s,N}(t, .) with s and N
+    those of `energy`, the flow truncated at the same N.
 
-    `start_step` is the RK4 step the ladder starts at: `flow.step` = h, or
-    the largest h/2^j with 2h/2^j <= |t| where 0 < |t| < 2h.  The step
-    error of log G at it is estimated against a solve at twice it, and rows
-    are refined by halving until the estimated error is within DENSITY_TOL
-    (see `_controlled_direct`).
+    `step` is the starting RK4 step h, and `flow` the truncated flow at it.
+    `start_step` is the step the ladder starts at: h, or the largest
+    h/2^j with 2h/2^j <= |t| where 0 < |t| < 2h.  The step error of log G
+    at it is estimated against a solve at twice it, and rows are refined by
+    halving until the estimated error is within DENSITY_TOL (see
+    `_controlled_direct`).
     `quad_points` are the equispaced Simpson nodes of the Q integral, which
     Richardson extrapolation combines with the Simpson rule on every other
     node; with quad_points - 1 a multiple of 4 the combination covers the
@@ -89,18 +90,20 @@ class DensityParams:
 
     t: float
     energy: EnergyParams
-    flow: FlowParams
+    step: float
     quad_points: int = 501
 
     def __post_init__(self):
         if self.quad_points < 3 or self.quad_points % 2 == 0:
             raise ValueError("quad_points must be odd and >= 3")
-        if self.energy.n_cut is not None and self.energy.n_cut != self.flow.n_cut:
-            raise ValueError("flow and energy truncations must agree")
+
+    @property
+    def flow(self) -> FlowParams:
+        return FlowParams(n_cut=self.energy.n_cut, step=self.step)
 
     @property
     def start_step(self) -> float:
-        start = self.flow.step
+        start = self.step
         while self.t != 0.0 and abs(self.t) < 2.0 * start:
             start /= 2
         return start
@@ -133,15 +136,6 @@ def _quadrature_weights(n_nodes: int, h: float):
     return rule, estimate
 
 
-class _LadderFlow(FlowParams):
-    """FlowParams at a step of the ladder: the coarse step 2h of its first
-    pair may exceed the (0, 0.1] asked of the starting step h."""
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-
-
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     """(log G, accepted step) per row of a (batch, dim) block.
 
@@ -152,8 +146,8 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     bit for bit the fixed-step formula at h'.  The estimate holds only when
     the coarse solve takes at least one full step of 2h': below that the
     two solves are one step of t or nearly so, and their errors cancel.  So
-    h0 = d.start_step is flow.step where |t| >= 2 flow.step or t = 0 (both
-    solves are then the identity), and otherwise the largest flow.step/2^j
+    h0 = d.start_step is d.step where |t| >= 2 d.step or t = 0 (both
+    solves are then the identity), and otherwise the largest d.step/2^j
     with 2h0 <= |t|.
     A non-finite value gives no estimate and resolves no row; a solve that
     overflows gives NaN on its own rows only.  A row unresolved at the
@@ -165,7 +159,7 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
             # an overflow is caught as NonFiniteState or left as inf
             with np.errstate(over="ignore", invalid="ignore"):
                 bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
-                                   _LadderFlow(n_cut=d.flow.n_cut, step=step))
+                                   replace(d.flow, step=step))
                 s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
         except NonFiniteState:
             if rows.size == 1:
@@ -250,7 +244,7 @@ def density_pieces(coeffs: np.ndarray, m_ambient: int,
                                         d.quad_points)
         r1[rows] = r_correction_batch(snaps[:, -1, :], m_ambient, d.energy)
         qs[rows] = q_derivative_batch(snaps, m_ambient, d.energy,
-                                      default_grid(d.flow.n_cut))
+                                      default_grid(d.energy.n_cut))
     rule, estimate = _quadrature_weights(d.quad_points, times[1] - times[0])
     # a sum along each contiguous row, unlike a matrix-vector product, does
     # not depend on the rows around it
@@ -424,6 +418,8 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     docstring).  The evolved rows keep their bits, since each row of a flow
     solve is independent of the rows around it.
     """
+    if d.energy.family != m.family:
+        raise ValueError("density and measure must share one weight family")
     d.energy.resolve_cut(m.m_ambient)   # raises before any sample is drawn
     obs = list(observables)
 
@@ -432,8 +428,8 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         live = np.ones(coeffs.shape[0], dtype=bool)
         if m.cutoff_r is not None:
             ind_u = cutoff_indicator_batch(coeffs, m)
-            bound = _forward_c_lower_bound(coeffs, m.m_ambient, d.flow.n_cut,
-                                           d.t)
+            bound = _forward_c_lower_bound(coeffs, m.m_ambient,
+                                           d.energy.n_cut, d.t)
             live = ~((ind_u == 0) & (bound > m.cutoff_r))
         fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
         if m.cutoff_r is not None:
@@ -471,32 +467,30 @@ class StudyRow:
     sup_diff: float
 
 
-def convergence_study(kind: StudyKind, s: float, t: float, n_states: int,
-                      n_list, m_ambient: int, rng: SeededRng,
-                      family: WeightFamily | None = None,
-                      step: float = 1e-3) -> list[StudyRow]:
+def convergence_study(kind: StudyKind, family: WeightFamily, t: float,
+                      n_states: int, n_list, m_ambient: int, rng: SeededRng,
+                      step: float) -> list[StudyRow]:
     """sup over a fixed sample set of |X_M - X_N| for X in {R, Q, log G},
     N running through n_list with reference at the ambient truncation M,
-    as rows in increasing N.
+    as rows in increasing N.  The states are drawn from the Gaussian
+    measure of `family` (s = family.s); log G starts its ladder at `step`.
 
     The finite sample ensemble with a pinned seed stands in for a compact
     set; callers check that the sup decreases strictly in N.
     """
     if max(n_list) > m_ambient:
         raise ValueError("n_list entries must not exceed m_ambient")
-    fam = family or WeightFamily(WeightKind.JAPANESE_BRACKET, s)
-    meas = MeasureParams(s=s, m_ambient=m_ambient, family=fam)
+    meas = MeasureParams(s=family.s, m_ambient=m_ambient, family=family)
     coeffs = sample_batch(rng, n_states, meas)
 
     def values_at(n_cut: int) -> np.ndarray:
-        energy = EnergyParams(n_cut=n_cut, family=fam)
+        energy = EnergyParams(n_cut=n_cut, family=family)
         if kind is StudyKind.R:
             return r_correction_batch(coeffs, m_ambient, energy)
         if kind is StudyKind.Q:
             return q_derivative_batch(coeffs, m_ambient, energy,
                                       default_grid(n_cut))
-        d = DensityParams(t=t, energy=energy,
-                          flow=FlowParams(n_cut=n_cut, step=step))
+        d = DensityParams(t=t, energy=energy, step=step)
         return log_density_direct_batch(coeffs, m_ambient, d)
 
     ref = values_at(m_ambient)
@@ -516,13 +510,15 @@ class LpStudyRow:
 
 
 def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
-                     rng: SeededRng, n_list=None) -> list[LpStudyRow]:
-    """L^p norms of the truncated densities under the restricted normalized
-    ensemble, and the L^p distance from the ambient-truncation reference."""
+                     rng: SeededRng, n_list) -> list[LpStudyRow]:
+    """L^p norms of the truncated densities G_N, N in n_list, under the
+    restricted normalized ensemble, and the L^p distance from the
+    ambient-truncation reference G_M; d gives t, the weight family and the
+    step, and each G_N re-truncates its energy."""
     if m.cutoff_r is None:
         raise MissingCutoff("lp_density_study requires the energy cutoff")
-    if n_list is None:
-        n_list = [d.flow.n_cut]
+    if d.energy.family != m.family:
+        raise ValueError("density and measure must share one weight family")
     coeffs = sample_batch(rng, n, m)
     ind = cutoff_indicator_batch(coeffs, m)
     mass = float(np.mean(ind))
@@ -530,8 +526,7 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
         raise NlsTransportError("cutoff keeps no samples; raise cutoff_r")
 
     def log_g_at(n_cut: int) -> np.ndarray:
-        dd = replace(d, energy=EnergyParams(n_cut=n_cut, family=m.family),
-                     flow=FlowParams(n_cut=n_cut, step=d.flow.step))
+        dd = replace(d, energy=replace(d.energy, n_cut=n_cut))
         out = np.empty(n)
 
         def body(lo, hi):   # a row's log G does not depend on its chunk

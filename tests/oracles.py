@@ -4,7 +4,8 @@ These deliberately follow the defining sums index by index (nested loops,
 constraints solved one variable at a time) and share no code with the
 package's evaluation paths, so agreement is a genuine cross-check.  The
 Duhamel (Picard) reference of the flow shares only `spectral.quintic_batch`
-and `spectral.sobolev_norm_sq_sigma` with the package; `check_factorization`
+and `spectral.sobolev_norm_sq_sigma` with the package, and raises its own
+ContractionRadiusExceeded outside its local window; `check_factorization`
 recombines two production flows.  `holder_c_lower_bound` is the cutoff
 prefilter's first bound, the reference its sharper successor must not fall
 below.
@@ -14,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from nls_transport.errors import ContractionRadiusExceeded
+from nls_transport.errors import NlsTransportError
 from nls_transport.flow import evolve
 from nls_transport.spectral import (FourierState, default_grid,
                                     quintic_batch, sextic_integral_batch,
@@ -195,6 +196,10 @@ def constrained_count_oracle(n_cut, which="all"):
             continue
         count += 1
     return count
+
+
+class ContractionRadiusExceeded(NlsTransportError):
+    """Requested time exceeds the Picard iteration's local window."""
 
 
 # algebra constant in the local-time window 1/(3 C R^4); calibrated so the

@@ -120,8 +120,7 @@ def test_04_density_two_formula_agreement():
     t0 = time.time()
     m = nt.MeasureParams(s=2.0, m_ambient=8, family=JB)
     coeffs = sample_batch(nt.SeededRng(2024), 20, m)
-    d = nt.DensityParams(t=0.5, energy=EnergyParams(8, JB),
-                         flow=nt.FlowParams(n_cut=8, step=1e-3),
+    d = nt.DensityParams(t=0.5, energy=EnergyParams(8, JB), step=1e-3,
                          quad_points=501)
     worst = 0.0
     for i in range(20):
@@ -138,8 +137,7 @@ def test_05_monte_carlo_change_of_measure():
     """Battery of 7 observables at N=4, s=2, M=16, t=0.3, n=1e5 under
     the energy-cutoff ensemble: every |z| <= 4."""
     t0 = time.time()
-    d = nt.DensityParams(t=0.3, energy=EnergyParams(4, JB),
-                         flow=nt.FlowParams(n_cut=4, step=1e-3))
+    d = nt.DensityParams(t=0.3, energy=EnergyParams(4, JB), step=1e-3)
     m = nt.MeasureParams(s=2.0, m_ambient=16, family=JB,
                          cutoff_r=pinned.TRANSPORT_CUTOFF_R)
     battery = default_observable_battery(4) + [
@@ -189,7 +187,8 @@ def test_07_conservation():
     for h in (1e-3, 5e-4):
         p = nt.FlowParams(n_cut=16, step=h)
         traj = nt.evolve_trajectory(u, 1.0, p, 9)
-        rep = nt.growth_monitor(traj, sigma=1.0, mass_tol=1e-6, c_tol=1e-6)
+        rep = nt.growth_monitor(traj, sigma=1.0, n_cut=16, mass_tol=1e-6,
+                                c_tol=1e-6)
         drifts[h] = (rep.mass_drift, rep.c_drift)
     mass1, c1 = drifts[1e-3]
     mass2, c2 = drifts[5e-4]
@@ -208,8 +207,8 @@ def test_08_convergence_in_truncation():
     details = []
     passed = True
     for kind in (StudyKind.R, StudyKind.Q, StudyKind.G):
-        rows = convergence_study(kind, 2.0, 0.3, 8, [4, 8, 16], 32,
-                                 nt.SeededRng(pinned.CONVERGENCE_SEED))
+        rows = convergence_study(kind, JB, 0.3, 8, [4, 8, 16], 32,
+                                 nt.SeededRng(pinned.CONVERGENCE_SEED), 1e-3)
         sups = [r.sup_diff for r in rows]
         dec = all(b < a for a, b in zip(sups, sups[1:]))
         pin = np.allclose(sups, pinned.CONVERGENCE_SUP[kind.value],
@@ -297,8 +296,7 @@ def test_10_measure_sanity():
 
     # E[G] = 1 in its restricted form: kept mass of the forward ensemble
     # equals the G-weighted kept mass
-    d = nt.DensityParams(t=0.3, energy=EnergyParams(4, JB),
-                         flow=nt.FlowParams(n_cut=4, step=1e-3))
+    d = nt.DensityParams(t=0.3, energy=EnergyParams(4, JB), step=1e-3)
     m_cut = nt.MeasureParams(s=2.0, m_ambient=16, family=JB,
                              cutoff_r=pinned.TRANSPORT_CUTOFF_R)
     const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)

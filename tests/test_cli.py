@@ -35,6 +35,9 @@ class TestConfigHandling:
         ["moments", "--m-max", "7"],
         ["simulate", "--n-snapshots", "1"],
         ["simulate", "--wave-k", "40"],
+        ["moments", "--n-samples", "1"],
+        ["density-check", "--step", "0.2"],
+        ["density-check", "--step", "0"],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):
@@ -98,6 +101,18 @@ class TestCommands:
                     "--output", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("args,n_cut", [([], 3), (["--n-cut", "2"], 2)])
+    def test_liouville_manifest_records_truncations(self, tmp_path, args,
+                                                    n_cut):
+        # the divergence runs at N = min(n_cut, 3), the determinant at N = 2
+        # and t = 0.5, whatever the config's n_cut and t
+        run(["liouville", "--n-samples", "2", *args,
+             "--output", str(tmp_path)])
+        summary = json.loads(
+            (tmp_path / "liouville" / "manifest.json").read_text())["summary"]
+        assert summary["divergence_n_cut"] == n_cut
+        assert (summary["det_n_cut"], summary["det_t"]) == (2, 0.5)
+
     def test_moments_small(self, tmp_path):
         code = run(["moments", "--n-samples", "4000", "--m-ambient", "8",
                     "--sigma", "0.0", "--m-max", "8",
@@ -157,9 +172,9 @@ class TestCommands:
         assert summary["refined_rows"] == int(np.sum(accepted[0] < start))
 
     def test_density_check_at_largest_step(self, tmp_path, monkeypatch):
-        # --step 0.1 is valid, and the ladder's coarse solve at 2h = 0.2,
-        # beyond FlowParams' check, runs through transport.evolve_batch
-        # like every other solve
+        # --step 0.1 is the largest step the CLI takes, and the ladder's
+        # coarse solve at 2h = 0.2, beyond that bound, runs through
+        # transport.evolve_batch like every other solve
         seen = []
         evolve = transport.evolve_batch
 

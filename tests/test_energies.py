@@ -63,12 +63,6 @@ class TestRCorrection:
         b = nt.r_correction(u, params(8, fam_jb))
         assert b == pytest.approx(a, rel=1e-11)
 
-    def test_ambient_sentinel(self, fam_jb, rng):
-        u = nt.FourierState(4, random_coeffs(rng, 4))
-        full = nt.r_correction(u, EnergyParams(n_cut=None, family=fam_jb))
-        explicit = nt.r_correction(u, params(4, fam_jb))
-        assert full == explicit
-
 
 class TestModifiedEnergy:
     def test_zero(self, fam_eq):

@@ -7,8 +7,8 @@ from nls_transport.spectral import (TWO_PI, grid_values, quintic_batch,
                                     wavenumbers)
 
 from conftest import mu_like_coeffs, random_coeffs
-from oracles import (check_factorization, picard_iterates, picard_local_time,
-                     picard_solve)
+from oracles import (ContractionRadiusExceeded, check_factorization,
+                     picard_iterates, picard_local_time, picard_solve)
 
 
 def plane_wave(m_ambient, k, c):
@@ -39,6 +39,17 @@ def rk4_ungauged(u0, t, n_cut, h, n_points):
 
 
 class TestEvolve:
+    def test_step_need_only_be_positive(self):
+        # the (0, 0.1] bound on a step is the CLI's; the flow takes any
+        # positive step, as the coarse solve of a density's ladder does
+        got = nt.evolve(plane_wave(2, 1, 0.5), 0.3,
+                        nt.FlowParams(n_cut=2, step=0.2))
+        expect = 0.5 * np.exp(-1j * (1.0 + 0.5**4) * 0.3)
+        assert abs(got.coeff(1) - expect) <= 1e-8
+        for step in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="positive"):
+                nt.FlowParams(n_cut=2, step=step)
+
     def test_plane_wave_closed_form(self):
         p = nt.FlowParams(n_cut=4, step=1e-3)
         c, k, t = 0.5, 1, 1.0
@@ -157,7 +168,7 @@ class TestPicard:
     def test_window_enforced(self):
         u0 = plane_wave(2, 1, 2.0)
         p = nt.FlowParams(n_cut=2, step=1e-3)
-        with pytest.raises(nt.ContractionRadiusExceeded):
+        with pytest.raises(ContractionRadiusExceeded):
             picard_solve(u0, 1.0, p, 3)
 
     def test_agrees_with_evolve(self, rng):
@@ -222,7 +233,7 @@ class TestGrowthMonitor:
     def test_plane_wave_mass_constant(self):
         p = nt.FlowParams(n_cut=2, step=1e-3)
         traj = nt.evolve_trajectory(plane_wave(2, 1, 0.7), 1.0, p, 9)
-        report = nt.growth_monitor(traj, sigma=1.0)
+        report = nt.growth_monitor(traj, sigma=1.0, n_cut=2)
         assert report.mass_drift <= 1e-12
 
     def test_drift_small_and_fourth_order(self, rng):
@@ -231,7 +242,7 @@ class TestGrowthMonitor:
         for h in (2e-3, 1e-3):
             p = nt.FlowParams(n_cut=8, step=h)
             traj = nt.evolve_trajectory(u, 1.0, p, 9)
-            report = nt.growth_monitor(traj, sigma=1.0, c_tol=1e-6,
+            report = nt.growth_monitor(traj, sigma=1.0, n_cut=8, c_tol=1e-6,
                                        mass_tol=1e-6)
             drifts.append(report.c_drift)
         assert drifts[1] <= 1e-8
@@ -242,7 +253,7 @@ class TestGrowthMonitor:
         p = nt.FlowParams(n_cut=4, step=1e-3)
         traj = nt.evolve_trajectory(u, 0.5, p, 7)
         with pytest.raises(nt.BoundViolated):
-            nt.growth_monitor(traj, sigma=1.0, c_tol=1e-18)
+            nt.growth_monitor(traj, sigma=1.0, n_cut=4, c_tol=1e-18)
 
     def test_drift_is_that_of_the_truncated_energy(self):
         # a free mode above N = 2: c_drift is the relative drift of E_N,

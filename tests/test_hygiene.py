@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package and of the tests uses each
 name it imports, every function of the package and of the test oracles
-reads each of its parameters, and only `spectral` constructs a GridSpec,
-since it derives every collocation grid.
+reads each of its parameters, only `spectral` constructs a GridSpec,
+since it derives every collocation grid, and the package raises every
+exception class it defines.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -123,3 +124,28 @@ def test_only_spectral_constructs_grids():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "spectral.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions that raise statements name or construct."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return found
+
+
+def test_detects_raised_names():
+    source = ("def f(x):\n    if x:\n        raise errors.A('a')\n"
+              "    raise B\n")
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_package_raises_every_error_it_defines():
+    defined = [node.name for node in
+               ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    raised = set().union(*(raised_names(path.read_text())
+                           for path in PACKAGE.glob("*.py")))
+    assert [name for name in defined if name not in raised] == []

@@ -26,7 +26,7 @@ def density_setup(n_cut=4, t=0.3, s=2.0, quad_points=201, step=1e-3):
     return nt.DensityParams(
         t=t,
         energy=EnergyParams(n_cut=n_cut, family=fam),
-        flow=nt.FlowParams(n_cut=n_cut, step=step),
+        step=step,
         quad_points=quad_points,
     ), fam
 
@@ -115,7 +115,7 @@ def fixed_step_direct(coeffs, m_ambient, d, step):
 
 
 class TestStepControl:
-    """flow.step is the starting step of the densities: rows are refined
+    """d.step is the starting step of the densities: rows are refined
     until the estimated step error of log G is within DENSITY_TOL."""
 
     @staticmethod
@@ -354,12 +354,23 @@ class TestChangeOfMeasure:
             nt.change_of_measure_test(d, m, default_observable_battery(4), 100,
                                       nt.SeededRng(1))
 
+    def test_families_must_match(self):
+        # samples drawn on one weight family, log G integrated on another
+        d, _ = density_setup(n_cut=2)
+        eq = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
+        m = nt.MeasureParams(s=2.0, m_ambient=8, family=eq, cutoff_r=5.0)
+        with pytest.raises(ValueError, match="weight family"):
+            nt.change_of_measure_test(d, m, default_observable_battery(2), 8,
+                                      nt.SeededRng(1))
+
 
 class TestConvergenceStudy:
     def test_pinned_seed_regression(self):
         from nls_transport import pinned
-        rows = nt.convergence_study(StudyKind.R, 2.0, 0.3, 8, [4, 8, 16], 32,
-                                    nt.SeededRng(pinned.CONVERGENCE_SEED))
+        fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
+        rows = nt.convergence_study(StudyKind.R, fam, 0.3, 8, [4, 8, 16], 32,
+                                    nt.SeededRng(pinned.CONVERGENCE_SEED),
+                                    1e-3)
         got = tuple(r.sup_diff for r in rows)
         assert got == pytest.approx(pinned.CONVERGENCE_SUP["R"],
                                     rel=pinned.CONVERGENCE_RTOL)
@@ -367,8 +378,9 @@ class TestConvergenceStudy:
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
     def test_reference_row_is_zero(self):
-        rows = nt.convergence_study(StudyKind.R, 2.0, 0.1, 4, [8], 8,
-                                    nt.SeededRng(5))
+        fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
+        rows = nt.convergence_study(StudyKind.R, fam, 0.1, 4, [8], 8,
+                                    nt.SeededRng(5), 1e-3)
         assert rows[0].sup_diff == 0.0
 
     def test_single_mode_states_vanish(self):
@@ -377,8 +389,7 @@ class TestConvergenceStudy:
         u = nt.FourierState.from_modes(16, {3: 0.8 - 0.2j})
         for n_cut in (4, 8, 16):
             energy = EnergyParams(n_cut=n_cut, family=fam)
-            flow = nt.FlowParams(n_cut=n_cut, step=1e-3)
-            d = nt.DensityParams(t=0.3, energy=energy, flow=flow,
+            d = nt.DensityParams(t=0.3, energy=energy, step=1e-3,
                                  quad_points=101)
             assert nt.r_correction(u, energy) == 0.0
             assert abs(nt.density_direct(u, d)) <= 1e-11
@@ -389,7 +400,14 @@ class TestLpDensityStudy:
         d, fam = density_setup(n_cut=4)
         m = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
         with pytest.raises(nt.MissingCutoff):
-            nt.lp_density_study(d, m, [1.0], 100, nt.SeededRng(1))
+            nt.lp_density_study(d, m, [1.0], 100, nt.SeededRng(1), [4])
+
+    def test_families_must_match(self):
+        d, _ = density_setup(n_cut=2)
+        eq = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
+        m = nt.MeasureParams(s=2.0, m_ambient=8, family=eq, cutoff_r=5.0)
+        with pytest.raises(ValueError, match="weight family"):
+            nt.lp_density_study(d, m, [1.0], 8, nt.SeededRng(1), [2])
 
     def test_l1_is_one_with_wide_cutoff(self):
         # the cutoff keeps 5.25% of these samples, so this checks the
@@ -537,12 +555,6 @@ class TestCutoffPrefilter:
         keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
         assert 0 < np.sum(keep) < coeffs.shape[0]
         got = self.evolved_rows(monkeypatch, d, cut, 300, 40)
-        assert np.array_equal(got, coeffs[keep])
-        # the bound is that of the flow's truncation, also when the
-        # energy's is left at the ambient one
-        ambient = dataclasses.replace(d, energy=EnergyParams(n_cut=None,
-                                                             family=fam))
-        got = self.evolved_rows(monkeypatch, ambient, cut, 300, 40)
         assert np.array_equal(got, coeffs[keep])
         # with no cutoff every row is evolved
         free = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
