@@ -96,6 +96,7 @@ class DensityParams:
     def __post_init__(self):
         if self.quad_points < 3 or self.quad_points % 2 == 0:
             raise ValueError("quad_points must be odd and >= 3")
+        self.flow   # FlowParams rejects a step that is not positive
 
     @property
     def flow(self) -> FlowParams:

@@ -222,6 +222,11 @@ class TestStepControl:
         alone = transport._controlled_direct(coeffs[tame], 8, d)
         assert np.array_equal(got[np.isin(batch, tame)], alone[0])
 
+    def test_step_checked_at_construction(self):
+        # the flow's check on the step holds before any solve
+        with pytest.raises(ValueError, match="positive"):
+            density_setup(step=0.0)
+
     def test_unresolved_row_raises(self):
         # the largest starting step leaves a large-energy sample unresolved
         # after every allowed halving
