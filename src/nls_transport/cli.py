@@ -58,22 +58,46 @@ DEFAULTS = {
 }
 
 
+# the keys of _validate's checks that each subcommand's study reads
+_READS = {
+    "simulate": {"n_cut", "m_ambient", "t", "step"},
+    "density-check": {"n_cut", "m_ambient", "t", "step", "cutoff_r",
+                      "n_samples", "quad_points"},
+    "transport-mc": {"n_cut", "m_ambient", "t", "step", "cutoff_r",
+                     "n_samples", "quad_points"},
+    "convergence": {"m_ambient", "t", "step"},
+    "liouville": {"n_cut", "step", "n_samples"},
+    "lemmas": set(),
+    "lp-density": {"n_cut", "m_ambient", "t", "step", "cutoff_r",
+                   "n_samples", "quad_points"},
+    "moments": {"m_ambient", "cutoff_r", "n_samples"},
+}
+
+
 def _validate(cfg: dict, command: str) -> dict:
-    """Reject values the command's study cannot run with; a key is checked
-    only by the subcommands that read it."""
+    """Reject values the command's study cannot run with.  s, which states
+    the measure of every study, is checked for each subcommand; any other
+    key only by the subcommands that read it."""
+    reads = _READS[command]
     if not 1.5 < cfg["s"] <= 4.0:
         raise ConfigInvalid("s must lie in (1.5, 4]")
-    if not 0 <= cfg["n_cut"] <= cfg["m_ambient"] <= 128:
-        raise ConfigInvalid("need 0 <= n_cut <= m_ambient <= 128")
-    if abs(cfg["t"]) > 4.0:
+    if "n_cut" in reads and cfg["n_cut"] < 0:
+        raise ConfigInvalid("n_cut must be >= 0")
+    if "m_ambient" in reads and not 0 <= cfg["m_ambient"] <= 128:
+        raise ConfigInvalid("m_ambient must lie in [0, 128]")
+    if {"n_cut", "m_ambient"} <= reads and cfg["n_cut"] > cfg["m_ambient"]:
+        raise ConfigInvalid("n_cut must not exceed m_ambient")
+    if "t" in reads and abs(cfg["t"]) > 4.0:
         raise ConfigInvalid("t must satisfy |t| <= 4")
-    if not 0 < cfg["step"] <= 0.1:
+    if "step" in reads and not 0 < cfg["step"] <= 0.1:
         raise ConfigInvalid("step must lie in (0, 0.1]")
-    if cfg["cutoff_r"] is not None and cfg["cutoff_r"] <= 0:
+    if ("cutoff_r" in reads and cfg["cutoff_r"] is not None
+            and cfg["cutoff_r"] <= 0):
         raise ConfigInvalid("cutoff_r must be positive")
-    if cfg["n_samples"] < 1:
+    if "n_samples" in reads and cfg["n_samples"] < 1:
         raise ConfigInvalid("n_samples must be >= 1")
-    if cfg["quad_points"] < 3 or cfg["quad_points"] % 2 == 0:
+    if "quad_points" in reads and (cfg["quad_points"] < 3
+                                   or cfg["quad_points"] % 2 == 0):
         raise ConfigInvalid("quad_points must be odd and >= 3")
     if command in ("convergence", "lp-density") and not all(
             0 <= n <= cfg["m_ambient"] for n in cfg["n_list"]):

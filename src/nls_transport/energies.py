@@ -23,8 +23,10 @@ w_j = (1/T) sum_{kappa=1}^K sin(2 kappa t_j) / kappa, exactly
   h  = mean_x [(V_m conj F - 3 V conj F_m) |F|^4 + 2 V F_m conj(F)^2 |F|^2].
 
 q2 = conj(q1) as (k1..k6) -> (k2, k1, k4, k3, k6, k5) conjugates the
-six-product and keeps psi/Omega.  The x grid has G = next_fast_len(6N + 1)
-points, enough for the mean of a band-6N product.
+six-product and keeps psi/Omega.  The x grid has G points, the smallest
+integer >= 6N + 1 with no prime factor above 11 (a fast FFT length, the
+length scipy.fft.next_fast_len gives), enough for the mean of a band-6N
+product.
 
 Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^15
 complex cells: whole rows where a row fits (N <= 8), else one row and a
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import TruncationExceedsAmbient
 from .parallel import run_chunked_capped
@@ -103,6 +104,19 @@ def _band(coeffs: np.ndarray, m_ambient: int, n_cut: int) -> np.ndarray:
     return rows[:, m_ambient - n_cut:m_ambient + n_cut + 1]
 
 
+def _fast_len(n: int) -> int:
+    """The smallest integer >= n >= 1 whose prime factors are 2, 3, 5, 7
+    and 11 only."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 @lru_cache(maxsize=8)
 def _space_time_rule(n_cut: int):
     """(phases, weights, G): e^{i k^2 t_j} as (T, 2N+1), the sine kernel
@@ -115,7 +129,7 @@ def _space_time_rule(n_cut: int):
     inverse = np.zeros(n_nodes)
     inverse[1:top + 1] = 1.0 / np.arange(1, top + 1)
     return (np.exp(1j * np.pi / n_nodes * turns), np.fft.ifft(inverse).imag,
-            next_fast_len(6 * n_cut + 1))
+            _fast_len(6 * n_cut + 1))
 
 
 def _fields(band: np.ndarray, phases: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ in which the stiff linear phases are removed exactly and the remaining ODE
 
     i dw_k/dt = sum_{k1-k2+k3-k4+k5=k} e^{-i t Omega} w_{k1} conj(w_{k2}) ...
 
-is handled by classical RK4 with a fixed step and a fractional last step.
+is handled by classical RK4 with a fixed step and a fractional last step
+(a rounding-level remainder joins the last whole step instead).
 Each stage untwists to u, applies the dealiased quintic product, and twists
 back.  High modes |k| > N are multiplied by e^{-i k^2 t} exactly, realizing
 the flow's product structure (nonlinear block times free rotation).  The
@@ -61,12 +62,24 @@ class Trajectory:
         return self.states[0].m_ambient
 
 
+_FOLD = 1e-9   # a remainder within _FOLD * h of a whole number of steps
+
+
 def _steps(t: float, h: float):
+    """Steps of length h over t and a last, fractional one for the rest.
+    A rest within _FOLD * h of zero joins the last whole step instead: it
+    is the rounding of the interval's ends, a few ulp of t (below 1e-14
+    for |t| <= 4), as between the linspace nodes of trajectory_batch, and
+    a step of its own would nearly double the steps (968 instead of 500
+    over 500 intervals of t = 0.5 at h = 1e-3).  The joined step is within
+    a factor 1 + 1e-9 of h, which moves its RK4 error by a relative 5e-9."""
     n_whole = int(abs(t) / h)
     sgn = 1.0 if t > 0 else -1.0
     rem = t - sgn * h * n_whole
     out = [sgn * h] * n_whole
-    if rem != 0.0:
+    if n_whole and abs(rem) <= _FOLD * h:
+        out[-1] += rem
+    elif rem != 0.0:
         out.append(rem)
     return out
 

@@ -10,17 +10,18 @@ Philox(key=...).random_raw gives them.  One stream per sample, so any
 batch split or execution order reproduces identical ensembles.
 Gaussians are produced by the inverse-CDF transform applied to 53-bit
 uniforms built directly from the raw counter output (fixed choice, never
-change it).  The rounds are computed in numpy for a whole block of
+change it); the inverse CDF is a numpy port of Cephes `ndtri` that gives
+its bits.  The rounds are computed in numpy for a whole block of
 streams at once, with the 64 x 64 -> 128-bit products built from 32-bit
 halves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .energies import EnergyParams, r_correction_batch
 from .errors import MissingCutoff, NlsTransportError, WeightOverflow
@@ -68,6 +69,105 @@ def philox_raw(key0: int, key1: int, rows: int, n: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(rows, -1)[:, :n]
 
 
+# ---------------------------------------------------------------------------
+# inverse normal CDF: Cephes ndtri (S. L. Moshier), with its branches,
+# constants and Horner order, so that each value keeps the bits of the C
+# function (scipy.special.ndtri).  Numpy's float arithmetic and sqrt round
+# as C's do; its log does not always match the C library's, so the two
+# logarithms of the tail branch are math.log, the C library's log.
+
+_EXPM2 = 0.13533528323661269189     # exp(-2)
+_S2PI = 2.50662827463100050242      # sqrt(2 pi)
+# |y - 1/2| <= 1/2 - exp(-2): x/sqrt(2 pi) = y + y^3 P0(y^2)/Q0(y^2)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tails, z = 1/sqrt(-2 log y): P1/Q1 for 2 <= 1/z < 8, P2/Q2 for 1/z >= 8
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] by Horner, as Cephes polevl."""
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1], as Cephes p1evl."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+
+
+def ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each u in the open interval (0, 1),
+    bit for bit the value of Cephes ndtri."""
+    u = np.asarray(u, dtype=np.float64)
+    upper = u > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - u, u)
+    # the middle branch on every y, as (ym + ym (y2 P0 / Q0)) sqrt(2 pi) in
+    # place (+ and * commute exactly); y2 <= 1/4, where Q0 has no zero, and
+    # the tail values are replaced below
+    ym = y - 0.5
+    y2 = ym * ym
+    out = _polevl(y2, _P0)
+    out *= y2
+    out /= _p1evl(y2, _Q0)
+    out *= ym
+    out += ym
+    out *= _S2PI
+    tail = np.flatnonzero(y <= _EXPM2)
+    x = np.sqrt(-2.0 * _libm_log(y.ravel()[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = x >= 8.0           # y < exp(-32), once in some 4e13 uniforms
+    if np.any(far):
+        x1[far] = z[far] * _polevl(z[far], _P2) / _p1evl(z[far], _Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper.ravel()[tail])
+    out.ravel()[tail] = x0
+    return out
+
+
+def normals_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit words: the inverse CDF of the
+    uniform (top 53 bits) 2^-53 + 2^-54, which rounds to 1 for the word of
+    53 one bits and is then held at 1 - 2^-53, inside (0, 1)."""
+    uniforms = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return ndtri(np.minimum(uniforms, 1.0 - 2.0**-53, out=uniforms))
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """Counter-based stream: (master_seed, stream_id) keys a Philox block."""
@@ -85,9 +185,8 @@ class SeededRng:
     def normal_rows(self, rows: int, n: int) -> np.ndarray:
         """(rows, n) standard normals, row i from substream(i): inverse CDF
         on (0,1) uniforms from the raw 64-bit counter stream."""
-        raw = philox_raw(self.master_seed, self.stream_id, rows, n)
-        uniforms = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-        return ndtri(uniforms)
+        return normals_from_raw(
+            philox_raw(self.master_seed, self.stream_id, rows, n))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,16 @@ class TestConfigHandling:
             f"FAIL {args[0]}: invalid config: ")
         assert not (tmp_path / args[0]).exists()
 
+    @pytest.mark.parametrize("args", [
+        ["lemmas", "--step", "0.2"],
+        ["lemmas", "--quad-points", "4"],
+    ])
+    def test_key_the_study_does_not_read_is_not_checked(self, args):
+        # lemmas reads neither the step nor the quadrature nodes; main
+        # exits 2 exactly when resolve_config raises ConfigInvalid
+        cfg = cli.resolve_config(cli.build_parser().parse_args(args))
+        assert cfg[args[1][2:].replace("-", "_")] == float(args[2])
+
     def test_command_line_wins_over_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t": 0.5, "n_cut": 2, "m_ambient": 4}))

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nls_transport as nt
-from nls_transport.energies import (EnergyParams, q_derivative_batch,
-                                    r_correction_batch)
+from nls_transport.energies import (EnergyParams, _fast_len,
+                                    q_derivative_batch, r_correction_batch)
 
 from conftest import random_coeffs
 from oracles import enumerated_sums, q_derivative_oracle, q_oracle, r_oracle
@@ -144,6 +144,13 @@ class TestQComponents:
         u = nt.FourierState.zero(4)
         with pytest.raises(nt.GridTooSmall):
             nt.q_components(u, params(4, fam_jb), nt.GridSpec(16))
+
+
+class TestGridLength:
+    def test_fast_len_equals_scipy_next_fast_len(self):
+        fft = pytest.importorskip("scipy.fft")
+        assert [_fast_len(n) for n in range(1, 5000)] == [
+            fft.next_fast_len(n) for n in range(1, 5000)]
 
 
 class TestWorkSpace:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nls_transport as nt
-from nls_transport.flow import evolve_batch
+from nls_transport.flow import _steps, evolve_batch
 from nls_transport.spectral import (TWO_PI, grid_values, quintic_batch,
                                     wavenumbers)
 
@@ -131,6 +131,24 @@ class TestTrajectory:
         for time, state in zip(traj.times, traj.states):
             expect = c * np.exp(-1j * (k**2 + abs(c) ** 4) * time)
             assert abs(state.coeff(k) - expect) <= 1e-10
+
+    @pytest.mark.parametrize("t_final", [0.5, -0.5])
+    def test_node_intervals_take_whole_steps(self, t_final):
+        # the linspace intervals over t = 0.5 land a few ulp off h; each
+        # still takes one step, which ends exactly on its node
+        times = np.linspace(0.0, t_final, 501)
+        for a, b in zip(times[:-1], times[1:]):
+            steps = _steps(b - a, 1e-3)
+            assert len(steps) == 1 and steps[0] == b - a
+
+    @pytest.mark.parametrize("t, h, want", [
+        (0.0025, 1e-3, [1e-3, 1e-3, 0.0025 - 2e-3]),
+        (-0.0025, 1e-3, [-1e-3, -1e-3, -0.0025 + 2e-3]),
+        (4e-4, 1e-3, [4e-4]),
+        (1e-3 + 1e-11, 1e-3, [1e-3, (1e-3 + 1e-11) - 1e-3]),
+    ])
+    def test_fractional_remainder_keeps_its_step(self, t, h, want):
+        assert _steps(t, h) == want
 
     def test_backward_times(self, rng):
         u = nt.FourierState(2, random_coeffs(rng, 2, scale=0.3))

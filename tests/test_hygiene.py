@@ -1,8 +1,8 @@
 """Source hygiene: every module of the package and of the tests uses each
 name it imports, every function of the package and of the test oracles
 reads each of its parameters, only `spectral` constructs a GridSpec,
-since it derives every collocation grid, and the package raises every
-exception class it defines.
+since it derives every collocation grid, the package raises every
+exception class it defines, and importing the CLI loads no scipy module.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -11,6 +11,9 @@ so their parameters are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -149,3 +152,13 @@ def test_package_raises_every_error_it_defines():
     raised = set().union(*(raised_names(path.read_text())
                            for path in PACKAGE.glob("*.py")))
     assert [name for name in defined if name not in raised] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: a study's process imports numpy alone
+    script = ("import sys, nls_transport.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"

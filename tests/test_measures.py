@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -5,8 +7,9 @@ from numpy.random import Philox
 import nls_transport as nt
 from nls_transport.energies import EnergyParams
 from nls_transport.measures import (SAMPLE_CHUNK, lp_norm_mc, mean_report,
-                                    moment_growth_mc, philox_raw,
-                                    sample_batch, log_wgm_weight_batch)
+                                    moment_growth_mc, ndtri, normals_from_raw,
+                                    philox_raw, sample_batch,
+                                    log_wgm_weight_batch)
 from nls_transport.spectral import bracket_multiplier, wavenumbers
 
 from conftest import random_coeffs
@@ -104,6 +107,50 @@ class TestSeededRng:
         est = base.estimate ** (1.0 / 3.0)
         assert one[1] == nt.McReport(
             est, base.stderr * est / (3.0 * base.estimate), n)
+
+
+# the ends of the uniforms and of the Cephes branches: exp(-2), where the
+# middle branch begins, its neighbours and those of 1 - exp(-2), exp(-32),
+# where the far tail begins, and 1e-16, 1e-300 and the least subnormal
+NDTRI_EDGES = np.array([
+    2.0**-54, 1.0 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.5 - 2.0**-53,
+    math.exp(-2), np.nextafter(math.exp(-2), 1.0),
+    np.nextafter(math.exp(-2), 0.0), 1.0 - math.exp(-2),
+    np.nextafter(1.0 - math.exp(-2), 1.0),
+    np.nextafter(1.0 - math.exp(-2), 0.0), math.exp(-32),
+    np.nextafter(math.exp(-32), 1.0), np.nextafter(math.exp(-32), 0.0),
+    1e-16, 1e-300, 5e-324])
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+class TestInverseCdf:
+    def test_bit_identical_to_scipy_on_philox_uniforms(self):
+        special = pytest.importorskip("scipy.special")
+        for seed in range(4):   # 4 x 8192 x 66 = 2,162,688 uniforms
+            raw = philox_raw(1000 + seed, 7 * seed, SAMPLE_CHUNK, 66)
+            u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+            assert same_bits(ndtri(u), special.ndtri(u)), seed
+
+    def test_bit_identical_to_scipy_on_edge_values(self):
+        special = pytest.importorskip("scipy.special")
+        assert same_bits(ndtri(NDTRI_EDGES), special.ndtri(NDTRI_EDGES))
+        mirrored = 1.0 - NDTRI_EDGES[NDTRI_EDGES >= 2.0**-53]
+        assert same_bits(ndtri(mirrored), special.ndtri(mirrored))
+
+    def test_extreme_words_give_finite_normals(self):
+        # the word of 53 one bits would round its uniform to 1 (ndtri +inf);
+        # it is held at 1 - 2^-53, and every other word keeps its uniform
+        top = np.uint64(2**64 - 1)
+        z = normals_from_raw(np.array([0, top], dtype=np.uint64))
+        assert np.all(np.isfinite(z))
+        assert same_bits(z, ndtri(np.array([2.0**-54, 1.0 - 2.0**-53])))
+        raw = np.array([top - np.uint64(2**11), 2**63, 12345], dtype=np.uint64)
+        assert same_bits(normals_from_raw(raw),
+                         ndtri((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54))
 
 
 class TestSampleState:

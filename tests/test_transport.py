@@ -466,6 +466,27 @@ class TestCutoffConservation:
         assert np.array_equal(c0 <= m.cutoff_r, c1 <= m.cutoff_r)
 
 
+@pytest.fixture(scope="module")
+def battery_chunks():
+    """(R, chunks) for four 8192-row chunks of the battery (M = 16, N = 4,
+    t = 0.3, R = 5); each chunk is (C(u), _forward_c_lower_bound, the
+    Hoelder bound, C(Phi_t u)) of its rows, evolved once for the tests
+    that share them."""
+    d, fam = density_setup(n_cut=4, t=0.3)
+    m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
+    rng = nt.SeededRng(424242)
+
+    def chunk(lo, hi):
+        coeffs = sample_batch(rng.substream(lo), hi - lo, m)
+        fwd = evolve_batch(coeffs, 16, d.t, d.flow)
+        return (conserved_c_batch(coeffs, 16),
+                _forward_c_lower_bound(coeffs, 16, 4, d.t),
+                holder_c_lower_bound(coeffs, 16, 4, d.t),
+                conserved_c_batch(fwd, 16))
+
+    return m.cutoff_r, run_chunked(chunk, 4 * SAMPLE_CHUNK, SAMPLE_CHUNK)
+
+
 class TestCutoffPrefilter:
     """change_of_measure_test evolves only the rows whose C(u) or
     _forward_c_lower_bound may be within the cutoff R."""
@@ -489,26 +510,15 @@ class TestCutoffPrefilter:
         nt.change_of_measure_test(d, m, [const], n, nt.SeededRng(seed))
         return np.concatenate(seen)
 
-    def test_sound_on_battery_chunks(self):
+    def test_sound_on_battery_chunks(self, battery_chunks):
         # R runs through C(Phi_t u) of chosen rows, which then sit on the
         # cutoff (ties included): no row the cutoff keeps after the flow
         # may be skipped, on four 8192-row chunks of the battery
-        d, fam = density_setup(n_cut=4, t=0.3)
-        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
-        rng = nt.SeededRng(424242)
-
-        def chunk(lo, hi):
-            coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-            fwd = evolve_batch(coeffs, 16, d.t, d.flow)
-            return (conserved_c_batch(coeffs, 16),
-                    _forward_c_lower_bound(coeffs, 16, 4, d.t),
-                    conserved_c_batch(fwd, 16))
-
-        for c0, bound, c1 in run_chunked(chunk, 4 * SAMPLE_CHUNK,
-                                         SAMPLE_CHUNK):
+        cutoff_r, chunks = battery_chunks
+        for c0, bound, _, c1 in chunks:
             order = np.argsort(c1)
             chosen = set(order[np.linspace(0, c1.size - 1, 40).astype(int)])
-            chosen |= set(np.argsort(np.abs(c1 - m.cutoff_r))[:20])
+            chosen |= set(np.argsort(np.abs(c1 - cutoff_r))[:20])
             chosen.add(int(np.argmin(c1 - bound)))
             for i in chosen:
                 r = c1[i]
@@ -516,24 +526,13 @@ class TestCutoffPrefilter:
                 assert not skipped[i]
                 assert not np.any(skipped & (c1 <= r)), (i, r)
             # and the bound is not vacuous at the battery cutoff
-            assert np.mean((c0 > m.cutoff_r) & (bound > m.cutoff_r)) > 0.75
+            assert np.mean((c0 > cutoff_r) & (bound > cutoff_r)) > 0.75
 
-    def test_sharper_than_holder_bound_on_battery_chunks(self):
+    def test_sharper_than_holder_bound_on_battery_chunks(self,
+                                                          battery_chunks):
         # on every row of four 8192-row chunks of the battery, the bound is
         # at least the Hoelder bound it replaced and at most C(Phi_t u)
-        d, fam = density_setup(n_cut=4, t=0.3)
-        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
-        rng = nt.SeededRng(424242)
-
-        def chunk(lo, hi):
-            coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-            fwd = evolve_batch(coeffs, 16, d.t, d.flow)
-            return (holder_c_lower_bound(coeffs, 16, 4, d.t),
-                    _forward_c_lower_bound(coeffs, 16, 4, d.t),
-                    conserved_c_batch(fwd, 16))
-
-        for old, bound, c1 in run_chunked(chunk, 4 * SAMPLE_CHUNK,
-                                          SAMPLE_CHUNK):
+        for _, bound, old, c1 in battery_chunks[1]:
             assert np.all(bound >= old)
             assert np.all(bound <= c1)
 
