@@ -17,7 +17,10 @@ the state a study's does.  Run the script several times, each a fresh
 interpreter, to see the spread.  The trajectories are built before any
 timing.  NLS_TRANSPORT_THREADS sets the worker count as for the CLI.  The
 last line is one JSON object: seconds per call, the sum over each block,
-and the peak RSS of the process in MiB.
+the peak RSS of this process and the largest peak RSS of the worker
+processes the tiles ran in (both in MiB), and the CPU seconds of this
+process plus its workers.  With more than one worker the tiles run in the
+workers, so their memory and CPU time show only in the last two.
 """
 
 import json
@@ -62,13 +65,16 @@ def main() -> None:
             grid = (nt.default_grid(n_cut),) if name == "q_s" else ()
             convergence[f"{name}.n{n_cut}"] = timed(
                 fn, wide, 32, EnergyParams(n_cut, FAMILY), *grid)
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
     print(json.dumps({
         "density_check": {**density,
                           "total_s": density["q_s"] + density["r_s"]},
         "convergence": {**convergence, "total_s": sum(convergence.values())},
         # ru_maxrss is in KiB on Linux
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
+        "peak_rss_mib": own.ru_maxrss / 1024.0,
+        "workers_peak_rss_mib": workers.ru_maxrss / 1024.0,
+        "cpu_s": sum(u.ru_utime + u.ru_stime for u in (own, workers)),
         "threads": worker_count(),
         "numpy": np.__version__,
     }))

@@ -31,7 +31,7 @@ product.
 Tiles: fields are built in (rows, nodes, G) tiles of about _TILE = 2^15
 complex cells: whole rows where a row fits (N <= 8), else one row and a
 slice of its nodes (N = 16, 32), with v built once per tile of rows.  Each
-thread that runs tiles allocates its work buffers once per call, _TILE
+process that runs tiles allocates its work buffers once per call, _TILE
 cells each: complex f, fm, v and two scratch arrays, real |f|^2 and two
 scratch arrays.  A tile writes its fields and the integrands of g and h into
 views of them with out= and in-place ufuncs, in the operation order of the
@@ -45,15 +45,17 @@ buffers of 2^16.  A tile stores g and h per node, then sums each row over
 all its nodes with one np.sum, so each R, q0 and q1 adds the same terms in
 the same order whatever the tile.
 `parallel.run_chunked_capped` hands the row tiles to at most
-_TILES_IN_FLIGHT = 4 pool threads.  Tiles depend only on N, so a row's value
-depends neither on its batch nor on the thread count.
+_TILES_IN_FLIGHT = 4 worker processes, and each tile returns the sums of
+its rows.  Tiles depend only on N, so a row's value depends neither on its
+batch nor on the worker count.
 
-Memory: a thread's buffers take 5 x 16 + 3 x 8 bytes per cell, 3.25 MiB,
-and the call frees them once its tiles are done.  So the work space grows
-with the threads that ran tiles, not with the tiles run.  With at most four
-such threads, a call needs at most 64 MiB of work space beyond a few floats
+Memory: a process's buffers take 5 x 16 + 3 x 8 bytes per cell, 3.25 MiB,
+and it frees them once its tiles are done.  So the work space grows with
+the processes that ran tiles, not with the tiles run.  With at most four
+such workers, a call needs at most 64 MiB of work space beyond a few floats
 per row, whatever the batch size and the worker count (a test holds
-q_derivative_batch to it on eight workers).
+q_derivative_batch to it on eight workers, summing the peaks the workers
+reach above the caller's memory).
 
 Rounding: W = sum |u_k| bounds |F|, so W^5 W_m bounds the integrand of g.
 A value within _ROUNDING times such a bound is rounding noise of an exact
@@ -62,7 +64,6 @@ zero (a single mode, a support with no non-resonant tuple) and returns 0.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,7 +75,7 @@ from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
                        wavenumbers)
 
 _TILE = 1 << 15        # complex cells (rows x time nodes x grid points) per tile
-_TILES_IN_FLIGHT = 4   # threads that compute tiles, which bounds the work space
+_TILES_IN_FLIGHT = 4   # workers that compute tiles, which bounds the work space
 _ROUNDING = 64 * np.finfo(np.float64).eps
 
 
@@ -169,37 +170,34 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
         return np.sum(np.abs(band), axis=-1), np.sum(mult * np.abs(band), axis=-1)
 
     wb = _band(coeffs, m_ambient, n_cut)
-    r_sum, g_sum = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
-    h_sum = np.zeros(wb.shape[0], dtype=np.complex128)
-    big, big_m = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
-    big_v, big_vm = np.zeros(wb.shape[0]), np.zeros(wb.shape[0])
     n_nodes = weights.size
     tile_r, tile_j = _tile_shape(n_nodes, n_points)
     cells = tile_r * tile_j * n_points
     dtypes = [np.complex128] * 2 + [np.float64] * 3
     if grid is not None:
         dtypes += [np.complex128] * 3
-    buffers = {}   # thread id -> its work buffers, for this call only
+    buffers = []   # the work buffers of this process, for this call only
 
     def work_space(shape):
-        """This thread's buffers as `shape` views: f, fm, |f|^2, two real
+        """This process's buffers as `shape` views: f, fm, |f|^2, two real
         scratch arrays and, for Q, v and two complex scratch arrays."""
-        key = threading.get_ident()
-        if key not in buffers:
-            buffers[key] = [np.empty(cells, dtype) for dtype in dtypes]
+        if not buffers:
+            buffers.extend(np.empty(cells, dtype) for dtype in dtypes)
         size = shape[0] * shape[1] * shape[2]
-        return [b[:size].reshape(shape) for b in buffers[key]]
+        return [b[:size].reshape(shape) for b in buffers]
 
     def tile(lo, hi):
-        rows, band = slice(lo, hi), wb[lo:hi]
-        big[rows], big_m[rows] = wiener(band)
+        """The sums of a tile's rows, as one array for few pickled objects:
+        W, W_m and the w-weighted and plain sums of g, and for Q also the W
+        and W_m of v and the real and imaginary parts of the w-weighted sum
+        of h."""
+        band = wb[lo:hi]
         band_m = mult * band
         g = np.empty((hi - lo, n_nodes))
         h = np.empty((hi - lo, n_nodes), dtype=np.complex128)
         if grid is not None:
             vb = quintic_batch(band, n_cut, n_cut, grid.n_points)
             vb_m = mult * vb
-            big_v[rows], big_vm[rows] = wiener(vb)
         for j in range(0, n_nodes, tile_j):
             nodes, ph = slice(j, j + tile_j), phases[j:j + tile_j]
             f, fm, a, r1, r2, *vbufs = work_space((hi - lo, ph.shape[0],
@@ -235,19 +233,26 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
                 np.subtract(c1, c2, out=c1)
                 np.multiply(a, c1, out=c1)
                 h[:, nodes] = np.mean(c1, axis=-1)
-        r_sum[rows] = np.sum(weights * g, axis=-1)
-        g_sum[rows] = np.sum(g, axis=-1)
+        sums = [*wiener(band), np.sum(weights * g, axis=-1),
+                np.sum(g, axis=-1)]
         if grid is not None:
-            h_sum[rows] = np.sum(weights * h, axis=-1)
+            wh = np.sum(weights * h, axis=-1)
+            sums += [*wiener(vb), wh.real, wh.imag]
+        return np.stack(sums)
 
-    run_chunked_capped(tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT)
+    # an empty block has no tiles, and its one empty tile gives the rows
+    table = np.concatenate(run_chunked_capped(
+        tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT) or [tile(0, 0)], axis=1)
     buffers.clear()   # the per-row arithmetic below may reuse that memory
+    big, big_m, r_sum, g_sum = table[:4]
 
     spread = np.sum(np.abs(weights))
     r = _snap(r_sum, spread * big ** 5 * big_m)
     if grid is None:
         return r, None, None
     q0 = _snap(6j * g_sum / n_nodes, 6.0 * big ** 5 * big_m)
+    big_v, big_vm = table[4:6]
+    h_sum = np.ascontiguousarray(table[6:].T).view(np.complex128)[:, 0]
     q1 = _snap(-1j * h_sum,
                spread * big ** 4 * (big_vm * big + 5.0 * big_v * big_m))
     return r, q0, q1

@@ -478,6 +478,11 @@ def convergence_study(kind: StudyKind, family: WeightFamily, t: float,
 
     The finite sample ensemble with a pinned seed stands in for a compact
     set; callers check that the sup decreases strictly in N.
+
+    log G is computed one truncation per chunk of `run_chunked`, the
+    largest N first, as its solve costs the most.  R and Q are computed one
+    truncation after the other, since their kernels hand out tiles of
+    their own.
     """
     if max(n_list) > m_ambient:
         raise ValueError("n_list entries must not exceed m_ambient")
@@ -494,12 +499,16 @@ def convergence_study(kind: StudyKind, family: WeightFamily, t: float,
         d = DensityParams(t=t, energy=energy, step=step)
         return log_density_direct_batch(coeffs, m_ambient, d)
 
-    ref = values_at(m_ambient)
-    rows = []
-    for n_cut in sorted(n_list):
-        rows.append(StudyRow(kind.value, n_cut,
-                             float(np.max(np.abs(ref - values_at(n_cut))))))
-    return rows
+    cuts = [m_ambient] + sorted(n_list, reverse=True)
+    if kind is StudyKind.G:
+        ref, *values = [v for chunk in run_chunked(
+            lambda lo, hi: [values_at(n_cut) for n_cut in cuts[lo:hi]],
+            len(cuts), 1) for v in chunk]
+    else:
+        ref, *values = [values_at(n_cut) for n_cut in cuts]
+    rows = [StudyRow(kind.value, n_cut, float(np.max(np.abs(ref - v))))
+            for n_cut, v in zip(cuts[1:], values)]
+    return rows[::-1]
 
 
 @dataclass(frozen=True)
@@ -528,14 +537,12 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
 
     def log_g_at(n_cut: int) -> np.ndarray:
         dd = replace(d, energy=replace(d.energy, n_cut=n_cut))
-        out = np.empty(n)
 
         def body(lo, hi):   # a row's log G does not depend on its chunk
-            out[lo:hi] = _masked_log_density(coeffs[lo:hi], m.m_ambient, dd,
-                                             ind[lo:hi] > 0)
+            return _masked_log_density(coeffs[lo:hi], m.m_ambient, dd,
+                                       ind[lo:hi] > 0)
 
-        run_chunked(body, n, _DENSITY_CHUNK)
-        return out
+        return np.concatenate(run_chunked(body, n, _DENSITY_CHUNK))
 
     g_ref = np.exp(log_g_at(m.m_ambient))
     rows = []

@@ -160,15 +160,19 @@ class TestWorkSpace:
         on a (1000 samples, 201 nodes, 2M+1) trajectory block at N = 4,
         M = 16, whose size must not enter the work space.  It runs on eight
         workers, more than ever compute tiles, as the worker count must not
-        enter the work space either."""
+        enter the work space either.  The tiles run in forked workers, so
+        the rise is the caller's own plus, for each worker used, the
+        workers' peak RSS above the caller's RSS at the call."""
         from nls_transport import energies
         bound = float(re.search(r"at most (\d+) MiB", energies.__doc__)[1])
         script = textwrap.dedent("""
+            import os
             import resource
             import sys
             import numpy as np
             import nls_transport as nt
-            from nls_transport.energies import EnergyParams, q_derivative_batch
+            from nls_transport.energies import (_TILES_IN_FLIGHT, EnergyParams,
+                                                q_derivative_batch)
             from nls_transport.measures import (MeasureParams, SeededRng,
                                                 sample_batch)
             m_ambient, n_cut, rows, nodes = map(int, sys.argv[1:])
@@ -177,11 +181,19 @@ class TestWorkSpace:
                 s=2.0, m_ambient=m_ambient, family=fam))
             if nodes:   # a trajectory-shaped block, built in one allocation
                 coeffs = np.repeat(coeffs[:, None, :], nodes, axis=1)
+            with open("/proc/self/statm") as fh:   # the RSS now, in KiB
+                at_call = (int(fh.read().split()[1])
+                           * os.sysconf("SC_PAGE_SIZE") // 1024)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             q_derivative_batch(coeffs, m_ambient, EnergyParams(n_cut, fam),
                                nt.default_grid(n_cut))
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print((after - before) / 1024.0)   # ru_maxrss is in KiB
+            own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            # every worker is forked at the call; both blocks have more
+            # tiles than the cap, so the call uses _TILES_IN_FLIGHT of them
+            workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+            assert workers > 0, "no tile ran in a worker"
+            rise = own + _TILES_IN_FLIGHT * max(0, workers - at_call)
+            print(rise / 1024.0)   # ru_maxrss is in KiB
         """)
         src = str(Path(energies.__file__).resolve().parent.parent)
         for args in (("32", "32", "8", "0"), ("16", "4", "1000", "201")):

@@ -162,3 +162,15 @@ def test_cli_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # start-up is part of every run: the pool modules load at the first
+    # call that hands out chunks, not with the package
+    script = ("import sys, nls_transport.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"
