@@ -186,8 +186,9 @@ def run_transport_mc(cfg, outdir):
     d = _density(cfg)
     m = _measure(cfg)
     battery = default_observable_battery(cfg["n_cut"])
-    results = change_of_measure_test(d, m, battery, cfg["n_samples"],
-                                     SeededRng(cfg["seed"]))
+    study = change_of_measure_test(d, m, battery, cfg["n_samples"],
+                                   SeededRng(cfg["seed"]))
+    results = study.comparisons
     rows = [(r.observable.name, r.lhs.estimate, r.lhs.stderr,
              r.rhs.estimate, r.rhs.stderr, r.z) for r in results]
     worst = max(abs(r.z) for r in results)
@@ -196,7 +197,7 @@ def run_transport_mc(cfg, outdir):
     passed = worst <= 4.0 and all(r.lhs.stderr > 0 and r.rhs.stderr > 0
                                   for r in results)
     summary = {"max_abs_z": worst, "tolerance_z": 4.0,
-               "cutoff_r": m.cutoff_r}
+               "cutoff_r": m.cutoff_r, "prefilter": study.counts}
     return passed, summary, ("observable", "lhs", "lhs_stderr", "rhs",
                              "rhs_stderr", "z"), rows
 

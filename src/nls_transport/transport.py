@@ -42,6 +42,18 @@ integrator's drift of E_N, has both indicators 0.  Its two terms are then
 exact zeros without the solve, as they were with it: indicator times
 observable gave 0.0 for the finite, non-negative observables of the
 battery, and G is not computed where C(u) > R.
+
+The bound is loose where it is needed most, on rows whose C(u) is just
+above R.  Those doubtful rows, C(u) > R with a bound that does not exceed
+R + 1e-3 E_N(u), go through a screen: a coarse solve at H = _SCREEN_FACTOR
+times the step and another at 2H (`_coarse_forward_c`).  A row whose C_H
+exceeds R by the same margin 1e-3 E_N(u), and whose Richardson estimate
+|C_H - C_2H|/15 is within a sixteenth of that margin, is skipped as well.
+The screen assumes what every Richardson estimate of the package assumes:
+that at H the flow is in its fourth-order regime, so the estimate bounds
+the step error of C_H, and C at the step then exceeds R.  A row whose
+coarse value is not finite, or whose estimate is larger, is evolved at the
+step, and so is every doubtful row where |t| < 2H.
 """
 
 from __future__ import annotations
@@ -56,18 +68,18 @@ from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
 from .errors import (MissingCutoff, NlsTransportError, NonFiniteState,
                      StepUnresolved)
 from .flow import FlowParams, evolve_batch, trajectory_batch
-from .measures import (McReport, MeasureParams, SeededRng,
-                       cutoff_indicator_batch, mean_report, sample_batch,
-                       sample_map)
+from .measures import (SAMPLE_CHUNK, McReport, MeasureParams, SeededRng,
+                       cutoff_indicator_batch, mean_report, sample_batch)
 from .parallel import run_chunked
 from .spectral import (FourierState, WeightFamily, bracket_multiplier,
-                       default_grid, sextic_integral_batch,
+                       conserved_c_batch, default_grid, sextic_integral_batch,
                        truncated_energy_batch, wavenumbers)
 
 GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
 _MAX_HALVINGS = 6    # finest step tried is start_step / 2**_MAX_HALVINGS
+_SCREEN_FACTOR = 16  # the screen's coarse step H is this times d.step
 _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 
 
@@ -137,6 +149,21 @@ def _quadrature_weights(n_nodes: int, h: float):
     return rule, estimate
 
 
+def _nan_where_not_finite(solve, rows: np.ndarray) -> np.ndarray:
+    """solve(rows), one value per row of the index array rows, with NaN on
+    each row whose solve raises NonFiniteState: a batch that raises is
+    split in halves until the rows that raise stand alone.  An overflow
+    that the solve does not catch is left as inf."""
+    try:
+        return solve(rows)
+    except NonFiniteState:
+        if rows.size == 1:
+            return np.array([np.nan])
+        half = rows.size // 2
+        return np.concatenate([_nan_where_not_finite(solve, rows[:half]),
+                               _nan_where_not_finite(solve, rows[half:])])
+
+
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     """(log G, accepted step) per row of a (batch, dim) block.
 
@@ -156,19 +183,13 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
-        try:
-            # an overflow is caught as NonFiniteState or left as inf
+        def solve(rows):
             with np.errstate(over="ignore", invalid="ignore"):
                 bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
                                    replace(d.flow, step=step))
                 s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
-        except NonFiniteState:
-            if rows.size == 1:
-                return np.array([np.nan])
-            half = rows.size // 2
-            return np.concatenate([direct(rows[:half], step),
-                                   direct(rows[half:], step)])
-        return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
+            return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
+        return _nan_where_not_finite(solve, rows)
 
     start = d.start_step
     log_g = np.empty(coeffs.shape[0])
@@ -403,8 +424,46 @@ def _forward_c_lower_bound(coeffs: np.ndarray, m_ambient: int, n_cut: int,
     return e_n - deficit - 1e-3 * e_n
 
 
+def _coarse_forward_c(coeffs: np.ndarray, m_ambient: int,
+                      d: DensityParams) -> tuple[np.ndarray, np.ndarray]:
+    """(C_H, |C_H - C_2H| / 15) for each row of a block, with C_H the
+    C(Phi_N(t) u) of the flow at the coarse step H = _SCREEN_FACTOR d.step
+    and C_2H that at 2H: a coarse value and the Richardson estimate of its
+    step error.  Both are NaN on a row whose coarse solve overflows, and on
+    every row where |t| < 2H, since the solve at 2H then takes no full step
+    and the errors of the two solves cancel (see `_controlled_direct`)."""
+    coarse = _SCREEN_FACTOR * d.step
+    if abs(d.t) < 2.0 * coarse:
+        nan = np.full(coeffs.shape[0], np.nan)
+        return nan, nan
+
+    def forward_c(step):
+        def solve(rows):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fwd = evolve_batch(coeffs[rows], m_ambient, d.t,
+                                   replace(d.flow, step=step))
+                return conserved_c_batch(fwd, m_ambient)
+        return _nan_where_not_finite(solve, np.arange(coeffs.shape[0]))
+
+    c_h = forward_c(coarse)
+    return c_h, np.abs(c_h - forward_c(2.0 * coarse)) / 15.0
+
+
+@dataclass(frozen=True)
+class ChangeOfMeasureResult:
+    """What change_of_measure_test found, and how its samples went through
+    the cutoff prefilter.  `counts` are totals over the samples: "samples";
+    "kept_at_start", C(u) <= R; "bound_skipped" and "screen_skipped", not
+    evolved; "screen_fallbacks", rows the screen could not decide;
+    "evolved", evolved at the step; "kept_at_end", C(Phi_N(t) u) <= R.
+    Without a cutoff every sample is kept and evolved."""
+
+    comparisons: list   # one ObservableComparison per observable
+    counts: dict
+
+
 def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
-                           n: int, rng: SeededRng) -> list[ObservableComparison]:
+                           n: int, rng: SeededRng) -> ChangeOfMeasureResult:
     """Paired Monte Carlo comparison of E[f(Phi_N(t)u)] against
     E[f(u) G(u)] over common samples; when a cutoff is configured both
     sides carry the indicator, each evaluated at its own argument (the
@@ -415,23 +474,43 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     noise plus integrator error only.
 
     With a cutoff, a row with C(u) > R whose `_forward_c_lower_bound`
-    exceeds R is not evolved, and both its terms are 0.0 (see the module
-    docstring).  The evolved rows keep their bits, since each row of a flow
-    solve is independent of the rows around it.
+    exceeds R is not evolved.  Nor is a doubtful row, one with C(u) > R
+    that the bound cannot skip, when the screen skips it: its coarse C_H of
+    `_coarse_forward_c` exceeds R by the bound's margin 1e-3 E_N(u), and the
+    Richardson estimate |C_H - C_2H|/15 of C_H's step error is within a
+    sixteenth of that margin.  The screen rests on that estimate: while it
+    bounds |C_H - C_h| with C_h the value at d.step (the step error of
+    C_h is 16^4 times smaller still), C_h > R.  A doubtful row with a
+    non-finite coarse value or an estimate above margin/16 is evolved at
+    d.step, and so is every doubtful row where |t| < 2H.  Every other row
+    is evolved at d.step, and the two terms of a skipped row are 0.0 (see
+    the module docstring).  The evolved rows keep their bits, since each
+    row of a flow solve is independent of the rows around it.
     """
     if d.energy.family != m.family:
         raise ValueError("density and measure must share one weight family")
     d.energy.resolve_cut(m.m_ambient)   # raises before any sample is drawn
     obs = list(observables)
 
-    def body(coeffs):
+    def body(lo, hi):
+        coeffs = sample_batch(rng.substream(lo), hi - lo, m)
         ind_u = ind_fwd = np.ones(coeffs.shape[0])
         live = np.ones(coeffs.shape[0], dtype=bool)
+        bound_skipped = fallbacks = 0
         if m.cutoff_r is not None:
             ind_u = cutoff_indicator_batch(coeffs, m)
             bound = _forward_c_lower_bound(coeffs, m.m_ambient,
                                            d.energy.n_cut, d.t)
             live = ~((ind_u == 0) & (bound > m.cutoff_r))
+            bound_skipped = int(np.sum(~live))
+            doubtful = np.flatnonzero(live & (ind_u == 0))
+            if doubtful.size:
+                c_h, err = _coarse_forward_c(coeffs[doubtful], m.m_ambient, d)
+                margin = 1e-3 * truncated_energy_batch(
+                    coeffs[doubtful], m.m_ambient, d.energy.n_cut)
+                decided = err <= margin / 16.0
+                fallbacks = int(np.sum(~decided))
+                live[doubtful[decided & (c_h > m.cutoff_r + margin)]] = False
         fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
         if m.cutoff_r is not None:
             ind_fwd = cutoff_indicator_batch(fwd, m)
@@ -440,16 +519,26 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         for j, spec in enumerate(obs):
             vals[0, j, live] = ind_fwd * spec.evaluate_batch(fwd, m.m_ambient)
             vals[1, j] = ind_u * spec.evaluate_batch(coeffs, m.m_ambient) * g
-        return vals
+        evolved = int(np.sum(live))
+        counts = {"samples": coeffs.shape[0],
+                  "kept_at_start": int(np.sum(ind_u)),
+                  "bound_skipped": bound_skipped,
+                  "screen_skipped": coeffs.shape[0] - bound_skipped - evolved,
+                  "screen_fallbacks": fallbacks,
+                  "evolved": evolved,
+                  "kept_at_end": int(np.sum(ind_fwd))}
+        return vals, counts
 
-    lhs_vals, rhs_vals = sample_map(body, rng, n, m)
+    chunks = run_chunked(body, n, SAMPLE_CHUNK)
+    lhs_vals, rhs_vals = np.concatenate([v for v, _ in chunks], axis=-1)
+    counts = {key: sum(c[key] for _, c in chunks) for key in chunks[0][1]}
     out = []
     for j, spec in enumerate(obs):
         diff = mean_report(lhs_vals[j] - rhs_vals[j])
         z = float(diff.estimate / diff.stderr) if diff.stderr > 0 else 0.0
         out.append(ObservableComparison(spec, mean_report(lhs_vals[j]),
                                         mean_report(rhs_vals[j]), z))
-    return out
+    return ChangeOfMeasureResult(out, counts)
 
 
 # ---------------------------------------------------------------------------

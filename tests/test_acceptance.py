@@ -142,8 +142,8 @@ def test_05_monte_carlo_change_of_measure():
                          cutoff_r=pinned.TRANSPORT_CUTOFF_R)
     battery = default_observable_battery(4) + [
         nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)]
-    results = change_of_measure_test(d, m, battery, 100000,
-                                     nt.SeededRng(pinned.TRANSPORT_SEED))
+    results = change_of_measure_test(
+        d, m, battery, 100000, nt.SeededRng(pinned.TRANSPORT_SEED)).comparisons
     lines = ", ".join(f"{r.observable.name}: z={r.z:+.2f}" for r in results)
     worst = max(abs(r.z) for r in results)
     elapsed = time.time() - t0
@@ -301,7 +301,7 @@ def test_10_measure_sanity():
                              cutoff_r=pinned.TRANSPORT_CUTOFF_R)
     const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
     (eg,) = change_of_measure_test(d, m_cut, [const], 50000,
-                                   nt.SeededRng(31337))
+                                   nt.SeededRng(31337)).comparisons
     z_eg = abs(eg.z)
 
     # Gaussian moment growth

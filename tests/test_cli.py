@@ -8,6 +8,7 @@ from nls_transport.cli import main
 from nls_transport.energies import low_norm_sq_batch
 from nls_transport.flow import FlowParams, evolve_batch
 from nls_transport.measures import SeededRng, sample_batch
+from nls_transport.parallel import THREADS_ENV
 from nls_transport.reporting import write_csv
 from nls_transport.transport import DENSITY_TOL, GAUSS_FORM_FACTOR, StudyKind
 
@@ -105,6 +106,30 @@ class TestCommands:
                     "--output", str(tmp_path)])
         assert code == 1
         assert "FAIL transport-mc" in capsys.readouterr().out
+
+    def test_transport_mc_prefilter_counts(self, tmp_path, monkeypatch):
+        # two sample chunks; the manifest's counts are totals over the
+        # samples, the same at one and at two workers, as is the CSV
+        args = ["transport-mc", "--n-samples", "9000", "--n-cut", "2",
+                "--m-ambient", "4", "--t", "0.2", "--cutoff-r", "4"]
+        docs, csvs = [], []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, workers)
+            out = tmp_path / workers
+            assert run(args + ["--output", str(out)]) == 0
+            docs.append(json.loads(
+                (out / "transport-mc" / "manifest.json").read_text()))
+            csvs.append((out / "transport-mc" / "transport-mc.csv"
+                         ).read_bytes())
+        counts = docs[0]["summary"]["prefilter"]
+        assert counts == docs[1]["summary"]["prefilter"]
+        assert csvs[0] == csvs[1]
+        assert counts["samples"] == 9000
+        assert (counts["bound_skipped"] + counts["screen_skipped"]
+                + counts["evolved"]) == counts["samples"]
+        assert counts["screen_skipped"] > 0
+        assert 0 < counts["kept_at_start"] <= counts["evolved"]
+        assert 0 < counts["kept_at_end"] <= counts["evolved"]
 
     def test_liouville_small(self, tmp_path):
         code = run(["liouville", "--n-samples", "3", "--n-cut", "2",

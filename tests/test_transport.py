@@ -9,10 +9,11 @@ from nls_transport.energies import EnergyParams
 from nls_transport.flow import evolve_batch
 from nls_transport.measures import SAMPLE_CHUNK, sample_batch
 from nls_transport.parallel import run_chunked
-from nls_transport.spectral import conserved_c_batch, wavenumbers
+from nls_transport.spectral import (conserved_c_batch, truncated_energy_batch,
+                                    wavenumbers)
 from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
                                      DensityPieces, ObservableKind, StudyKind,
-                                     _forward_c_lower_bound,
+                                     _coarse_forward_c, _forward_c_lower_bound,
                                      _quadrature_weights, _simpson_weights,
                                      default_observable_battery, density_pieces,
                                      log_density_direct_batch)
@@ -244,7 +245,7 @@ class TestStepControl:
         const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
         cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=20.0)
         (res,) = nt.change_of_measure_test(d, cut, [const], 20,
-                                           nt.SeededRng(2024))
+                                           nt.SeededRng(2024)).comparisons
         assert np.isfinite(res.rhs.estimate) and res.rhs.estimate > 0
         rows = nt.lp_density_study(d, cut, [1.0], 20, nt.SeededRng(2024),
                                    n_list=[8])
@@ -327,8 +328,8 @@ class TestChangeOfMeasure:
         d, fam = density_setup(n_cut=4, t=0.3)
         m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
         obs = default_observable_battery(4)
-        results = nt.change_of_measure_test(d, m, obs, 20000,
-                                            nt.SeededRng(424242))
+        results = nt.change_of_measure_test(
+            d, m, obs, 20000, nt.SeededRng(424242)).comparisons
         assert len(results) == len(obs)
         for r in results:
             assert abs(r.z) <= 4.5
@@ -340,7 +341,7 @@ class TestChangeOfMeasure:
         m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
         const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
         (res,) = nt.change_of_measure_test(d, m, [const], 20000,
-                                           nt.SeededRng(31))
+                                           nt.SeededRng(31)).comparisons
         assert abs(res.z) <= 4.0
         assert res.lhs.estimate == pytest.approx(res.rhs.estimate, rel=0.05)
 
@@ -349,7 +350,7 @@ class TestChangeOfMeasure:
         m = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
         high = nt.ObservableSpec(ObservableKind.HIGH_MASS_ONLY, n_cut=3)
         (res,) = nt.change_of_measure_test(d, m, [high], 10000,
-                                           nt.SeededRng(40))
+                                           nt.SeededRng(40)).comparisons
         assert abs(res.z) <= 4.0
 
     def test_ambient_must_cover_cut(self):
@@ -466,40 +467,76 @@ class TestCutoffConservation:
         assert np.array_equal(c0 <= m.cutoff_r, c1 <= m.cutoff_r)
 
 
-@pytest.fixture(scope="module")
-def battery_chunks():
-    """(R, chunks) for four 8192-row chunks of the battery (M = 16, N = 4,
-    t = 0.3, R = 5); each chunk is (C(u), _forward_c_lower_bound, the
-    Hoelder bound, C(Phi_t u)) of its rows, evolved once for the tests
-    that share them."""
-    d, fam = density_setup(n_cut=4, t=0.3)
-    m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam, cutoff_r=5.0)
+SCREEN_SWEEP_CAP = 40.0   # the screen's soundness sweep runs R up to this
+
+
+def prefilter_chunks(s, t, n_chunks, cutoff_r=5.0):
+    """(R, chunks) for n_chunks 8192-row chunks of the battery's sampling
+    (M = 16, N = 4, seed 424242) at s and t.  Each chunk is, for its rows,
+    (C(u), _forward_c_lower_bound, the Hoelder bound, C(Phi_t u), the
+    screen's (C_H, error estimate) of `_coarse_forward_c`, and the margin
+    1e-3 E_N(u)).  The screen's pair is computed on the rows whose bound is
+    within SCREEN_SWEEP_CAP, the only rows it can see at R <= the cap, and
+    is NaN on the others: at larger C many rows overflow at the coarse
+    step, and the row bisection then costs more than the fine solve.  The
+    rows are evolved in pieces of 512 on the pool (sample i is the same in
+    any piece), where the flow costs less per row than in a whole chunk."""
+    d, fam = density_setup(n_cut=4, t=t, s=s)
+    m = nt.MeasureParams(s=s, m_ambient=16, family=fam, cutoff_r=cutoff_r)
     rng = nt.SeededRng(424242)
 
-    def chunk(lo, hi):
+    def piece(lo, hi):
         coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-        fwd = evolve_batch(coeffs, 16, d.t, d.flow)
-        return (conserved_c_batch(coeffs, 16),
-                _forward_c_lower_bound(coeffs, 16, 4, d.t),
+        bound = _forward_c_lower_bound(coeffs, 16, 4, d.t)
+        coarse = np.full((2, hi - lo), np.nan)
+        seen = bound <= SCREEN_SWEEP_CAP
+        coarse[:, seen] = _coarse_forward_c(coeffs[seen], 16, d)
+        return (conserved_c_batch(coeffs, 16), bound,
                 holder_c_lower_bound(coeffs, 16, 4, d.t),
-                conserved_c_batch(fwd, 16))
+                conserved_c_batch(evolve_batch(coeffs, 16, d.t, d.flow), 16),
+                coarse, 1e-3 * truncated_energy_batch(coeffs, 16, 4))
 
-    return m.cutoff_r, run_chunked(chunk, 4 * SAMPLE_CHUNK, SAMPLE_CHUNK)
+    pieces = run_chunked(piece, n_chunks * SAMPLE_CHUNK, 512)
+    per_chunk = SAMPLE_CHUNK // 512
+    return cutoff_r, [
+        tuple(np.concatenate(parts, axis=-1)
+              for parts in zip(*pieces[i:i + per_chunk]))
+        for i in range(0, len(pieces), per_chunk)]
+
+
+@pytest.fixture(scope="module")
+def battery_chunks():
+    """prefilter_chunks of four chunks of the battery (t = 0.3, R = 5),
+    evolved once for the tests that share them."""
+    return prefilter_chunks(2.0, 0.3, 4)
+
+
+def screen_skips(coeffs, m_ambient, d, cutoff_r):
+    """The screen's rule, restated: rows whose C(Phi_N(t) u) at the coarse
+    step H exceeds R by 1e-3 E_N(u), with |C_H - C_2H|/15 within a
+    sixteenth of that margin."""
+    c_h, c_2h = (conserved_c_batch(evolve_batch(
+        coeffs, m_ambient, d.t, dataclasses.replace(d.flow, step=step)),
+        m_ambient) for step in (16 * d.step, 32 * d.step))
+    margin = 1e-3 * truncated_energy_batch(coeffs, m_ambient, d.energy.n_cut)
+    return (c_h > cutoff_r + margin) & (np.abs(c_h - c_2h) / 15 <= margin / 16)
 
 
 class TestCutoffPrefilter:
-    """change_of_measure_test evolves only the rows whose C(u) or
-    _forward_c_lower_bound may be within the cutoff R."""
+    """change_of_measure_test evolves at d.step only the rows whose C(u),
+    _forward_c_lower_bound or screened coarse C(Phi_N(t) u) may be within
+    the cutoff R."""
 
     @staticmethod
-    def evolved_rows(monkeypatch, d, m, n, seed):
-        """The rows change_of_measure_test passes to evolve_batch, stacked
-        in call order."""
+    def evolve_calls(monkeypatch, d, m, n, seed, evolve=evolve_batch):
+        """(step, rows) of each call change_of_measure_test makes to
+        evolve_batch, in call order, and the test's result; `evolve` stands
+        in for the flow."""
         seen = []
 
-        def recording(coeffs, *args):
-            seen.append(coeffs.copy())
-            return evolve_batch(coeffs, *args)
+        def recording(coeffs, m_ambient, t, p):
+            seen.append((p.step, coeffs.copy()))
+            return evolve(coeffs, m_ambient, t, p)
 
         monkeypatch.setattr(transport, "evolve_batch", recording)
         # log G is not under test here: without a cutoff the step control
@@ -507,15 +544,27 @@ class TestCutoffPrefilter:
         monkeypatch.setattr(transport, "_masked_log_density",
                             lambda coeffs, *args: np.zeros(coeffs.shape[0]))
         const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
-        nt.change_of_measure_test(d, m, [const], n, nt.SeededRng(seed))
-        return np.concatenate(seen)
+        result = nt.change_of_measure_test(d, m, [const], n,
+                                           nt.SeededRng(seed))
+        return seen, result
+
+    @staticmethod
+    def assert_screened_calls(calls, d, doubtful, evolved):
+        """A coarse call at 16 d.step and one at 32 d.step on exactly the
+        doubtful rows, none if there are none, then one call at d.step on
+        exactly `evolved`."""
+        coarse = [16 * d.step, 32 * d.step] if len(doubtful) else []
+        assert [step for step, _ in calls] == coarse + [d.step]
+        for _, rows in calls[:-1]:
+            assert np.array_equal(rows, doubtful)
+        assert np.array_equal(calls[-1][1], evolved)
 
     def test_sound_on_battery_chunks(self, battery_chunks):
         # R runs through C(Phi_t u) of chosen rows, which then sit on the
         # cutoff (ties included): no row the cutoff keeps after the flow
         # may be skipped, on four 8192-row chunks of the battery
         cutoff_r, chunks = battery_chunks
-        for c0, bound, _, c1 in chunks:
+        for c0, bound, _, c1, *_ in chunks:
             order = np.argsort(c1)
             chosen = set(order[np.linspace(0, c1.size - 1, 40).astype(int)])
             chosen |= set(np.argsort(np.abs(c1 - cutoff_r))[:20])
@@ -528,17 +577,47 @@ class TestCutoffPrefilter:
             # and the bound is not vacuous at the battery cutoff
             assert np.mean((c0 > cutoff_r) & (bound > cutoff_r)) > 0.75
 
+    @pytest.mark.parametrize("s,t,n_chunks", [(2.0, 0.3, 4), (3.0, 0.3, 1),
+                                              (2.0, -0.5, 1)])
+    def test_screen_sound_and_sharp(self, battery_chunks, s, t, n_chunks):
+        # as above, R runs through C(Phi_t u) of chosen rows, here up to
+        # SCREEN_SWEEP_CAP: the screen skips no doubtful row (C(u) > R,
+        # bound <= R) whose C(Phi_t u) at d.step is <= R.  At R = 5 the
+        # bound and the screen together skip at least 97% of the rows with
+        # C(u) > R and C(Phi_t u) > R.
+        cutoff_r, chunks = (battery_chunks if (s, t) == (2.0, 0.3)
+                            else prefilter_chunks(s, t, n_chunks))
+        for c0, bound, _, c1, (c_h, err), margin in chunks:
+            decided = err <= margin / 16
+
+            def skipped(r):
+                by_bound = (c0 > r) & (bound > r)
+                return by_bound | ((c0 > r) & decided & (c_h > r + margin))
+
+            swept = np.flatnonzero(c1 <= SCREEN_SWEEP_CAP)
+            order = swept[np.argsort(c1[swept])]
+            chosen = set(order[np.linspace(0, order.size - 1, 40).astype(int)])
+            chosen |= set(np.argsort(np.abs(c1 - cutoff_r))[:20])
+            chosen.add(int(swept[np.nanargmin(c1[swept] - c_h[swept])]))
+            for i in chosen:
+                r = c1[i]
+                assert not skipped(r)[i]
+                assert not np.any(skipped(r) & (c1 <= r)), (i, r)
+            out = (c0 > cutoff_r) & (c1 > cutoff_r)
+            assert np.sum(skipped(cutoff_r) & out) >= 0.97 * np.sum(out)
+
     def test_sharper_than_holder_bound_on_battery_chunks(self,
                                                           battery_chunks):
         # on every row of four 8192-row chunks of the battery, the bound is
         # at least the Hoelder bound it replaced and at most C(Phi_t u)
-        for _, bound, old, c1 in battery_chunks[1]:
+        for _, bound, old, c1, *_ in battery_chunks[1]:
             assert np.all(bound >= old)
             assert np.all(bound <= c1)
 
     def test_bound_is_c_less_margin_without_free_modes(self, monkeypatch):
         # at N = M there are no free modes: the bound is C(u) less the
-        # margin, so every row with (1 - 1e-3) C(u) > R is skipped
+        # margin, so every row with (1 - 1e-3) C(u) > R is skipped; here
+        # no row is left for the screen
         d, fam = density_setup(n_cut=4, t=0.3)
         m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam, cutoff_r=8.0)
         coeffs = sample_batch(nt.SeededRng(5), 400, m)
@@ -547,8 +626,12 @@ class TestCutoffPrefilter:
                               c - 1e-3 * c)
         keep = ~((c > m.cutoff_r) & (c - 1e-3 * c > m.cutoff_r))
         assert 0 < np.sum(keep) < coeffs.shape[0]
-        got = self.evolved_rows(monkeypatch, d, m, 400, 5)
-        assert np.array_equal(got, coeffs[keep])
+        doubtful = keep & (c > m.cutoff_r)
+        screened = np.zeros_like(keep)
+        screened[doubtful] = screen_skips(coeffs[doubtful], 4, d, m.cutoff_r)
+        calls, _ = self.evolve_calls(monkeypatch, d, m, 400, 5)
+        self.assert_screened_calls(calls, d, coeffs[doubtful],
+                                   coeffs[keep & ~screened])
 
     def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
         d, fam = density_setup(n_cut=3, t=0.25)
@@ -558,12 +641,101 @@ class TestCutoffPrefilter:
         bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
         keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
         assert 0 < np.sum(keep) < coeffs.shape[0]
-        got = self.evolved_rows(monkeypatch, d, cut, 300, 40)
-        assert np.array_equal(got, coeffs[keep])
-        # with no cutoff every row is evolved
+        doubtful = keep & (c > cut.cutoff_r)
+        screened = np.zeros_like(keep)
+        screened[doubtful] = screen_skips(coeffs[doubtful], 8, d,
+                                          cut.cutoff_r)
+        assert np.any(screened)
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
+        self.assert_screened_calls(calls, d, coeffs[doubtful],
+                                   coeffs[keep & ~screened])
+        assert result.counts["bound_skipped"] == np.sum(~keep)
+        assert result.counts["screen_skipped"] == np.sum(screened)
+        # with no cutoff every row is evolved, in one call at d.step
         free = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
-        got = self.evolved_rows(monkeypatch, d, free, 300, 40)
-        assert np.array_equal(got, coeffs)
+        calls, _ = self.evolve_calls(monkeypatch, d, free, 300, 40)
+        assert len(calls) == 1 and calls[0][0] == d.step
+        assert np.array_equal(calls[0][1], coeffs)
+
+    def test_screen_evolves_rows_within_its_margin(self, monkeypatch):
+        # with R half a margin below a doubtful row's C_H, the screen
+        # evolves that row: C_H must exceed R by the whole margin
+        d, fam = density_setup(n_cut=3, t=0.25)
+        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
+        c = conserved_c_batch(coeffs, 8)
+        c_h = np.full_like(c, np.inf)
+        near = c < 2 * cut.cutoff_r   # larger rows overflow at 16 d.step
+        c_h[near] = conserved_c_batch(evolve_batch(
+            coeffs[near], 8, d.t,
+            dataclasses.replace(d.flow, step=16 * d.step)), 8)
+        margin = 1e-3 * truncated_energy_batch(coeffs, 8, 3)
+        j = np.flatnonzero(c > c_h)[0]
+        cut = dataclasses.replace(cut, cutoff_r=c_h[j] - margin[j] / 2)
+        assert _forward_c_lower_bound(coeffs, 8, 3, d.t)[j] <= cut.cutoff_r
+        calls, _ = self.evolve_calls(monkeypatch, d, cut, 300, 40)
+        assert calls[-1][0] == d.step
+        assert np.any(np.all(calls[-1][1] == coeffs[j], axis=-1))
+
+    def test_short_window_runs_no_coarse_solve(self, monkeypatch):
+        # at |t| < 32 d.step the coarse pair takes no full step of 2H, so
+        # the screen decides nothing and the bound alone skips rows
+        d, fam = density_setup(n_cut=3, t=0.02)
+        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
+        c = conserved_c_batch(coeffs, 8)
+        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
+        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
+        assert np.any(keep & (c > cut.cutoff_r))
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
+        assert len(calls) == 1 and calls[0][0] == d.step
+        assert np.array_equal(calls[0][1], coeffs[keep])
+        assert result.counts["screen_skipped"] == 0
+
+    @pytest.mark.parametrize("fault", ["one_row_overflows", "all_overflow",
+                                       "estimate_misses"])
+    def test_undecided_rows_fall_back(self, monkeypatch, fault):
+        # a coarse solve that raises NonFiniteState on a batch holding a row
+        # the screen would skip, or on every batch, or a solve at 2H that
+        # moves such a row's C by about 2%, sends those rows to the solve at
+        # d.step; the outputs are those of the run without the screen
+        d, fam = density_setup(n_cut=3, t=0.25)
+        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
+        c = conserved_c_batch(coeffs, 8)
+        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
+        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
+        doubtful = keep & (c > cut.cutoff_r)
+        screened = np.zeros_like(keep)
+        screened[doubtful] = screen_skips(coeffs[doubtful], 8, d,
+                                          cut.cutoff_r)
+        faulty = doubtful if fault == "all_overflow" else screened.copy()
+        if fault == "one_row_overflows":
+            faulty[np.flatnonzero(screened)[1:]] = False
+
+        def failing(rows, m_ambient, t, p):
+            hit = np.array([np.any(np.all(coeffs[faulty] == row, axis=-1))
+                            for row in rows], dtype=bool)
+            if fault != "estimate_misses" and p.step != d.step and any(hit):
+                raise nt.NonFiniteState("injected")
+            out = evolve_batch(rows, m_ambient, t, p)
+            if p.step == 32 * d.step:
+                out[hit] *= 1.01
+            return out
+
+        monkeypatch.setattr(transport, "_SCREEN_FACTOR", 10**9)
+        unscreened_calls, unscreened = self.evolve_calls(monkeypatch, d, cut,
+                                                         300, 40)
+        assert len(unscreened_calls) == 1
+        monkeypatch.undo()
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                          evolve=failing)
+        assert np.sum(faulty) > 0
+        assert calls[-1][0] == d.step
+        assert np.array_equal(calls[-1][1],
+                              coeffs[keep & ~(screened & ~faulty)])
+        assert result.counts["screen_fallbacks"] == np.sum(faulty)
+        assert result.comparisons == unscreened.comparisons
 
     def test_evolve_rows_independent_of_batch(self):
         # the compacted batch gives each kept row the bits of the full one
