@@ -235,13 +235,18 @@ def sample_batch(rng: SeededRng, n: int, p: MeasureParams) -> np.ndarray:
     return out
 
 
-def sample_map(f, rng: SeededRng, n: int, p: MeasureParams) -> np.ndarray:
+def sample_map(f, rng: SeededRng, n: int, p: MeasureParams):
     """f(coeffs) over samples 0..n-1 of rng, drawn in the fixed chunks of
     SAMPLE_CHUNK on the pool; f puts a chunk's samples on the last axis of
-    its array, and the chunks are joined along it in sample order."""
-    return np.concatenate(run_chunked(
+    its array, or of each array of a tuple, and the chunks are joined along
+    it in sample order."""
+    parts = run_chunked(
         lambda lo, hi: f(sample_batch(rng.substream(lo), hi - lo, p)),
-        n, SAMPLE_CHUNK), axis=-1)
+        n, SAMPLE_CHUNK)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(arrays, axis=-1)
+                     for arrays in zip(*parts))
+    return np.concatenate(parts, axis=-1)
 
 
 def sample_state(rng: SeededRng, p: MeasureParams) -> FourierState:

@@ -68,8 +68,9 @@ from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
 from .errors import (MissingCutoff, NlsTransportError, NonFiniteState,
                      StepUnresolved)
 from .flow import FlowParams, evolve_batch, trajectory_batch
-from .measures import (SAMPLE_CHUNK, McReport, MeasureParams, SeededRng,
-                       cutoff_indicator_batch, mean_report, sample_batch)
+from .measures import (McReport, MeasureParams, SeededRng,
+                       cutoff_indicator_batch, mean_report, sample_batch,
+                       sample_map)
 from .parallel import run_chunked
 from .spectral import (FourierState, WeightFamily, bracket_multiplier,
                        conserved_c_batch, default_grid, sextic_integral_batch,
@@ -473,43 +474,40 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     The identity is exact at finite ambient truncation, so z is sampling
     noise plus integrator error only.
 
-    With a cutoff, a row with C(u) > R whose `_forward_c_lower_bound`
-    exceeds R is not evolved.  Nor is a doubtful row, one with C(u) > R
-    that the bound cannot skip, when the screen skips it: its coarse C_H of
-    `_coarse_forward_c` exceeds R by the bound's margin 1e-3 E_N(u), and the
-    Richardson estimate |C_H - C_2H|/15 of C_H's step error is within a
-    sixteenth of that margin.  The screen rests on that estimate: while it
-    bounds |C_H - C_h| with C_h the value at d.step (the step error of
-    C_h is 16^4 times smaller still), C_h > R.  A doubtful row with a
-    non-finite coarse value or an estimate above margin/16 is evolved at
-    d.step, and so is every doubtful row where |t| < 2H.  Every other row
-    is evolved at d.step, and the two terms of a skipped row are 0.0 (see
-    the module docstring).  The evolved rows keep their bits, since each
-    row of a flow solve is independent of the rows around it.
+    With a cutoff, a row with C(u) > R is not evolved when its
+    `_forward_c_lower_bound` exceeds R, nor, if the bound keeps it, when
+    the screen skips it: its C_H of `_coarse_forward_c` exceeds
+    R + 1e-3 E_N(u), and its estimate |C_H - C_2H|/15 is within a
+    sixteenth of that margin.  While the estimate bounds the step error of
+    C_H, the value at d.step, whose own step error is 16^4 times smaller,
+    exceeds R (the module docstring states the assumption).  Every other
+    row is evolved at d.step, and the two terms of a skipped row are 0.0.
+    The evolved rows keep their bits, since each row of a flow solve is
+    independent of the rows around it.
     """
     if d.energy.family != m.family:
         raise ValueError("density and measure must share one weight family")
     d.energy.resolve_cut(m.m_ambient)   # raises before any sample is drawn
     obs = list(observables)
 
-    def body(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, m)
+    def body(coeffs):
         ind_u = ind_fwd = np.ones(coeffs.shape[0])
         live = np.ones(coeffs.shape[0], dtype=bool)
-        bound_skipped = fallbacks = 0
+        bound_kept = live
+        fallback = np.zeros_like(live)
         if m.cutoff_r is not None:
             ind_u = cutoff_indicator_batch(coeffs, m)
             bound = _forward_c_lower_bound(coeffs, m.m_ambient,
                                            d.energy.n_cut, d.t)
-            live = ~((ind_u == 0) & (bound > m.cutoff_r))
-            bound_skipped = int(np.sum(~live))
-            doubtful = np.flatnonzero(live & (ind_u == 0))
+            bound_kept = ~((ind_u == 0) & (bound > m.cutoff_r))
+            live = bound_kept.copy()
+            doubtful = np.flatnonzero(bound_kept & (ind_u == 0))
             if doubtful.size:
                 c_h, err = _coarse_forward_c(coeffs[doubtful], m.m_ambient, d)
                 margin = 1e-3 * truncated_energy_batch(
                     coeffs[doubtful], m.m_ambient, d.energy.n_cut)
                 decided = err <= margin / 16.0
-                fallbacks = int(np.sum(~decided))
+                fallback[doubtful[~decided]] = True
                 live[doubtful[decided & (c_h > m.cutoff_r + margin)]] = False
         fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
         if m.cutoff_r is not None:
@@ -519,19 +517,17 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         for j, spec in enumerate(obs):
             vals[0, j, live] = ind_fwd * spec.evaluate_batch(fwd, m.m_ambient)
             vals[1, j] = ind_u * spec.evaluate_batch(coeffs, m.m_ambient) * g
-        evolved = int(np.sum(live))
-        counts = {"samples": coeffs.shape[0],
-                  "kept_at_start": int(np.sum(ind_u)),
-                  "bound_skipped": bound_skipped,
-                  "screen_skipped": coeffs.shape[0] - bound_skipped - evolved,
-                  "screen_fallbacks": fallbacks,
-                  "evolved": evolved,
-                  "kept_at_end": int(np.sum(ind_fwd))}
-        return vals, counts
+        kept_at_end = np.zeros_like(live)
+        kept_at_end[live] = ind_fwd > 0
+        return vals, np.array([ind_u > 0, ~bound_kept, bound_kept & ~live,
+                               fallback, live, kept_at_end])
 
-    chunks = run_chunked(body, n, SAMPLE_CHUNK)
-    lhs_vals, rhs_vals = np.concatenate([v for v, _ in chunks], axis=-1)
-    counts = {key: sum(c[key] for _, c in chunks) for key in chunks[0][1]}
+    (lhs_vals, rhs_vals), flags = sample_map(body, rng, n, m)
+    counts = {"samples": n, **{
+        key: int(total) for key, total in zip(
+            ("kept_at_start", "bound_skipped", "screen_skipped",
+             "screen_fallbacks", "evolved", "kept_at_end"),
+            np.sum(flags, axis=-1))}}
     out = []
     for j, spec in enumerate(obs):
         diff = mean_report(lhs_vals[j] - rhs_vals[j])
