@@ -633,18 +633,26 @@ class TestCutoffPrefilter:
         self.assert_screened_calls(calls, d, coeffs[doubtful],
                                    coeffs[keep & ~screened])
 
-    def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
-        d, fam = density_setup(n_cut=3, t=0.25)
+    @staticmethod
+    def screened_rows(t):
+        """(d, cut, coeffs, keep, doubtful, screened) for the 300 samples
+        of seed 40 at M = 8, N = 3 and R = 5: the rows the bound keeps,
+        those of them with C(u) > R, and those the screen's rule skips."""
+        d, fam = density_setup(n_cut=3, t=t)
         cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
         coeffs = sample_batch(nt.SeededRng(40), 300, cut)
         c = conserved_c_batch(coeffs, 8)
         bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
         keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
-        assert 0 < np.sum(keep) < coeffs.shape[0]
         doubtful = keep & (c > cut.cutoff_r)
         screened = np.zeros_like(keep)
         screened[doubtful] = screen_skips(coeffs[doubtful], 8, d,
                                           cut.cutoff_r)
+        return d, cut, coeffs, keep, doubtful, screened
+
+    def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
+        d, cut, coeffs, keep, doubtful, screened = self.screened_rows(0.25)
+        assert 0 < np.sum(keep) < coeffs.shape[0]
         assert np.any(screened)
         calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
         self.assert_screened_calls(calls, d, coeffs[doubtful],
@@ -652,7 +660,7 @@ class TestCutoffPrefilter:
         assert result.counts["bound_skipped"] == np.sum(~keep)
         assert result.counts["screen_skipped"] == np.sum(screened)
         # with no cutoff every row is evolved, in one call at d.step
-        free = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
+        free = dataclasses.replace(cut, cutoff_r=None)
         calls, _ = self.evolve_calls(monkeypatch, d, free, 300, 40)
         assert len(calls) == 1 and calls[0][0] == d.step
         assert np.array_equal(calls[0][1], coeffs)
@@ -680,13 +688,8 @@ class TestCutoffPrefilter:
     def test_short_window_runs_no_coarse_solve(self, monkeypatch):
         # at |t| < 32 d.step the coarse pair takes no full step of 2H, so
         # the screen decides nothing and the bound alone skips rows
-        d, fam = density_setup(n_cut=3, t=0.02)
-        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
-        c = conserved_c_batch(coeffs, 8)
-        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
-        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
-        assert np.any(keep & (c > cut.cutoff_r))
+        d, cut, coeffs, keep, doubtful, _ = self.screened_rows(0.02)
+        assert np.any(doubtful)
         calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
         assert len(calls) == 1 and calls[0][0] == d.step
         assert np.array_equal(calls[0][1], coeffs[keep])
@@ -699,16 +702,7 @@ class TestCutoffPrefilter:
         # the screen would skip, or on every batch, or a solve at 2H that
         # moves such a row's C by about 2%, sends those rows to the solve at
         # d.step; the outputs are those of the run without the screen
-        d, fam = density_setup(n_cut=3, t=0.25)
-        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
-        c = conserved_c_batch(coeffs, 8)
-        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
-        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
-        doubtful = keep & (c > cut.cutoff_r)
-        screened = np.zeros_like(keep)
-        screened[doubtful] = screen_skips(coeffs[doubtful], 8, d,
-                                          cut.cutoff_r)
+        d, cut, coeffs, keep, doubtful, screened = self.screened_rows(0.25)
         faulty = doubtful if fault == "all_overflow" else screened.copy()
         if fault == "one_row_overflows":
             faulty[np.flatnonzero(screened)[1:]] = False
