@@ -104,6 +104,9 @@ def _validate(cfg: dict, command: str) -> dict:
         raise ConfigInvalid("n_list entries must lie in [0, m_ambient]")
     if command == "convergence" and not cfg["n_list"]:
         raise ConfigInvalid("n_list must not be empty")
+    if command == "lp-density" and not (
+            cfg["p_list"] and all(p >= 1 for p in cfg["p_list"])):
+        raise ConfigInvalid("p_list must be non-empty, with every p >= 1")
     if command == "moments" and (cfg["m_max"] < 2 or cfg["m_max"] % 2):
         raise ConfigInvalid("m_max must be even and >= 2")
     if command == "moments" and cfg["n_samples"] < 2:

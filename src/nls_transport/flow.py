@@ -11,7 +11,10 @@ is handled by classical RK4 with a fixed step and a fractional last step
 Each stage untwists to u, applies the dealiased quintic product, and twists
 back.  High modes |k| > N are multiplied by e^{-i k^2 t} exactly, realizing
 the flow's product structure (nonlinear block times free rotation).  The
-Liouville checks differentiate this same map.
+Liouville checks differentiate this same map.  Rows are solved
+independently: `evolve_batch` returns a row that overflows as NaN and the
+others with their bits, and `evolve` and `trajectory_batch` raise
+NonFiniteState instead.
 """
 
 from __future__ import annotations
@@ -109,27 +112,36 @@ def _twisted(k2: np.ndarray, product):
 
 def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     """Yield the flow of a (batch, 2M+1) block at each of the monotone
-    times in turn; raises NonFiniteState on overflow."""
+    times in turn.  A row that went non-finite is NaN in every coefficient,
+    with no warning; the other rows keep their bits."""
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
+    k2 = ks.astype(np.float64) ** 2
     n_points = default_grid(p.n_cut).n_points
-    field = _twisted(ks[low].astype(np.float64) ** 2,
-                     lambda u: quintic_band(u, n_points))
+    field = _twisted(k2[low], lambda u: quintic_band(u, n_points))
     wb, t_prev = coeffs[..., low], 0.0
     for t in times:
-        if t != t_prev:
-            wb = _rk4(field, wb, t_prev, t - t_prev, p.step)
-        out = np.exp(-1j * ks.astype(np.float64) ** 2 * t) * coeffs
-        out[..., low] = np.exp(-1j * ks[low].astype(np.float64) ** 2 * t) * wb
-        if not np.all(np.isfinite(out.view(np.float64))):
-            raise NonFiniteState(f"non-finite coefficients at t={t}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t != t_prev:
+                wb = _rk4(field, wb, t_prev, t - t_prev, p.step)
+            out = np.exp(-1j * k2 * t) * coeffs
+            out[..., low] = np.exp(-1j * k2[low] * t) * wb
+        out[~np.all(np.isfinite(out.view(np.float64)), axis=-1)] = np.nan
         yield out
         t_prev = t
 
 
+def require_finite(out: np.ndarray, t: float) -> np.ndarray:
+    """out, unless a row of it is NaN: then NonFiniteState."""
+    if np.isnan(out.real).any():
+        raise NonFiniteState(f"non-finite coefficients at t={t}")
+    return out
+
+
 def evolve_batch(coeffs: np.ndarray, m_ambient: int, t: float,
                  p: FlowParams) -> np.ndarray:
-    """Truncated flow applied to a (batch, 2M+1) coefficient block."""
+    """Truncated flow applied to a (batch, 2M+1) coefficient block; a row
+    that overflows comes back as NaN (see `_flow_at`)."""
     if p.n_cut > m_ambient:
         raise ValueError("flow n_cut exceeds ambient truncation")
     if t == 0.0:
@@ -139,8 +151,8 @@ def evolve_batch(coeffs: np.ndarray, m_ambient: int, t: float,
 
 def evolve(u0: FourierState, t: float, p: FlowParams) -> FourierState:
     """Flow map at time t applied to u0; evolve(u0, 0) is u0 exactly."""
-    return FourierState(u0.m_ambient,
-                        evolve_batch(u0.coeffs[None, :], u0.m_ambient, t, p)[0])
+    return FourierState(u0.m_ambient, require_finite(
+        evolve_batch(u0.coeffs[None, :], u0.m_ambient, t, p), t)[0])
 
 
 def trajectory_batch(coeffs: np.ndarray, m_ambient: int, t_final: float,
@@ -154,7 +166,7 @@ def trajectory_batch(coeffs: np.ndarray, m_ambient: int, t_final: float,
                    dtype=np.complex128)
     out[..., 0, :] = coeffs
     for i, state in enumerate(_flow_at(coeffs, m_ambient, times[1:], p), 1):
-        out[..., i, :] = state
+        out[..., i, :] = require_finite(state, times[i])
     return times, out
 
 

@@ -24,9 +24,10 @@ DENSITY_TOL.  A row within it keeps L_h.  The others move on to h/2, h/4,
 ..., keeping the first L_{h'} whose estimate |L_{2h'} - L_{h'}|/15 is within
 DENSITY_TOL.  A pair estimates only when its coarse solve takes a full
 step of 2h', so at 0 < |t| < 2h the ladder starts at the largest
-h' = h/2^j with 2h' <= |t|.  A non-finite value estimates nothing, and a
-row still above the tolerance after _MAX_HALVINGS halvings of the starting
-step raises StepUnresolved.  `density_pieces` reads all three log densities of a
+h' = h/2^j with 2h' <= |t|.  A non-finite value (the flow returns a row
+that overflows as NaN) estimates nothing, and a row still above the
+tolerance after _MAX_HALVINGS halvings of the starting step raises
+StepUnresolved.  `density_pieces` reads all three log densities of a
 batch off that solve and one backward trajectory per accepted step: R at its
 ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
 by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
@@ -52,8 +53,9 @@ exceeds R by the same margin 1e-3 E_N(u), and whose Richardson estimate
 The screen assumes what every Richardson estimate of the package assumes:
 that at H the flow is in its fourth-order regime, so the estimate bounds
 the step error of C_H, and C at the step then exceeds R.  A row whose
-coarse value is not finite, or whose estimate is larger, is evolved at the
-step, and so is every doubtful row where |t| < 2H.
+coarse value is NaN, as the flow returns a row that overflows, or whose
+estimate is larger, is evolved at the step, and so is every doubtful row
+where |t| < 2H.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ import numpy as np
 
 from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
                        r_correction_batch)
-from .errors import (MissingCutoff, NlsTransportError, NonFiniteState,
-                     StepUnresolved)
-from .flow import FlowParams, evolve_batch, trajectory_batch
+from .errors import MissingCutoff, NlsTransportError, StepUnresolved
+from .flow import FlowParams, evolve_batch, require_finite, trajectory_batch
 from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
@@ -150,21 +151,6 @@ def _quadrature_weights(n_nodes: int, h: float):
     return rule, estimate
 
 
-def _nan_where_not_finite(solve, rows: np.ndarray) -> np.ndarray:
-    """solve(rows), one value per row of the index array rows, with NaN on
-    each row whose solve raises NonFiniteState: a batch that raises is
-    split in halves until the rows that raise stand alone.  An overflow
-    that the solve does not catch is left as inf."""
-    try:
-        return solve(rows)
-    except NonFiniteState:
-        if rows.size == 1:
-            return np.array([np.nan])
-        half = rows.size // 2
-        return np.concatenate([_nan_where_not_finite(solve, rows[:half]),
-                               _nan_where_not_finite(solve, rows[half:])])
-
-
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     """(log G, accepted step) per row of a (batch, dim) block.
 
@@ -178,19 +164,17 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     h0 = d.start_step is d.step where |t| >= 2 d.step or t = 0 (both
     solves are then the identity), and otherwise the largest d.step/2^j
     with 2h0 <= |t|.
-    A non-finite value gives no estimate and resolves no row; a solve that
-    overflows gives NaN on its own rows only.  A row unresolved at the
-    finest step raises StepUnresolved."""
+    A non-finite value, such as the NaN the flow returns for a row that
+    overflows, gives no estimate and resolves no row.  A row unresolved at
+    the finest step raises StepUnresolved."""
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
-        def solve(rows):
-            with np.errstate(over="ignore", invalid="ignore"):
-                bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
-                                   replace(d.flow, step=step))
-                s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
-            return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
-        return _nan_where_not_finite(solve, rows)
+        bwd = evolve_batch(coeffs[rows], m_ambient, -d.t,
+                           replace(d.flow, step=step))
+        with np.errstate(over="ignore"):
+            s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
+        return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
 
     start = d.start_step
     log_g = np.empty(coeffs.shape[0])
@@ -430,21 +414,18 @@ def _coarse_forward_c(coeffs: np.ndarray, m_ambient: int,
     """(C_H, |C_H - C_2H| / 15) for each row of a block, with C_H the
     C(Phi_N(t) u) of the flow at the coarse step H = _SCREEN_FACTOR d.step
     and C_2H that at 2H: a coarse value and the Richardson estimate of its
-    step error.  Both are NaN on a row whose coarse solve overflows, and on
-    every row where |t| < 2H, since the solve at 2H then takes no full step
-    and the errors of the two solves cancel (see `_controlled_direct`)."""
+    step error.  The flow returns a row that overflows as NaN, and both
+    are NaN on every row where |t| < 2H: the solve at 2H then takes no full
+    step, and the errors of the two solves cancel (see `_controlled_direct`)."""
     coarse = _SCREEN_FACTOR * d.step
     if abs(d.t) < 2.0 * coarse:
         nan = np.full(coeffs.shape[0], np.nan)
         return nan, nan
 
     def forward_c(step):
-        def solve(rows):
-            with np.errstate(over="ignore", invalid="ignore"):
-                fwd = evolve_batch(coeffs[rows], m_ambient, d.t,
-                                   replace(d.flow, step=step))
-                return conserved_c_batch(fwd, m_ambient)
-        return _nan_where_not_finite(solve, np.arange(coeffs.shape[0]))
+        fwd = evolve_batch(coeffs, m_ambient, d.t, replace(d.flow, step=step))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return conserved_c_batch(fwd, m_ambient)
 
     c_h = forward_c(coarse)
     return c_h, np.abs(c_h - forward_c(2.0 * coarse)) / 15.0
@@ -509,7 +490,8 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
                 decided = err <= margin / 16.0
                 fallback[doubtful[~decided]] = True
                 live[doubtful[decided & (c_h > m.cutoff_r + margin)]] = False
-        fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
+        fwd = require_finite(
+            evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow), d.t)
         if m.cutoff_r is not None:
             ind_fwd = cutoff_indicator_batch(fwd, m)
         g = np.exp(_masked_log_density(coeffs, m.m_ambient, d, ind_u > 0))

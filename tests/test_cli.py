@@ -39,6 +39,9 @@ class TestConfigHandling:
         ["moments", "--n-samples", "1"],
         ["density-check", "--step", "0.2"],
         ["density-check", "--step", "0"],
+        ["lp-density", "--p-list", "0"],
+        ["lp-density", "--p-list", "-1"],
+        ["lp-density", "--p-list", ","],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import nls_transport as nt
-from nls_transport.flow import _steps, evolve_batch
+from nls_transport.flow import _steps, evolve_batch, trajectory_batch
 from nls_transport.spectral import (TWO_PI, grid_values, quintic_batch,
                                     wavenumbers)
 
@@ -98,6 +100,23 @@ class TestEvolve:
             with pytest.raises(nt.NonFiniteState):
                 nt.evolve(u, 1.0, p)
 
+    def test_overflowing_rows_come_back_nan(self):
+        # a row that overflows, at the first stage or after some steps, is
+        # NaN in every coefficient, with no warning; each other row has the
+        # bits of a solve of the block without it
+        p = nt.FlowParams(n_cut=3, step=0.05)
+        rng = np.random.default_rng(3)
+        block = np.stack([random_coeffs(rng, 3, scale=0.2) for _ in range(6)])
+        block[2] = plane_wave(3, 1, 3.0).coeffs
+        block[4] = plane_wave(3, 0, 1e80).coeffs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evolve_batch(block, 3, 0.5, p)
+        tame = [0, 1, 3, 5]
+        assert np.all(np.isnan(got[[2, 4]]))
+        assert np.all(np.isfinite(got[tame]))
+        assert np.array_equal(got[tame], evolve_batch(block[tame], 3, 0.5, p))
+
     def test_batch_matches_single(self, rng):
         p = nt.FlowParams(n_cut=3, step=1e-3)
         block = np.stack([random_coeffs(rng, 5, scale=0.3) for _ in range(4)])
@@ -113,6 +132,14 @@ class TestTrajectory:
         p = nt.FlowParams(n_cut=2, step=1e-3)
         traj = nt.evolve_trajectory(u, 0.0, p, 5)
         assert len(traj.states) == 1 and traj.times[0] == 0.0
+
+    def test_overflow_raises(self):
+        # a trajectory has no use for a NaN row: it raises instead
+        p = nt.FlowParams(n_cut=3, step=0.05)
+        block = np.stack([np.zeros(7), plane_wave(3, 1, 3.0).coeffs])
+        with pytest.raises(nt.NonFiniteState,
+                           match="non-finite coefficients at t="):
+            trajectory_batch(block, 3, 0.5, p, 6)
 
     def test_snapshot_count_and_endpoints(self, rng):
         u = nt.FourierState(3, random_coeffs(rng, 3, scale=0.3))

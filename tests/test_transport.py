@@ -223,6 +223,43 @@ class TestStepControl:
         alone = transport._controlled_direct(coeffs[tame], 8, d)
         assert np.array_equal(got[np.isin(batch, tame)], alone[0])
 
+    @staticmethod
+    def recorded_steps(monkeypatch):
+        """The step of each call to transport.evolve_batch, in call order."""
+        steps = []
+
+        def recording(coeffs, m_ambient, t, p):
+            steps.append(p.step)
+            return evolve_batch(coeffs, m_ambient, t, p)
+
+        monkeypatch.setattr(transport, "evolve_batch", recording)
+        return steps
+
+    def test_one_solve_per_rung(self, monkeypatch):
+        # the overflowing rows of the batch above cost no extra solve: the
+        # ladder makes one call per rung it runs, at 2h, h, h/2, ...
+        coeffs, _ = self.two_formula_samples()
+        d, _ = density_setup(n_cut=8, t=0.5, step=0.04)
+        batch = [i for i in range(20) if i not in (4, 8, 19)]
+        calls = self.recorded_steps(monkeypatch)
+        _, steps = transport._controlled_direct(coeffs[batch], 8, d)
+        h = d.flow.step
+        rungs = int(round(np.log2(h / np.min(steps))))
+        assert rungs >= 1
+        assert calls == [2.0 * h] + [h / 2**j for j in range(rungs + 1)]
+
+    def test_screen_makes_two_solves(self, monkeypatch):
+        # at H = 0.04 and 2H the coarse solves overflow on eight of these
+        # samples; the screen still makes one call at each step, and those
+        # rows get NaN
+        coeffs, _ = self.two_formula_samples()
+        d, _ = density_setup(n_cut=8, t=0.5, step=0.0025)
+        calls = self.recorded_steps(monkeypatch)
+        c_h, err = _coarse_forward_c(coeffs, 8, d)
+        assert calls == [16 * d.step, 32 * d.step]
+        assert np.sum(np.isnan(err)) == 8
+        assert np.all(np.isfinite(c_h[~np.isnan(err)]))
+
     def test_step_checked_at_construction(self):
         # the flow's check on the step holds before any solve
         with pytest.raises(ValueError, match="positive"):
@@ -475,26 +512,22 @@ def prefilter_chunks(s, t, n_chunks, cutoff_r=5.0):
     (M = 16, N = 4, seed 424242) at s and t.  Each chunk is, for its rows,
     (C(u), _forward_c_lower_bound, the Hoelder bound, C(Phi_t u), the
     screen's (C_H, error estimate) of `_coarse_forward_c`, and the margin
-    1e-3 E_N(u)).  The screen's pair is computed on the rows whose bound is
-    within SCREEN_SWEEP_CAP, the only rows it can see at R <= the cap, and
-    is NaN on the others: at larger C many rows overflow at the coarse
-    step, and the row bisection then costs more than the fine solve.  The
-    rows are evolved in pieces of 512 on the pool (sample i is the same in
-    any piece), where the flow costs less per row than in a whole chunk."""
+    1e-3 E_N(u)).  The screen's pair is NaN on the rows whose coarse solve
+    overflows.  The rows are evolved in pieces of 512 on the pool (sample
+    i is the same in any piece), where the flow costs less per row than in
+    a whole chunk."""
     d, fam = density_setup(n_cut=4, t=t, s=s)
     m = nt.MeasureParams(s=s, m_ambient=16, family=fam, cutoff_r=cutoff_r)
     rng = nt.SeededRng(424242)
 
     def piece(lo, hi):
         coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-        bound = _forward_c_lower_bound(coeffs, 16, 4, d.t)
-        coarse = np.full((2, hi - lo), np.nan)
-        seen = bound <= SCREEN_SWEEP_CAP
-        coarse[:, seen] = _coarse_forward_c(coeffs[seen], 16, d)
-        return (conserved_c_batch(coeffs, 16), bound,
+        return (conserved_c_batch(coeffs, 16),
+                _forward_c_lower_bound(coeffs, 16, 4, d.t),
                 holder_c_lower_bound(coeffs, 16, 4, d.t),
                 conserved_c_batch(evolve_batch(coeffs, 16, d.t, d.flow), 16),
-                coarse, 1e-3 * truncated_energy_batch(coeffs, 16, 4))
+                np.stack(_coarse_forward_c(coeffs, 16, d)),
+                1e-3 * truncated_energy_batch(coeffs, 16, 4))
 
     pieces = run_chunked(piece, n_chunks * SAMPLE_CHUNK, 512)
     per_chunk = SAMPLE_CHUNK // 512
@@ -672,11 +705,9 @@ class TestCutoffPrefilter:
         cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
         coeffs = sample_batch(nt.SeededRng(40), 300, cut)
         c = conserved_c_batch(coeffs, 8)
-        c_h = np.full_like(c, np.inf)
-        near = c < 2 * cut.cutoff_r   # larger rows overflow at 16 d.step
-        c_h[near] = conserved_c_batch(evolve_batch(
-            coeffs[near], 8, d.t,
-            dataclasses.replace(d.flow, step=16 * d.step)), 8)
+        # NaN on the rows that overflow at 16 d.step
+        c_h = conserved_c_batch(evolve_batch(
+            coeffs, 8, d.t, dataclasses.replace(d.flow, step=16 * d.step)), 8)
         margin = 1e-3 * truncated_energy_batch(coeffs, 8, 3)
         j = np.flatnonzero(c > c_h)[0]
         cut = dataclasses.replace(cut, cutoff_r=c_h[j] - margin[j] / 2)
@@ -698,10 +729,10 @@ class TestCutoffPrefilter:
     @pytest.mark.parametrize("fault", ["one_row_overflows", "all_overflow",
                                        "estimate_misses"])
     def test_undecided_rows_fall_back(self, monkeypatch, fault):
-        # a coarse solve that raises NonFiniteState on a batch holding a row
-        # the screen would skip, or on every batch, or a solve at 2H that
-        # moves such a row's C by about 2%, sends those rows to the solve at
-        # d.step; the outputs are those of the run without the screen
+        # a coarse solve that overflows on a row the screen would skip, or
+        # on every doubtful row, or a solve at 2H that moves such a row's C
+        # by about 2%, sends those rows to the solve at d.step; the outputs
+        # are those of the run without the screen
         d, cut, coeffs, keep, doubtful, screened = self.screened_rows(0.25)
         faulty = doubtful if fault == "all_overflow" else screened.copy()
         if fault == "one_row_overflows":
@@ -710,9 +741,9 @@ class TestCutoffPrefilter:
         def failing(rows, m_ambient, t, p):
             hit = np.array([np.any(np.all(coeffs[faulty] == row, axis=-1))
                             for row in rows], dtype=bool)
-            if fault != "estimate_misses" and p.step != d.step and any(hit):
-                raise nt.NonFiniteState("injected")
             out = evolve_batch(rows, m_ambient, t, p)
+            if fault != "estimate_misses" and p.step != d.step:
+                out[hit] = np.nan   # as the flow returns an overflowing row
             if p.step == 32 * d.step:
                 out[hit] *= 1.01
             return out
@@ -730,6 +761,22 @@ class TestCutoffPrefilter:
                               coeffs[keep & ~(screened & ~faulty)])
         assert result.counts["screen_fallbacks"] == np.sum(faulty)
         assert result.comparisons == unscreened.comparisons
+
+    def test_overflow_at_the_step_raises(self, monkeypatch):
+        # the observables need every evolved row: a row the flow returns
+        # as NaN at d.step raises, where one at the coarse steps falls back
+        d, cut, *_ = self.screened_rows(0.25)
+
+        def overflowing(rows, m_ambient, t, p):
+            out = evolve_batch(rows, m_ambient, t, p)
+            if p.step == d.step:
+                out[0] = np.nan
+            return out
+
+        with pytest.raises(nt.NonFiniteState,
+                           match="non-finite coefficients at t=0.25"):
+            self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                              evolve=overflowing)
 
     def test_evolve_rows_independent_of_batch(self):
         # the compacted batch gives each kept row the bits of the full one
