@@ -6,7 +6,7 @@ from .energies import (EnergyParams, e_modified, q_components, q_derivative,
                        r_correction)
 from .errors import (BoundViolated, ConfigInvalid, GridTooSmall,
                      MissingCutoff, NlsTransportError, NonFiniteState,
-                     StepUnresolved, TruncationExceedsAmbient, WeightOverflow)
+                     TruncationExceedsAmbient, WeightOverflow)
 from .flow import (FlowParams, GrowthReport, Trajectory, divergence_at, evolve,
                    evolve_trajectory, growth_monitor, jacobian_det)
 from .measures import (McReport, MeasureParams, SeededRng, cutoff_indicator,

@@ -25,10 +25,6 @@ class BoundViolated(NlsTransportError):
     """A monitored a-priori bound failed; signals integrator trouble."""
 
 
-class StepUnresolved(NlsTransportError):
-    """Step halving ran out before a log-density met its error tolerance."""
-
-
 class WeightOverflow(NlsTransportError):
     """Importance weight exponent too large to exponentiate safely."""
 

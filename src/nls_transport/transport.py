@@ -26,11 +26,12 @@ DENSITY_TOL.  A pair estimates only when its coarse solve takes a full
 step of 2h', so at 0 < |t| < 2h the ladder starts at the largest
 h' = h/2^j with 2h' <= |t|.  A non-finite value (the flow returns a row
 that overflows as NaN) estimates nothing, and a row still above the
-tolerance after _MAX_HALVINGS halvings of the starting step raises
-StepUnresolved.  `density_pieces` reads all three log densities of a
-batch off that solve and one backward trajectory per accepted step: R at its
-ends, and Q on the `quad_points` nodes, integrated by Simpson extrapolated
-by Richardson (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
+tolerance after _MAX_HALVINGS halvings of the starting step comes back as
+NaN; no study raises on it, and its NaN fails the study's verdict.
+`density_pieces` reads all three log densities of a batch off that solve
+and one backward trajectory per accepted step: R at its ends, and Q on the
+`quad_points` nodes, integrated by Simpson extrapolated by Richardson
+(Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
 
 `change_of_measure_test` evolves forward only the rows the cutoff may keep
 after the flow.  The truncated flow conserves E_N (C with |Pi_N u|^6 in
@@ -67,8 +68,8 @@ import numpy as np
 
 from .energies import (EnergyParams, low_norm_sq_batch, q_derivative_batch,
                        r_correction_batch)
-from .errors import MissingCutoff, NlsTransportError, StepUnresolved
-from .flow import FlowParams, evolve_batch, require_finite, trajectory_batch
+from .errors import MissingCutoff, NlsTransportError
+from .flow import FlowParams, evolve_batch, trajectory_batch
 from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
@@ -166,7 +167,7 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     with 2h0 <= |t|.
     A non-finite value, such as the NaN the flow returns for a row that
     overflows, gives no estimate and resolves no row.  A row unresolved at
-    the finest step raises StepUnresolved."""
+    the finest step is NaN in both log G and its step."""
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
@@ -177,32 +178,24 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
         return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
 
     start = d.start_step
-    log_g = np.empty(coeffs.shape[0])
-    steps = np.empty(coeffs.shape[0])
+    log_g, steps = np.full((2, coeffs.shape[0]), np.nan)
     rows = np.arange(coeffs.shape[0])
     coarse = direct(rows, 2.0 * start)
     for halving in range(_MAX_HALVINGS + 1):
         step = start / 2**halving
         fine = direct(rows, step)
-        err = np.abs(coarse - fine) / 15.0
-        ok = err <= DENSITY_TOL
+        ok = np.abs(coarse - fine) / 15.0 <= DENSITY_TOL
         log_g[rows[ok]] = fine[ok]
         steps[rows[ok]] = step
-        rows, coarse, err = rows[~ok], fine[~ok], err[~ok]
+        rows, coarse = rows[~ok], fine[~ok]
         if rows.size == 0:
-            return log_g, steps
-    finite = err[np.isfinite(err)]
-    worst = (f"worst error estimate {np.max(finite):.3e}" if finite.size
-             else "no finite error estimate")
-    raise StepUnresolved(
-        f"{rows.size} row(s) still above the log-density tolerance "
-        f"{DENSITY_TOL} at the finest step {step:g}, "
-        f"{err.size - finite.size} of them non-finite; {worst}")
+            break
+    return log_g, steps
 
 
 def log_density_direct_batch(coeffs: np.ndarray, m_ambient: int,
                              d: DensityParams) -> np.ndarray:
-    """Step-controlled direct log G of each row of a (batch, dim) block."""
+    """Step-controlled direct log G per row of a block, NaN if unresolved."""
     return _controlled_direct(coeffs, m_ambient, d)[0]
 
 
@@ -220,7 +213,7 @@ class DensityPieces:
     delta_r: np.ndarray   # R(Phi_N(-t)u) - R(u)
     q_int: np.ndarray     # extrapolated Simpson integral of Q over [0, -t]
     q_error: np.ndarray   # Richardson estimate of the plain Simpson error
-    steps: np.ndarray     # the step each row was accepted at
+    steps: np.ndarray     # the step each row was accepted at, NaN if none
 
     @property
     def normal_form(self) -> np.ndarray:
@@ -235,28 +228,33 @@ class DensityPieces:
 
 def density_pieces(coeffs: np.ndarray, m_ambient: int,
                    d: DensityParams) -> DensityPieces:
-    """Each row's trajectory is integrated once, at the step its direct
-    log G was accepted at."""
+    """Each resolved row's trajectory is integrated once, at the step its
+    direct log G was accepted at, into one snapshot block for one R and one
+    Q call.  A row the ladder leaves unresolved is NaN in every piece."""
     log_g, steps = _controlled_direct(coeffs, m_ambient, d)
     if d.t == 0.0:
         z = np.zeros(coeffs.shape[:-1])
         return DensityPieces(log_g, z, z, z, steps)
-    r0 = r_correction_batch(coeffs, m_ambient, d.energy)
-    r1 = np.empty_like(r0)
-    qs = np.empty(coeffs.shape[:-1] + (d.quad_points,))
-    for step in np.unique(steps):
-        rows = steps == step
-        times, snaps = trajectory_batch(coeffs[rows], m_ambient, -d.t,
-                                        replace(d.flow, step=step),
-                                        d.quad_points)
-        r1[rows] = r_correction_batch(snaps[:, -1, :], m_ambient, d.energy)
-        qs[rows] = q_derivative_batch(snaps, m_ambient, d.energy,
-                                      default_grid(d.energy.n_cut))
-    rule, estimate = _quadrature_weights(d.quad_points, times[1] - times[0])
+    ok = np.isfinite(steps)
+    snaps = np.empty((np.count_nonzero(ok), d.quad_points, coeffs.shape[-1]),
+                     dtype=np.complex128)   # the resolved rows only
+    for step in np.unique(steps[ok]):
+        rows = steps[ok] == step
+        snaps[rows] = trajectory_batch(coeffs[ok][rows], m_ambient, -d.t,
+                                       replace(d.flow, step=step),
+                                       d.quad_points)[1]
+    r = r_correction_batch(snaps[:, [0, -1]], m_ambient, d.energy)
+    qs = q_derivative_batch(snaps, m_ambient, d.energy,
+                            default_grid(d.energy.n_cut))
+    # the node spacing of trajectory_batch's linspace, bit for bit
+    rule, estimate = _quadrature_weights(d.quad_points,
+                                         -d.t / (d.quad_points - 1))
+    pieces = np.full((3,) + steps.shape, np.nan)   # delta_r, q_int, q_error
     # a sum along each contiguous row, unlike a matrix-vector product, does
     # not depend on the rows around it
-    return DensityPieces(log_g, r1 - r0, np.sum(qs * rule, axis=-1),
-                         np.abs(np.sum(qs * estimate, axis=-1)), steps)
+    pieces[:, ok] = (r[:, 1] - r[:, 0], np.sum(qs * rule, axis=-1),
+                     np.abs(np.sum(qs * estimate, axis=-1)))
+    return DensityPieces(log_g, *pieces, steps)
 
 
 def density_normal_form(u: FourierState, d: DensityParams) -> float:
@@ -437,8 +435,9 @@ class ChangeOfMeasureResult:
     the cutoff prefilter.  `counts` are totals over the samples: "samples";
     "kept_at_start", C(u) <= R; "bound_skipped" and "screen_skipped", not
     evolved; "screen_fallbacks", rows the screen could not decide;
-    "evolved", evolved at the step; "kept_at_end", C(Phi_N(t) u) <= R.
-    Without a cutoff every sample is kept and evolved."""
+    "evolved", evolved at the step; "kept_at_end", C(Phi_N(t) u) <= R;
+    "non_finite", samples whose lhs or rhs term is not finite.  Without a
+    cutoff every sample is kept and evolved."""
 
     comparisons: list   # one ObservableComparison per observable
     counts: dict
@@ -464,7 +463,8 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     exceeds R (the module docstring states the assumption).  Every other
     row is evolved at d.step, and the two terms of a skipped row are 0.0.
     The evolved rows keep their bits, since each row of a flow solve is
-    independent of the rows around it.
+    independent of the rows around it.  A row that overflows at d.step, or
+    whose log G is unresolved, makes its terms NaN, and so their means and z.
     """
     if d.energy.family != m.family:
         raise ValueError("density and measure must share one weight family")
@@ -490,8 +490,7 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
                 decided = err <= margin / 16.0
                 fallback[doubtful[~decided]] = True
                 live[doubtful[decided & (c_h > m.cutoff_r + margin)]] = False
-        fwd = require_finite(
-            evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow), d.t)
+        fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
         if m.cutoff_r is not None:
             ind_fwd = cutoff_indicator_batch(fwd, m)
         g = np.exp(_masked_log_density(coeffs, m.m_ambient, d, ind_u > 0))
@@ -502,18 +501,19 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         kept_at_end = np.zeros_like(live)
         kept_at_end[live] = ind_fwd > 0
         return vals, np.array([ind_u > 0, ~bound_kept, bound_kept & ~live,
-                               fallback, live, kept_at_end])
+                               fallback, live, kept_at_end,
+                               ~np.all(np.isfinite(vals), axis=(0, 1))])
 
     (lhs_vals, rhs_vals), flags = sample_map(body, rng, n, m)
     counts = {"samples": n, **{
         key: int(total) for key, total in zip(
             ("kept_at_start", "bound_skipped", "screen_skipped",
-             "screen_fallbacks", "evolved", "kept_at_end"),
+             "screen_fallbacks", "evolved", "kept_at_end", "non_finite"),
             np.sum(flags, axis=-1))}}
     out = []
     for j, spec in enumerate(obs):
         diff = mean_report(lhs_vals[j] - rhs_vals[j])
-        z = float(diff.estimate / diff.stderr) if diff.stderr > 0 else 0.0
+        z = float(diff.estimate / diff.stderr) if diff.stderr != 0 else 0.0
         out.append(ObservableComparison(spec, mean_report(lhs_vals[j]),
                                         mean_report(rhs_vals[j]), z))
     return ChangeOfMeasureResult(out, counts)
@@ -591,7 +591,7 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
     """L^p norms of the truncated densities G_N, N in n_list, under the
     restricted normalized ensemble, and the L^p distance from the
     ambient-truncation reference G_M; d gives t, the weight family and the
-    step, and each G_N re-truncates its energy."""
+    step; each G_N re-truncates its energy, NaN on an unresolved kept row."""
     if m.cutoff_r is None:
         raise MissingCutoff("lp_density_study requires the energy cutoff")
     if d.energy.family != m.family:
@@ -619,7 +619,5 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
             norm_g = float((np.mean(g**p_exp) / mass) ** (1.0 / p_exp))
             diff = float((np.mean(np.abs(g_ref - g) ** p_exp)
                           / mass) ** (1.0 / p_exp))
-            if not np.isfinite(norm_g):
-                raise NlsTransportError("density L^p norm not finite")
             rows.append(LpStudyRow(n_cut, p_exp, norm_g, diff))
     return rows

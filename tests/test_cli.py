@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -297,6 +298,60 @@ class TestCommands:
                   ).read_text().splitlines()[0]
         assert header == ("sample,log_g_direct,log_g_normal_form,abs_diff,"
                           "log_f_weighted")
+
+
+# sample 4 of seed 2024 at these settings (C = 51.8) is still unresolved
+# after every halving of the starting step 0.02, as in TestStepControl
+UNRESOLVED = ["--n-cut", "8", "--m-ambient", "8", "--t", "0.5",
+              "--step", "0.02", "--seed", "2024"]
+
+
+class TestUnresolvedRow:
+    """A sample the numerics cannot resolve is NaN in the outputs: the
+    run writes its CSV and manifest, prints FAIL and exits 1."""
+
+    @staticmethod
+    def failed_run(tmp_path, capsys, command, *args):
+        """(summary, CSV rows as lists of fields) of a run that FAILs."""
+        code = run([command, *UNRESOLVED, *args, "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {command}: ")
+        out = tmp_path / command
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["pass"] is False
+        with open(out / f"{command}.csv", newline="") as fh:
+            return doc["summary"], list(csv.reader(fh))[1:]
+
+    def test_density_check_writes_every_row(self, tmp_path, capsys):
+        summary, rows = self.failed_run(tmp_path, capsys, "density-check",
+                                        "--n-samples", "5",
+                                        "--quad-points", "51")
+        assert [r[0] for r in rows] == ["0", "1", "2", "3", "4"]
+        assert rows[4][1:] == ["nan"] * 4
+        assert all(np.isfinite(float(v)) for r in rows[:4] for v in r[1:])
+        assert summary["unresolved_rows"] == 1
+        assert summary["refined_rows"] == 4
+
+    def test_transport_mc_without_cutoff(self, tmp_path, capsys):
+        summary, rows = self.failed_run(tmp_path, capsys, "transport-mc",
+                                        "--n-samples", "5")
+        for r in rows:   # lhs finite; rhs, its stderr and z NaN
+            assert np.isfinite(float(r[1]))
+            assert r[3:] == ["nan"] * 3
+        assert summary["prefilter"]["non_finite"] == 1
+
+    def test_lp_density(self, tmp_path, capsys):
+        summary, rows = self.failed_run(tmp_path, capsys, "lp-density",
+                                        "--n-samples", "5", "--cutoff-r",
+                                        "60", "--n-list", "8")
+        assert [r[2] for r in rows] == ["nan", "nan"]
+        assert summary["finite"] is False
+
+    def test_convergence(self, tmp_path, capsys):
+        summary, rows = self.failed_run(tmp_path, capsys, "convergence",
+                                        "--n-list", "4,8")
+        assert [r[4] == "nan" for r in rows] == [False] * 4 + [True] * 2
+        assert summary["strictly_decreasing"] is False
 
 
 class TestReporting:

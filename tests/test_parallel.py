@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nls_transport.errors import StepUnresolved
+from nls_transport.errors import NonFiniteState
 from nls_transport.parallel import run_chunked, run_chunked_capped
 
 
@@ -83,14 +83,14 @@ def test_no_worker_outlives_a_call(monkeypatch):
 
 def test_package_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setenv("NLS_TRANSPORT_THREADS", "2")
-    message = "1 row(s) still above the log-density tolerance"
+    message = "non-finite coefficients at t=0.3"
 
     def body(lo, hi):
         if lo == 2:
-            raise StepUnresolved(message)
+            raise NonFiniteState(message)
         return lo
 
-    with pytest.raises(StepUnresolved) as caught:
+    with pytest.raises(NonFiniteState) as caught:
         run_chunked(body, 4, 1)
-    assert type(caught.value) is StepUnresolved
+    assert type(caught.value) is NonFiniteState
     assert str(caught.value) == message

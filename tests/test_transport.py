@@ -195,13 +195,15 @@ class TestStepControl:
         # at h would accept rows whose error is 20 to 100 times the
         # tolerance.  The ladder starts at the largest h/2^j with
         # 2h/2^j <= |t|, so moderate samples are accepted within the
-        # tolerance of a fine reference, and the largest stays unresolved
+        # tolerance of a fine reference, and the largest stays unresolved:
+        # NaN in log G and in its step
         d, fam = density_setup(n_cut=2, t=t, step=0.1)
         m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam)
         coeffs = sample_batch(nt.SeededRng(7), 20, m)
         c = conserved_c_batch(coeffs, 4)
-        with pytest.raises(nt.StepUnresolved):
-            log_density_direct_batch(coeffs[[np.argmax(c)]], 4, d)
+        largest, step = transport._controlled_direct(
+            coeffs[[np.argmax(c)]], 4, d)
+        assert np.isnan(largest[0]) and np.isnan(step[0])
         rows = c < 20.0
         got, steps = transport._controlled_direct(coeffs[rows], 4, d)
         assert np.all(steps <= d.t / 2)
@@ -265,19 +267,26 @@ class TestStepControl:
         with pytest.raises(ValueError, match="positive"):
             density_setup(step=0.0)
 
-    def test_unresolved_row_raises(self):
+    def test_unresolved_row_is_nan(self):
         # the largest starting step leaves a large-energy sample unresolved
-        # after every allowed halving
+        # after every allowed halving: it is NaN in every piece, and the
+        # other rows keep the bits they have in a batch without it
         coeffs, _ = self.two_formula_samples()
-        d, _ = density_setup(n_cut=8, t=0.5, step=0.02)
-        c = conserved_c_batch(coeffs, 8)
-        with pytest.raises(nt.StepUnresolved, match="1 row"):
-            log_density_direct_batch(coeffs[[int(np.argmax(c))]], 8, d)
-
+        d, _ = density_setup(n_cut=8, t=0.5, step=0.02, quad_points=51)
+        worst = int(np.argmax(conserved_c_batch(coeffs, 8)))
+        with_it = density_pieces(coeffs[[0, 1, worst, 2]], 8, d)
+        without = density_pieces(coeffs[[0, 1, 2]], 8, d)
+        for f in dataclasses.fields(DensityPieces):
+            got = getattr(with_it, f.name)
+            assert np.isnan(got[2]), f.name
+            assert np.array_equal(got[[0, 1, 3]], getattr(without, f.name)), \
+                f.name
+        assert np.all(np.isfinite(without.normal_form))
 
     def test_discarded_rows_never_integrated(self):
         # the cutoff discards the unresolvable sample above, so the studies
-        # compute log G without it; with no cutoff the same run raises
+        # compute log G without it; with no cutoff the same run carries its
+        # NaN into the rhs, its z and the non-finite count
         d, fam = density_setup(n_cut=8, t=0.5, step=0.02)
         const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
         cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=20.0)
@@ -288,9 +297,12 @@ class TestStepControl:
                                    n_list=[8])
         assert all(np.isfinite(r.norm_g) for r in rows)
         free = nt.MeasureParams(s=2.0, m_ambient=8, family=fam)
-        with pytest.raises(nt.StepUnresolved):
-            nt.change_of_measure_test(d, free, [const], 20,
-                                      nt.SeededRng(2024))
+        result = nt.change_of_measure_test(d, free, [const], 20,
+                                           nt.SeededRng(2024))
+        (res,) = result.comparisons
+        assert np.isnan(res.rhs.estimate) and np.isnan(res.z)
+        assert np.isfinite(res.lhs.estimate)
+        assert result.counts["non_finite"] >= 1
 
 
 class TestQuadratureRule:
@@ -762,9 +774,9 @@ class TestCutoffPrefilter:
         assert result.counts["screen_fallbacks"] == np.sum(faulty)
         assert result.comparisons == unscreened.comparisons
 
-    def test_overflow_at_the_step_raises(self, monkeypatch):
-        # the observables need every evolved row: a row the flow returns
-        # as NaN at d.step raises, where one at the coarse steps falls back
+    def test_overflow_at_the_step_is_nan(self, monkeypatch):
+        # a row the flow returns as NaN at d.step makes the lhs NaN and is
+        # counted, where one at the coarse steps falls back
         d, cut, *_ = self.screened_rows(0.25)
 
         def overflowing(rows, m_ambient, t, p):
@@ -773,10 +785,11 @@ class TestCutoffPrefilter:
                 out[0] = np.nan
             return out
 
-        with pytest.raises(nt.NonFiniteState,
-                           match="non-finite coefficients at t=0.25"):
-            self.evolve_calls(monkeypatch, d, cut, 300, 40,
-                              evolve=overflowing)
+        _, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                      evolve=overflowing)
+        (res,) = result.comparisons
+        assert np.isnan(res.lhs.estimate) and np.isfinite(res.rhs.estimate)
+        assert result.counts["non_finite"] == 1
 
     def test_evolve_rows_independent_of_batch(self):
         # the compacted batch gives each kept row the bits of the full one
