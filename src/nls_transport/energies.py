@@ -292,13 +292,6 @@ def q_components_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     return q0.reshape(lead), q1.reshape(lead), np.conj(q1).reshape(lead)
 
 
-def q_components(u: FourierState, p: EnergyParams, grid: GridSpec):
-    """The complex sums (q0, q1, q2) entering Q, before taking Im; see the
-    module docstring."""
-    q0, q1, q2 = q_components_batch(u.coeffs[None, :], u.m_ambient, p, grid)
-    return complex(q0[0]), complex(q1[0]), complex(q2[0])
-
-
 def q_derivative_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
                        grid: GridSpec) -> np.ndarray:
     q0, q1, q2 = q_components_batch(coeffs, m_ambient, p, grid)

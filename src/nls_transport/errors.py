@@ -25,9 +25,5 @@ class BoundViolated(NlsTransportError):
     """A monitored a-priori bound failed; signals integrator trouble."""
 
 
-class WeightOverflow(NlsTransportError):
-    """Importance weight exponent too large to exponentiate safely."""
-
-
 class ConfigInvalid(NlsTransportError):
     """Experiment configuration failed validation; message names the key."""

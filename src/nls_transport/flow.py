@@ -35,7 +35,7 @@ GROWTH_C_SIGMA = 1.0         # pinned constant in the a-priori growth bound
 @dataclass(frozen=True)
 class FlowParams:
     n_cut: int
-    step: float = 1e-3
+    step: float
 
     def __post_init__(self):
         if not self.step > 0:

@@ -1,5 +1,5 @@
-"""Sampling the Gaussian ensemble with covariance 1/m(k), cutoffs, weighted
-measure weights, and Monte Carlo estimators.
+"""Sampling the Gaussian ensemble with covariance 1/m(k), the cutoff
+indicator, and Monte Carlo estimators.
 
 Reproducibility contract: every variate is a pure function of
 (master_seed, stream_id, draw index).  A stream is the counter-based
@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergyParams, r_correction_batch
-from .errors import MissingCutoff, NlsTransportError, WeightOverflow
+from .errors import MissingCutoff
 from .parallel import run_chunked
-from .spectral import (FourierState, WeightFamily, bracket_multiplier,
-                       conserved_c_batch, wavenumbers)
+from .spectral import (WeightFamily, bracket_multiplier, conserved_c_batch,
+                       wavenumbers)
 
-LOG_WEIGHT_LIMIT = 700.0
 SAMPLE_CHUNK = 8192  # fixed chunk so reductions are split-independent
 _ROW_BLOCK = 256     # streams drawn together; 1024 added 3 MiB of peak RSS
 
@@ -249,64 +247,15 @@ def sample_map(f, rng: SeededRng, n: int, p: MeasureParams):
     return np.concatenate(parts, axis=-1)
 
 
-def sample_state(rng: SeededRng, p: MeasureParams) -> FourierState:
-    """One draw of the Gaussian ensemble: independent standard complex
-    Gaussians per mode, scaled by 1/sqrt(m(k))."""
-    return FourierState(p.m_ambient, sample_batch(rng, 1, p)[0])
-
-
 # ---------------------------------------------------------------------------
-# cutoff and weights
+# cutoff
 
 def cutoff_indicator_batch(coeffs: np.ndarray, p: MeasureParams) -> np.ndarray:
+    """1 per row iff the conserved energy C(u) <= R, ties included."""
     if p.cutoff_r is None:
         raise MissingCutoff("MeasureParams.cutoff_r is not set")
     c = conserved_c_batch(coeffs, p.m_ambient)
     return (c <= p.cutoff_r).astype(np.float64)
-
-
-def cutoff_indicator(u: FourierState, p: MeasureParams) -> int:
-    """1 iff the conserved energy C(u) <= R, ties included."""
-    return int(cutoff_indicator_batch(u.coeffs[None, :], p)[0])
-
-
-def log_wgm_weight_batch(coeffs: np.ndarray, p: MeasureParams,
-                         energy: EnergyParams):
-    """(indicator, log-weight) arrays; weight of the reweighted ensemble is
-    indicator * exp(-R)."""
-    if energy.family != p.family:
-        raise ValueError("energy and measure must share one weight family")
-    ind = cutoff_indicator_batch(coeffs, p)
-    log_w = -r_correction_batch(coeffs, p.m_ambient, energy)
-    live = ind > 0
-    if np.any(log_w[live] > LOG_WEIGHT_LIMIT):
-        raise WeightOverflow("log weight exceeds safe exponentiation range")
-    return ind, log_w
-
-
-def wgm_weight(u: FourierState, p: MeasureParams,
-               energy: EnergyParams) -> float:
-    """Unnormalized weight 1_{C(u) <= R} exp(-R_corr(u)) of the weighted
-    ensemble against the Gaussian one."""
-    ind, log_w = log_wgm_weight_batch(u.coeffs[None, :], p, energy)
-    return float(ind[0] * np.exp(log_w[0])) if ind[0] > 0 else 0.0
-
-
-def partition_estimate(p: MeasureParams, energy: EnergyParams,
-                       n_samples: int, rng: SeededRng) -> McReport:
-    """Monte Carlo normalizing constant of the weighted ensemble; strictly
-    positive and finite by construction of the weight."""
-    if n_samples < 1000:
-        raise ValueError("partition estimate needs n >= 1e3")
-
-    def weight(coeffs):
-        ind, log_w = log_wgm_weight_batch(coeffs, p, energy)
-        return ind * np.exp(np.where(ind > 0, log_w, 0.0))
-
-    report = mean_report(sample_map(weight, rng, n_samples, p))
-    if not np.isfinite(report.estimate) or report.estimate <= 0.0:
-        raise NlsTransportError("partition estimate must be positive finite")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Resonance function, symmetrized multiplier, constrained 6-tuple
-enumeration, and executable forms of the deterministic counting lemmas.
+"""The constrained 6-tuple table with its resonance function, and
+executable forms of the deterministic counting lemmas.
 
 A 6-tuple (k1..k6) is *constrained* when its alternating sum
 k1 - k2 + k3 - k4 + k5 - k6 vanishes; the resonance function
@@ -9,73 +9,21 @@ resonant (Omega = 0) and non-resonant parts.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import WeightFamily
-
 ALT_SIGNS = np.array([1, -1, 1, -1, 1, -1], dtype=np.int64)
-
-
-class Tuple6(NamedTuple):
-    k1: int
-    k2: int
-    k3: int
-    k4: int
-    k5: int
-    k6: int
-
-
-class TupleFilter(Enum):
-    ALL = "all"
-    NON_RESONANT = "non_resonant"
-    RESONANT = "resonant"
-
-
-def omega(t) -> int:
-    """Resonance function: alternating sum of squares, exact integer."""
-    k = [int(x) for x in t]
-    return (k[0] * k[0] - k[1] * k[1] + k[2] * k[2] - k[3] * k[3]
-            + k[4] * k[4] - k[5] * k[5])
-
-
-def psi(t, family: WeightFamily) -> float:
-    """Symmetrized multiplier sum_j (-1)^(j-1) m(k_j).
-
-    For the equivalent-norm family the six alternating constants cancel and
-    this is sum_j (-1)^(j-1) |k_j|^(2s); the bracket family gives the
-    analogous alternating bracket weight.
-    """
-    m = family.multiplier(np.asarray(t, dtype=np.int64))
-    return float(np.sum(ALT_SIGNS * m))
-
-
-def enumerate_constrained(
-        n_cut: int, filt: TupleFilter = TupleFilter.ALL) -> Iterator[Tuple6]:
-    """Yield constrained tuples with all |k_j| <= n_cut, lexicographic in
-    (k1..k5); k6 is solved from the constraint and range-checked.  Each k1
-    is one tuple_table_k1 slice, filtered by Omega.
-    """
-    if n_cut < 0:
-        raise ValueError("n_cut must be >= 0")
-    for k1 in range(-n_cut, n_cut + 1):
-        cols, om = tuple_table_k1(n_cut, k1, k1)
-        if filt is TupleFilter.NON_RESONANT:
-            cols = cols[om != 0]
-        elif filt is TupleFilter.RESONANT:
-            cols = cols[om == 0]
-        yield from (Tuple6(*row) for row in cols.tolist())
 
 
 @lru_cache(maxsize=8)
 def tuple_table(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized constrained-tuple table: (T, 6) wavenumbers and (T,) Omega.
 
-    Same tuples and order as enumerate_constrained(n_cut, ALL).  Cached for
-    small n_cut; larger sweeps should chunk via tuple_table_k1.
+    Every constrained tuple with all |k_j| <= n_cut, lexicographic in
+    (k1..k5); k6 is solved from the constraint and range-checked.  Cached
+    for small n_cut; larger sweeps should chunk via tuple_table_k1.
     """
     return tuple_table_k1(n_cut, -n_cut, n_cut)
 
@@ -168,6 +116,7 @@ def counting_check(blocks, signs, kappa: int) -> CountingResult:
 def psi_bound_ratios(n_cut: int, s_list) -> list[float]:
     """For each s of s_list, the max over constrained tuples (|k_j| <=
     n_cut, not all zero) of |psi_2s| / (|k_(1)|^(2s-2) (|Omega| + |k_(3)|^2)).
+    Here psi_2s = sum_j (-1)^(j-1) |k_j|^(2s), the symmetrized multiplier.
 
     Tuples with vanishing denominator are checked to have psi = 0 and
     skipped; the returned maxima are the empirical lemma constants.  Each

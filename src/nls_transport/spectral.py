@@ -20,7 +20,6 @@ derives both grids, and no caller chooses one:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,6 +187,7 @@ def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
 
 
 def conserved_c_batch(coeffs: np.ndarray, m_ambient: int) -> np.ndarray:
+    """Per row C(u) = mass/2 + H(u), with H = int |u_x|^2/2 + |u|^6/6."""
     ks = wavenumbers(m_ambient)
     mass_v = TWO_PI * np.sum(np.abs(coeffs) ** 2, axis=-1)
     grad_v = TWO_PI * np.sum(ks**2 * np.abs(coeffs) ** 2, axis=-1)
@@ -214,21 +214,7 @@ def truncated_energy_batch(coeffs: np.ndarray, m_ambient: int,
 
 
 # ---------------------------------------------------------------------------
-# single-state operations
-
-def project_low(u: FourierState, n_cut: int) -> FourierState:
-    """Dirichlet projector: keep |k| <= n_cut, zero the rest."""
-    if n_cut < 0:
-        raise ValueError("n_cut must be >= 0")
-    ks = u.wavenumbers()
-    c = np.where(np.abs(ks) <= n_cut, u.coeffs, 0.0)
-    return FourierState(u.m_ambient, c)
-
-
-def sobolev_norm_sq(u: FourierState, family: WeightFamily) -> float:
-    """sum_k m(k) |u_k|^2 for the family's multiplier."""
-    return float(np.sum(family.multiplier(u.wavenumbers()) * np.abs(u.coeffs) ** 2))
-
+# single-state norms and the quintic term
 
 def sobolev_norm_sq_sigma(u: FourierState, sigma: float) -> float:
     """sum_k <k>^(2 sigma) |u_k|^2, the generic sigma-norm."""
@@ -241,18 +227,6 @@ def mass(u: FourierState) -> float:
     return float(TWO_PI * np.sum(np.abs(u.coeffs) ** 2))
 
 
-def hamiltonian(u: FourierState) -> float:
-    """(1/2) int |u_x|^2 + (1/6) int |u|^6, by exact spectral quadrature:
-    C(u) less half the mass."""
-    return conserved_c(u) - 0.5 * mass(u)
-
-
-def conserved_c(u: FourierState) -> float:
-    """(1/2) ||u||_{L^2}^2 + H(u); conserved by the truncated flow.  The
-    same bits as conserved_c_batch, so a cutoff at R = C(u) keeps u."""
-    return float(conserved_c_batch(u.coeffs[None, :], u.m_ambient)[0])
-
-
 def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
     """Pi_N(|Pi_N u|^4 Pi_N u) on the quintic grid; exact convolution."""
     out = quintic_batch(u.coeffs[None, :], u.m_ambient, n_cut,
@@ -261,25 +235,10 @@ def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
 
 
 # ---------------------------------------------------------------------------
-# snapshot files
+# snapshot schema
 
 def state_to_dict(u: FourierState) -> dict:
     return {
         "m_ambient": u.m_ambient,
         "coeffs": [[float(c.real), float(c.imag)] for c in u.coeffs],
     }
-
-
-def state_from_dict(d: dict) -> FourierState:
-    c = np.array([complex(re, im) for re, im in d["coeffs"]], dtype=np.complex128)
-    return FourierState(int(d["m_ambient"]), c)
-
-
-def save_state(u: FourierState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(u), fh)
-
-
-def load_state(path) -> FourierState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))

@@ -331,6 +331,9 @@ class TestUnresolvedRow:
         assert all(np.isfinite(float(v)) for r in rows[:4] for v in r[1:])
         assert summary["unresolved_rows"] == 1
         assert summary["refined_rows"] == 4
+        # the summary maxima run over the resolved rows 0-3
+        assert summary["max_abs_diff"] == max(float(r[3]) for r in rows[:4])
+        assert np.isfinite(summary["max_quadrature_error"])
 
     def test_transport_mc_without_cutoff(self, tmp_path, capsys):
         summary, rows = self.failed_run(tmp_path, capsys, "transport-mc",

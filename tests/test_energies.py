@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import nls_transport as nt
 from nls_transport.energies import (EnergyParams, _fast_len,
+                                    low_norm_sq_batch, q_components_batch,
                                     q_derivative_batch, r_correction_batch)
 
 from conftest import random_coeffs
@@ -79,16 +80,21 @@ class TestModifiedEnergy:
         # up to one rounding of the final addition
         u = nt.FourierState(3, random_coeffs(rng, 3))
         p = params(2, fam_jb)
-        w = nt.project_low(u, 2)
-        norm_part = 0.5 * nt.sobolev_norm_sq(w, fam_jb)
+        norm_part = 0.5 * low_norm_sq_batch(u.coeffs[None, :], 3, p)[0]
         assert nt.e_modified(u, p) - norm_part == pytest.approx(
             nt.r_correction(u, p), rel=1e-12, abs=1e-14)
+
+
+def q_row(u, p, grid):
+    """(q0, q1, q2) of one state, as the row of q_components_batch."""
+    return tuple(complex(q[0]) for q in
+                 q_components_batch(u.coeffs[None, :], u.m_ambient, p, grid))
 
 
 class TestQComponents:
     def test_single_mode_zero(self, fam_eq):
         u = nt.FourierState.from_modes(3, {1: 1.2 - 0.1j})
-        q = nt.q_components(u, params(3, fam_eq), nt.default_grid(3))
+        q = q_row(u, params(3, fam_eq), nt.default_grid(3))
         assert q == (0, 0, 0)
 
     def test_low_pair_support_q_derivative_zero(self, fam_eq):
@@ -96,7 +102,7 @@ class TestQComponents:
         # are complex conjugates (the quintic slot reaches outside the
         # support, so they do not vanish individually), leaving Q = 0
         u = nt.FourierState.from_modes(2, {0: 0.5, 1: 0.9j})
-        q0, q1, q2 = nt.q_components(u, params(2, fam_eq), nt.default_grid(2))
+        q0, q1, q2 = q_row(u, params(2, fam_eq), nt.default_grid(2))
         assert q0 == 0.0
         assert q2 == pytest.approx(np.conj(q1), rel=1e-13)
         assert nt.q_derivative(u, params(2, fam_eq), nt.default_grid(2)) == \
@@ -105,7 +111,7 @@ class TestQComponents:
     def test_pinned_three_mode_value(self, fam_eq):
         # oracle: direct sums over {-1,0,1}^9 free indices
         u = nt.FourierState.from_modes(1, {-1: 1.0, 0: 1.0, 1: 1.0})
-        q0, q1, q2 = nt.q_components(u, params(1, fam_eq), nt.default_grid(1))
+        q0, q1, q2 = q_row(u, params(1, fam_eq), nt.default_grid(1))
         assert q0 == 0.0
         assert q1 == pytest.approx(2280.0, rel=1e-12)
         assert q2 == pytest.approx(2280.0, rel=1e-12)
@@ -113,7 +119,7 @@ class TestQComponents:
     def test_pinned_complex_value(self, fam_eq):
         u = nt.FourierState.from_modes(
             1, {-1: 0.4 - 0.3j, 0: 0.8 + 0.1j, 1: -0.2 + 0.6j})
-        q0, q1, q2 = nt.q_components(u, params(1, fam_eq), nt.default_grid(1))
+        q0, q1, q2 = q_row(u, params(1, fam_eq), nt.default_grid(1))
         assert q0 == 0.0
         assert q1 == pytest.approx(19.559083862500003 + 1.450605j, rel=1e-12)
         assert q2 == pytest.approx(19.559083862500003 - 1.450605j, rel=1e-12)
@@ -122,8 +128,7 @@ class TestQComponents:
     def test_matches_direct_sum_oracle(self, n_cut, m_amb, fam_jb, rng):
         u = nt.FourierState(m_amb, random_coeffs(rng, m_amb))
         e0, e1, e2 = q_oracle(u.coeffs, m_amb, n_cut, fam_jb)
-        g0, g1, g2 = nt.q_components(u, params(n_cut, fam_jb),
-                                     nt.default_grid(n_cut))
+        g0, g1, g2 = q_row(u, params(n_cut, fam_jb), nt.default_grid(n_cut))
         scale = max(1.0, abs(e1))
         assert abs(g0 - e0) <= 1e-12 * max(1.0, abs(e0))
         assert abs(g1 - e1) <= 1e-12 * scale
@@ -136,14 +141,14 @@ class TestQComponents:
     def test_matches_enumerated_reference_at_larger_cut(self, fam_jb, rng):
         u = nt.FourierState(8, random_coeffs(rng, 8))
         _, e0, e1, e2 = enumerated_sums(u.coeffs, 8, 8, fam_jb)
-        got = nt.q_components(u, params(8, fam_jb), nt.default_grid(8))
+        got = q_row(u, params(8, fam_jb), nt.default_grid(8))
         for g, e in zip(got, (e0, e1, e2)):
             assert abs(g - e) <= 1e-11 * abs(e)
 
     def test_grid_too_small(self, fam_jb):
         u = nt.FourierState.zero(4)
         with pytest.raises(nt.GridTooSmall):
-            nt.q_components(u, params(4, fam_jb), nt.GridSpec(16))
+            q_row(u, params(4, fam_jb), nt.GridSpec(16))
 
 
 class TestGridLength:

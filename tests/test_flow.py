@@ -5,8 +5,8 @@ import pytest
 
 import nls_transport as nt
 from nls_transport.flow import _steps, evolve_batch, trajectory_batch
-from nls_transport.spectral import (TWO_PI, grid_values, quintic_batch,
-                                    wavenumbers)
+from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
+                                    quintic_batch, wavenumbers)
 
 from conftest import mu_like_coeffs, random_coeffs
 from oracles import (ContractionRadiusExceeded, check_factorization,
@@ -315,7 +315,7 @@ class TestGrowthMonitor:
             vals = grid_values(c, 6, grid.n_points)
             return TWO_PI * np.mean(np.abs(vals) ** 6)
 
-        e_n = np.array([nt.conserved_c(s)
+        e_n = np.array([conserved_c_batch(s.coeffs[None, :], 6)[0]
                         - (l6(s.coeffs) - l6(np.where(low, s.coeffs, 0.0))) / 6
                         for s in traj.states])
         drift = np.max(np.abs(e_n - e_n[0])) / e_n[0]

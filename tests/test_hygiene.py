@@ -1,8 +1,10 @@
 """Source hygiene: every module of the package and of the tests uses each
-name it imports, every function of the package and of the test oracles
-reads each of its parameters, only `spectral` constructs a GridSpec,
-since it derives every collocation grid, the package raises every
-exception class it defines, and importing the CLI loads no scipy module.
+name it imports, every public name of the package is read by the package,
+the acceptance tests or perfbench, every function of the package and of
+the test oracles reads each of its parameters, only `spectral` constructs
+a GridSpec, since it derives every collocation grid, the package raises
+every exception class it defines, and importing the CLI loads no scipy
+module.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -18,6 +20,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "nls_transport"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +57,48 @@ def test_no_unused_imports_in_tests():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(TESTS.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: bare names, attribute names and string
+    constants (the perfbench tracer names the functions it patches)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unreached_names(init_source: str, sources) -> list[str]:
+    """Names that `init_source` imports and none of `sources` reads."""
+    public = {alias.asname or alias.name
+              for node in ast.walk(ast.parse(init_source))
+              if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    read = set().union(*(read_names(source) for source in sources))
+    return sorted(public - read)
+
+
+def test_detects_an_unreached_name():
+    init = "from .a import b, c, d, e\nfrom .f import g as h\n"
+    sources = ["x = b(1)\n", "import pkg\ny = pkg.c\n",
+               "patch('mod', 'd')\n"]
+    assert unreached_names(init, sources) == ["e", "h"]
+
+
+def test_every_public_name_is_reached():
+    # a public name that no module, acceptance test or perfbench file
+    # reads is kept alive by its own unit tests alone
+    paths = ([path for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"]
+             + [TESTS / "test_acceptance.py"]
+             + sorted(PERFBENCH.rglob("*.py")))
+    assert unreached_names((PACKAGE / "__init__.py").read_text(),
+                           [path.read_text() for path in paths]) == []
 
 
 def unused_parameters(source: str, exempt=frozenset()) -> list[str]:

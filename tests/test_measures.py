@@ -6,11 +6,12 @@ from numpy.random import Philox
 
 import nls_transport as nt
 from nls_transport.energies import EnergyParams
-from nls_transport.measures import (SAMPLE_CHUNK, lp_norm_mc, mean_report,
-                                    moment_growth_mc, ndtri, normals_from_raw,
-                                    philox_raw, sample_batch,
-                                    log_wgm_weight_batch)
-from nls_transport.spectral import bracket_multiplier, wavenumbers
+from nls_transport.measures import (SAMPLE_CHUNK, cutoff_indicator_batch,
+                                    lp_norm_mc, mean_report, moment_growth_mc,
+                                    ndtri, normals_from_raw, philox_raw,
+                                    sample_batch)
+from nls_transport.spectral import (bracket_multiplier, conserved_c_batch,
+                                    wavenumbers)
 
 from conftest import random_coeffs
 
@@ -73,14 +74,13 @@ class TestSeededRng:
         assert not np.array_equal(a, b)
 
     def test_thread_count_invariance(self, monkeypatch):
-        m = measure(cutoff=50.0)
-        energy = EnergyParams(n_cut=4, family=m.family)
+        # four chunks, reduced at one and at four workers
+        m = measure(m_ambient=4)
+        n = 3 * SAMPLE_CHUNK + 5
         monkeypatch.setenv("NLS_TRANSPORT_THREADS", "1")
-        a = nt.partition_estimate(m, energy, 2000, nt.SeededRng(5))
+        a = moment_growth_mc(m, 1.0, 4, n, nt.SeededRng(5))
         monkeypatch.setenv("NLS_TRANSPORT_THREADS", "4")
-        b = nt.partition_estimate(m, energy, 2000, nt.SeededRng(5))
-        assert a.estimate == b.estimate and a.stderr == b.stderr
-
+        assert moment_growth_mc(m, 1.0, 4, n, nt.SeededRng(5)) == a
 
     def test_chunks_join_in_sample_order(self, monkeypatch):
         # three chunks, the last of five samples
@@ -197,125 +197,38 @@ class TestSampleState:
             se = np.sqrt((np.var(a, axis=0) + np.var(b, axis=0)) / n)
             assert np.max(np.abs(diff) / np.maximum(se, 1e-30)) <= 4.0
 
-    def test_sample_state_single(self):
-        u = nt.sample_state(nt.SeededRng(1), measure(m_ambient=3))
-        assert isinstance(u, nt.FourierState) and u.m_ambient == 3
-
 
 class TestCutoff:
     def test_zero_state_inside(self):
         m = measure(cutoff=1.0)
-        assert nt.cutoff_indicator(nt.FourierState.zero(8), m) == 1
+        u = nt.FourierState.zero(8)
+        assert cutoff_indicator_batch(u.coeffs[None, :], m)[0] == 1
 
     def test_huge_state_outside(self):
         m = measure(cutoff=1.0)
         u = nt.FourierState.from_modes(8, {0: 50.0})
-        assert nt.cutoff_indicator(u, m) == 0
+        assert cutoff_indicator_batch(u.coeffs[None, :], m)[0] == 0
 
     def test_boundary_tie_included(self):
         m0 = measure(m_ambient=2)
         u = nt.FourierState.from_modes(2, {1: 0.7})
-        r_exact = nt.conserved_c(u)
+        r_exact = conserved_c_batch(u.coeffs[None, :], 2)[0]
         on_tie = nt.MeasureParams(s=m0.s, m_ambient=2, family=m0.family,
                                   cutoff_r=r_exact)
-        assert nt.cutoff_indicator(u, on_tie) == 1
+        assert cutoff_indicator_batch(u.coeffs[None, :], on_tie)[0] == 1
 
     def test_boundary_tie_included_random_states(self, rng):
         m0 = measure(m_ambient=3)
         for _ in range(200):
-            u = nt.FourierState(3, random_coeffs(rng, 3))
+            coeffs = random_coeffs(rng, 3)[None, :]
             on_tie = nt.MeasureParams(s=m0.s, m_ambient=3, family=m0.family,
-                                      cutoff_r=nt.conserved_c(u))
-            assert nt.cutoff_indicator(u, on_tie) == 1
+                                      cutoff_r=conserved_c_batch(coeffs, 3)[0])
+            assert cutoff_indicator_batch(coeffs, on_tie)[0] == 1
 
     def test_missing_cutoff(self):
         with pytest.raises(nt.MissingCutoff):
-            nt.cutoff_indicator(nt.FourierState.zero(2), measure(m_ambient=2))
-
-
-class TestWgmWeight:
-    def test_outside_cutoff_zero(self):
-        m = measure(cutoff=0.01, m_ambient=4)
-        u = nt.FourierState.from_modes(4, {0: 2.0})
-        energy = EnergyParams(n_cut=4, family=m.family)
-        assert nt.wgm_weight(u, m, energy) == 0.0
-
-    def test_single_mode_inside_is_one(self):
-        m = measure(cutoff=100.0, m_ambient=4)
-        u = nt.FourierState.from_modes(4, {2: 0.5})
-        energy = EnergyParams(n_cut=4, family=m.family)
-        assert nt.wgm_weight(u, m, energy) == 1.0
-
-    def test_log_weight_is_minus_r(self, rng):
-        m = measure(cutoff=1e6, m_ambient=3)
-        energy = EnergyParams(n_cut=3, family=m.family)
-        u = nt.sample_state(nt.SeededRng(3), m)
-        got = nt.wgm_weight(u, m, energy)
-        assert np.log(got) == pytest.approx(-nt.r_correction(u, energy),
-                                            rel=1e-12)
-
-    def test_family_mismatch(self):
-        m = measure(cutoff=1.0)
-        other = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
-        with pytest.raises(ValueError):
-            nt.wgm_weight(nt.FourierState.zero(8), m,
-                          EnergyParams(n_cut=4, family=other))
-
-    def test_overflow_guard(self):
-        m = measure(cutoff=1e30, m_ambient=2)
-        energy = EnergyParams(n_cut=2, family=m.family)
-        base = nt.sample_state(nt.SeededRng(8), measure(m_ambient=2))
-        r0 = nt.r_correction(base, energy)
-        scale = (800.0 / abs(r0)) ** (1.0 / 6.0)
-        sign = 1.0 if r0 < 0 else None
-        if sign is None:
-            # flip the sign of R by swapping a conjugate pair of modes
-            c = base.coeffs.copy()
-            c = np.conj(c[::-1])
-            flipped = nt.FourierState(2, c)
-            if nt.r_correction(flipped, energy) < 0:
-                base = flipped
-            else:
-                # scaling argument works on either sign; use exp(+|R|) route
-                pass
-        u = nt.FourierState(2, scale * base.coeffs)
-        if nt.r_correction(u, energy) < -700:
-            with pytest.raises(nt.WeightOverflow):
-                log_wgm_weight_batch(u.coeffs[None, :], m, energy)
-
-
-class TestPartition:
-    def test_weight_one_when_r_vanishes(self):
-        # truncation 0 keeps only the flat mode, where the correction is 0
-        m = measure(cutoff=1e12, m_ambient=4)
-        energy = EnergyParams(n_cut=0, family=m.family)
-        rep = nt.partition_estimate(m, energy, 2000, nt.SeededRng(21))
-        assert rep.estimate == pytest.approx(1.0, abs=0)
-        assert rep.stderr == 0.0
-
-    def test_tiny_cutoff_matches_frequency(self):
-        m = measure(cutoff=3.0, m_ambient=4)
-        energy = EnergyParams(n_cut=0, family=m.family)
-        rep = nt.partition_estimate(m, energy, 4000, nt.SeededRng(22))
-        block = sample_batch(nt.SeededRng(22), 4000, m)
-        from nls_transport.measures import cutoff_indicator_batch
-        freq = float(np.mean(cutoff_indicator_batch(block, m)))
-        assert 0 < rep.estimate < 1
-        assert rep.estimate == pytest.approx(freq, abs=0)
-
-    def test_stderr_scaling(self):
-        # modest cutoff keeps the weights bounded so the error scales cleanly
-        m = measure(cutoff=3.0, m_ambient=4)
-        energy = EnergyParams(n_cut=2, family=m.family)
-        small = nt.partition_estimate(m, energy, 2000, nt.SeededRng(23))
-        large = nt.partition_estimate(m, energy, 32000, nt.SeededRng(23))
-        assert large.stderr == pytest.approx(small.stderr / 4.0, rel=0.4)
-
-    def test_needs_enough_samples(self):
-        m = measure(cutoff=1.0)
-        with pytest.raises(ValueError):
-            nt.partition_estimate(m, EnergyParams(n_cut=0, family=m.family),
-                                  10, nt.SeededRng(1))
+            cutoff_indicator_batch(nt.FourierState.zero(2).coeffs[None, :],
+                                   measure(m_ambient=2))
 
 
 class TestMoments:
@@ -374,7 +287,6 @@ class TestLpNorm:
             energy = EnergyParams(n_cut=n_cut, family=m.family)
 
             def f(coeffs, m_amb, energy=energy):
-                from nls_transport.measures import cutoff_indicator_batch
                 from nls_transport.energies import r_correction_batch
                 ind = cutoff_indicator_batch(coeffs, m)
                 r = r_correction_batch(coeffs, m_amb, energy)

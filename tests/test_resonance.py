@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nls_transport as nt
 from nls_transport.resonance import (ALT_SIGNS, _count_vector, block_values,
@@ -9,70 +7,31 @@ from nls_transport.resonance import (ALT_SIGNS, _count_vector, block_values,
 
 from oracles import constrained_count_oracle, counting_oracle
 
-tuple6 = st.tuples(*[st.integers(-8, 8)] * 6)
-
-
-class TestOmegaPsi:
-    def test_omega_examples(self):
-        assert nt.omega((1, 1, 1, 1, 1, 1)) == 0
-        assert nt.omega((3, 2, 1, 0, 0, 2)) == 2
-        assert nt.omega((2, 0, 0, 0, 0, 2)) == 0
-
-    def test_psi_equals_omega_at_s_one(self):
-        # the s=1 alternating weight |k|^2 is the resonance function itself
-        for t in [(1, 0, -1, 0, 0, 0), (3, 2, 1, 0, 0, 2), (2, -1, 0, 1, 1, 1)]:
-            ks = np.asarray(t, dtype=float)
-            psi2 = float(np.sum(np.array([1, -1, 1, -1, 1, -1]) * np.abs(ks) ** 2))
-            assert psi2 == nt.omega(t)
-
-    def test_psi_examples(self):
-        fam = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
-        assert nt.psi((1, 1, 0, 0, 0, 0), fam) == 0.0
-        assert nt.psi((3, 2, 1, 0, 0, 2), fam) == pytest.approx(50.0, abs=0)
-
-    @given(tuple6)
-    @settings(max_examples=100, deadline=None)
-    def test_sign_symmetries(self, t):
-        fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-        neg = tuple(-k for k in t)
-        assert nt.omega(neg) == nt.omega(t)
-        assert nt.psi(neg, fam) == nt.psi(t, fam)
-        swapped = (t[1], t[0], t[3], t[2], t[5], t[4])
-        assert nt.omega(swapped) == -nt.omega(t)
-        assert nt.psi(swapped, fam) == pytest.approx(-nt.psi(t, fam), abs=1e-9)
-
 
 class TestEnumeration:
     def test_zero_cut(self):
-        tuples = list(nt.enumerate_constrained(0))
-        assert tuples == [nt.Tuple6(0, 0, 0, 0, 0, 0)]
-        assert nt.omega(tuples[0]) == 0
+        cols, om = tuple_table(0)
+        assert cols.tolist() == [[0, 0, 0, 0, 0, 0]] and om.tolist() == [0]
 
     def test_non_resonant_membership(self):
-        nr = set(nt.enumerate_constrained(1, nt.TupleFilter.NON_RESONANT))
-        assert nt.Tuple6(1, 0, -1, 0, 0, 0) in nr
+        cols, om = tuple_table(1)
+        assert [1, 0, -1, 0, 0, 0] in cols[om != 0].tolist()
 
     @pytest.mark.parametrize("n_cut", [0, 1, 2, 3])
     def test_counts_match_six_loop_oracle(self, n_cut):
-        got = sum(1 for _ in nt.enumerate_constrained(n_cut))
-        assert got == constrained_count_oracle(n_cut, "all")
-        got_nr = sum(1 for _ in nt.enumerate_constrained(
-            n_cut, nt.TupleFilter.NON_RESONANT))
-        assert got_nr == constrained_count_oracle(n_cut, "non_resonant")
-        got_r = sum(1 for _ in nt.enumerate_constrained(
-            n_cut, nt.TupleFilter.RESONANT))
-        assert got_r == constrained_count_oracle(n_cut, "resonant")
+        _, om = tuple_table(n_cut)
+        assert om.size == constrained_count_oracle(n_cut, "all")
+        assert np.sum(om != 0) == constrained_count_oracle(n_cut,
+                                                           "non_resonant")
+        assert np.sum(om == 0) == constrained_count_oracle(n_cut, "resonant")
 
-    def test_deterministic_order_and_split(self):
-        full = list(nt.enumerate_constrained(2))
-        assert full == list(nt.enumerate_constrained(2))
-
-    def test_table_matches_generator(self):
+    def test_omega_column(self):
+        # constrained rows, lexicographic in (k1..k5), each with its Omega
         cols, om = tuple_table(2)
-        gen = list(nt.enumerate_constrained(2))
-        assert cols.shape[0] == len(gen)
-        assert [tuple(r) for r in cols] == [tuple(t) for t in gen]
-        assert all(nt.omega(t) == o for t, o in zip(gen, om))
+        assert np.all(cols @ ALT_SIGNS == 0)
+        assert np.array_equal(np.lexsort(cols[:, 4::-1].T),
+                              np.arange(len(cols)))
+        assert np.array_equal(om, (ALT_SIGNS * cols**2).sum(axis=1))
 
 
 class TestCounting:

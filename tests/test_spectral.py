@@ -1,14 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nls_transport as nt
+from nls_transport.energies import EnergyParams, low_norm_sq_batch
 from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
                                     quintic_batch, sextic_integral_batch,
-                                    truncated_energy_batch, wavenumbers)
+                                    state_to_dict, truncated_energy_batch,
+                                    wavenumbers)
 
 from conftest import random_coeffs
 from oracles import quintic_oracle
@@ -43,74 +43,61 @@ class TestFourierState:
             u.coeffs[0] = 1.0
 
 
-class TestProjector:
-    def test_keeps_low_zeroes_high(self):
-        u = nt.FourierState.from_modes(8, {3: 1.0, 5: 1.0})
-        v = nt.project_low(u, 4)
-        assert v.coeff(3) == 1.0 and v.coeff(5) == 0.0
-        assert v.m_ambient == 8
-
-    def test_identity_beyond_ambient(self):
-        u = nt.FourierState.from_modes(3, {-2: 1j, 1: 0.5})
-        v = nt.project_low(u, 10)
-        assert np.array_equal(v.coeffs, u.coeffs)
-
-    def test_constant_kept_at_zero_cut(self):
-        u = nt.FourierState.from_modes(2, {0: 1.0})
-        assert nt.project_low(u, 0).coeff(0) == 1.0
-
-    @given(state_strategy(), st.integers(0, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent_and_self_adjoint(self, u, n_cut):
-        once = nt.project_low(u, n_cut)
-        twice = nt.project_low(once, n_cut)
-        assert np.array_equal(once.coeffs, twice.coeffs)
-        v = nt.FourierState(u.m_ambient, u.coeffs[::-1] + 0.25)
-        pv = nt.project_low(v, n_cut)
-        lhs = np.vdot(once.coeffs, v.coeffs)
-        rhs = np.vdot(u.coeffs, pv.coeffs)
-        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-
 class TestNorms:
+    """sum_k m(k) |u_k|^2 for the family's multiplier, as low_norm_sq_batch
+    forms it on the full band N = M."""
+
+    @staticmethod
+    def norm_sq(u, fam):
+        p = EnergyParams(n_cut=u.m_ambient, family=fam)
+        return low_norm_sq_batch(u.coeffs[None, :], u.m_ambient, p)[0]
+
     def test_equivalent_norm_example(self):
         u = nt.FourierState.from_modes(4, {3: 2.0})
         fam = nt.WeightFamily(nt.WeightKind.EQUIVALENT_NORM, 2.0)
-        assert nt.sobolev_norm_sq(u, fam) == pytest.approx(328.0, rel=1e-14)
+        assert self.norm_sq(u, fam) == pytest.approx(328.0, rel=1e-14)
 
     def test_japanese_bracket_example(self):
         u = nt.FourierState.from_modes(4, {3: 2.0})
         fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-        assert nt.sobolev_norm_sq(u, fam) == pytest.approx(400.0, rel=1e-14)
+        assert self.norm_sq(u, fam) == pytest.approx(400.0, rel=1e-14)
 
     def test_zero(self, fam_eq):
-        assert nt.sobolev_norm_sq(nt.FourierState.zero(3), fam_eq) == 0.0
+        assert self.norm_sq(nt.FourierState.zero(3), fam_eq) == 0.0
 
     @given(state_strategy())
     @settings(max_examples=50, deadline=None)
     def test_dominates_mass(self, u):
         fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-        assert nt.sobolev_norm_sq(u, fam) >= nt.mass(u) / (2 * np.pi) - 1e-12
+        assert self.norm_sq(u, fam) >= nt.mass(u) / (2 * np.pi) - 1e-12
 
 
 class TestInvariants:
+    """C = mass/2 + H, with H = (1/2) int |u_x|^2 + (1/6) int |u|^6."""
+
+    @staticmethod
+    def c_and_h(u):
+        conserved = conserved_c_batch(u.coeffs[None, :], u.m_ambient)[0]
+        return conserved, conserved - 0.5 * nt.mass(u)
+
     def test_zero_state(self):
         u = nt.FourierState.zero(2)
         assert nt.mass(u) == 0.0
-        assert nt.hamiltonian(u) == 0.0
-        assert nt.conserved_c(u) == 0.0
+        assert self.c_and_h(u) == (0.0, 0.0)
 
     def test_constant_state(self):
         c = 1.3
         u = nt.FourierState.from_modes(2, {0: c})
         assert nt.mass(u) == pytest.approx(2 * np.pi * c**2, rel=1e-14)
-        assert nt.hamiltonian(u) == pytest.approx(2 * np.pi / 6 * c**6, rel=1e-13)
-        assert nt.conserved_c(u) == pytest.approx(
-            np.pi * c**2 + np.pi / 3 * c**6, rel=1e-13)
+        got_c, got_h = self.c_and_h(u)
+        assert got_h == pytest.approx(2 * np.pi / 6 * c**6, rel=1e-13)
+        assert got_c == pytest.approx(np.pi * c**2 + np.pi / 3 * c**6,
+                                      rel=1e-13)
 
     def test_single_wave(self):
         u = nt.FourierState.from_modes(2, {1: 1.0})
-        assert nt.hamiltonian(u) == pytest.approx(np.pi + np.pi / 3, rel=1e-13)
+        assert self.c_and_h(u)[1] == pytest.approx(np.pi + np.pi / 3,
+                                                   rel=1e-13)
 
     def test_parseval(self, rng):
         m = 5
@@ -152,7 +139,7 @@ class TestTruncatedEnergy:
             return TWO_PI * np.mean(np.abs(grid_values(c, 6, n_points)) ** 6)
 
         low = np.where(np.abs(wavenumbers(6)) <= 2, u.coeffs, 0.0)
-        want = (nt.conserved_c(u)
+        want = (conserved_c_batch(u.coeffs[None, :], 6)[0]
                 - (l6(u.coeffs) - l6(low)) / 6.0)
         got = truncated_energy_batch(u.coeffs[None, :], 6, 2)[0]
         assert got == pytest.approx(want, rel=1e-14)
@@ -198,22 +185,7 @@ class TestQuintic:
 
 
 class TestSnapshotFile:
-    def test_round_trip_bit_exact(self, tmp_path, rng):
-        u = nt.FourierState(6, random_coeffs(rng, 6) * np.pi)
-        path = tmp_path / "state.json"
-        nt.save_state(u, path)
-        v = nt.load_state(path)
-        assert v.m_ambient == u.m_ambient
-        assert np.array_equal(v.coeffs, u.coeffs)
-        # the file itself is stable under rewrite
-        first = path.read_bytes()
-        nt.save_state(v, path)
-        assert path.read_bytes() == first
-
-    def test_schema(self, tmp_path):
+    def test_schema(self):
         u = nt.FourierState.from_modes(1, {0: 1 + 2j})
-        path = tmp_path / "state.json"
-        nt.save_state(u, path)
-        doc = json.loads(path.read_text())
-        assert doc["m_ambient"] == 1
-        assert doc["coeffs"] == [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]
+        assert state_to_dict(u) == {
+            "m_ambient": 1, "coeffs": [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]}
