@@ -28,7 +28,7 @@ from .reporting import save_trajectory, write_csv, write_manifest
 from .resonance import counting_checks, psi_bound_ratios, strichartz_sum
 from .spectral import (FourierState, WeightFamily, WeightKind, mass,
                        sobolev_norm_sq_sigma, wavenumbers)
-from .transport import (GAUSS_FORM_FACTOR, DensityParams, StudyKind,
+from .transport import (GAUSS_FORM_FACTOR, DensityParams,
                         change_of_measure_test, convergence_study,
                         default_observable_battery, density_pieces,
                         lp_density_study)
@@ -217,10 +217,10 @@ def run_transport_mc(cfg, outdir):
 
 def run_convergence(cfg, outdir):
     rows, passed = [], True
-    for kind in (StudyKind.R, StudyKind.Q, StudyKind.G):
-        study = convergence_study(kind, _family(cfg), cfg["t"], 8,
-                                  cfg["n_list"], cfg["m_ambient"],
-                                  SeededRng(cfg["seed"]), cfg["step"])
+    studies = convergence_study(_family(cfg), cfg["t"], 8, cfg["n_list"],
+                                cfg["m_ambient"], SeededRng(cfg["seed"]),
+                                cfg["step"])
+    for study in studies.values():   # R, Q, then G
         sups = [r.sup_diff for r in study]   # rows come in increasing n_cut
         passed &= (all(np.isfinite(sups))
                    and all(b < a for a, b in zip(sups, sups[1:])))

@@ -46,7 +46,10 @@ all its nodes with one np.sum, so each R, q0 and q1 adds the same terms in
 the same order whatever the tile.
 `parallel.run_chunked_capped` hands the row tiles to at most
 _TILES_IN_FLIGHT = 4 worker processes, and each tile returns the sums of
-its rows.  Tiles depend only on N, so a row's value depends neither on its
+its rows.  A call with no more tiles than that runs them inline: forking a
+pool costs 10 to 40 ms, more than a few tiles take (R on the 4 endpoint
+rows of `density-check` took 28-40 ms on a pool of two and 3-4 ms
+inline, scripts/time_rq_kernel.py).  Tiles depend only on N, so a row's value depends neither on its
 batch nor on the worker count.
 
 Memory: a process's buffers take 5 x 16 + 3 x 8 bytes per cell, 3.25 MiB,
@@ -241,8 +244,10 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
         return np.stack(sums)
 
     # an empty block has no tiles, and its one empty tile gives the rows
+    inline = wb.shape[0] <= _TILES_IN_FLIGHT * tile_r
     table = np.concatenate(run_chunked_capped(
-        tile, wb.shape[0], tile_r, _TILES_IN_FLIGHT) or [tile(0, 0)], axis=1)
+        tile, wb.shape[0], tile_r, 1 if inline else _TILES_IN_FLIGHT)
+        or [tile(0, 0)], axis=1)
     buffers.clear()   # the per-row arithmetic below may reuse that memory
     big, big_m, r_sum, g_sum = table[:4]
 

@@ -15,6 +15,19 @@ Liouville checks differentiate this same map.  Rows are solved
 independently: `evolve_batch` returns a row that overflows as NaN and the
 others with their bits, and `evolve` and `trajectory_batch` raise
 NonFiniteState instead.
+
+On the few rows of a `convergence` solve a stage costs numpy call overhead,
+not arithmetic, so no stage allocates.  Each solve (one `_flow_at` call,
+all the intervals of a trajectory) allocates its work buffers once: the
+stage arrays, the zero-padded grid array, whose gap is never written, the
+value grid and the modulus scratch.  They hold one block of at most
+_ROW_BLOCK rows, which are solved together and keep the buffers near the
+cache; rows are independent, so a row's bits do not depend on its block.
+The phases e^{-i k^2 tau} and -i e^{i k^2 tau} of the stage times of
+_PHASE_BLOCK steps come from one np.exp call (the phase table), with tau
+accumulated as the per-stage loop accumulated it.  The bits are those of
+that loop, which allocated every stage and computed two twists in each
+(tests/oracles.py keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -66,6 +79,8 @@ class Trajectory:
 
 
 _FOLD = 1e-9   # a remainder within _FOLD * h of a whole number of steps
+_PHASE_BLOCK = 256   # steps whose stage phases one np.exp call computes
+_ROW_BLOCK = 512     # rows solved together, so that the buffers stay small
 
 
 def _steps(t: float, h: float):
@@ -87,43 +102,141 @@ def _steps(t: float, h: float):
     return out
 
 
-def _rk4(f, y: np.ndarray, t_start: float, t: float, h: float) -> np.ndarray:
-    """Classical RK4 for dy/dtau = f(tau, y) from t_start over t, in the
-    steps of _steps(t, h); the one RK4 loop of the package."""
+def _rk4(field, y: np.ndarray, t_start: float, t: float,
+         h: float) -> np.ndarray:
+    """Classical RK4 for dw/dtau = field(tau, w) from t_start over t, in the
+    steps of _steps(t, h); the one RK4 loop of the package.  y is advanced
+    in place and returned.  The stage times of each block of _PHASE_BLOCK
+    steps are accumulated as tau, tau + dt/2, tau + dt, then tau += dt, and
+    their phases come from one `field.phases` call; stages 2 and 3 share
+    the middle one.  The stages go into the stage arrays of `field.bind`
+    with out=, in the operation order of y + (dt/2) s1, y + (dt/2) s2,
+    y + dt s3 and y + (dt/6)(s1 + 2 s2 + 2 s3 + s4), so no stage
+    allocates."""
+    steps = _steps(t, h)
+    stage, (s1, s2, s3, s4, arg) = field.bind(y.shape[0])
     tau = t_start
-    for dt in _steps(t, h):
-        s1 = f(tau, y)
-        s2 = f(tau + dt / 2, y + (dt / 2) * s1)
-        s3 = f(tau + dt / 2, y + (dt / 2) * s2)
-        s4 = f(tau + dt, y + dt * s3)
-        y = y + (dt / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-        tau += dt
+    for lo in range(0, len(steps), _PHASE_BLOCK):
+        block = steps[lo:lo + _PHASE_BLOCK]
+        taus = np.empty((len(block), 3))
+        for i, dt in enumerate(block):
+            taus[i] = tau, tau + dt / 2, tau + dt
+            tau += dt
+        for (tw0, tw1, tw2), (un0, un1, un2), dt in zip(*field.phases(taus),
+                                                        block):
+            stage(tw0, un0, y, s1)
+            np.multiply(dt / 2, s1, out=arg)
+            np.add(y, arg, out=arg)
+            stage(tw1, un1, arg, s2)
+            np.multiply(dt / 2, s2, out=arg)
+            np.add(y, arg, out=arg)
+            stage(tw1, un1, arg, s3)
+            np.multiply(dt, s3, out=arg)
+            np.add(y, arg, out=arg)
+            stage(tw2, un2, arg, s4)
+            np.multiply(2, s2, out=s2)
+            np.add(s1, s2, out=s1)
+            np.multiply(2, s3, out=s3)
+            np.add(s1, s3, out=s1)
+            np.add(s1, s4, out=s1)
+            np.multiply(dt / 6, s1, out=s1)
+            np.add(y, s1, out=y)
     return y
 
 
-def _twisted(k2: np.ndarray, product):
-    """The field -i e^{i k^2 tau} product(e^{-i k^2 tau} w) of the twisted
-    variable w = e^{i k^2 tau} u."""
-    def f(tau, w):
-        tw = np.exp(-1j * k2 * tau)
-        return -1j * np.conj(tw) * product(tw * w)
-    return f
+class _Twisted:
+    """The field -i e^{i k^2 tau} product(e^{-i k^2 tau}, w) of the twisted
+    variable w = e^{i k^2 tau} u, where product(phase, w) is the quintic
+    product of u = phase * w, and bind_product(r) makes that product for
+    r rows.  It holds the stage arrays of `_rk4` for up to `rows` rows."""
+
+    def __init__(self, k2: np.ndarray, bind_product, rows: int):
+        self._ik2 = -1j * k2
+        self._bind_product = bind_product
+        self._stages = np.empty((5, rows, k2.size), dtype=np.complex128)
+
+    def phases(self, taus: np.ndarray):
+        """e^{-i k^2 tau} and -i e^{i k^2 tau} at each of the stage times,
+        from one np.exp call."""
+        twist = np.exp(self._ik2 * taus[..., None])
+        return twist, -1j * np.conj(twist)
+
+    def bind(self, rows: int):
+        """stage(twist, untwist, w, out), which writes the field at the
+        stage time of those phases into out, and the five stage arrays
+        of `rows` rows."""
+        product = self._bind_product(rows)
+
+        def stage(twist, untwist, w, out):
+            np.multiply(untwist, product(twist, w), out=out)
+
+        return stage, self._stages[:, :rows]
+
+
+def _quintic_product(n_cut: int, n_points: int, rows: int):
+    """bind(r): product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on r <=
+    `rows` rows of band coefficients k = -N..N, with the bits of
+    spectral.quintic_band.  u is formed as one contiguous (r, 2N+1)
+    product and its halves copied into the band slots of a zero-padded
+    grid array, whose gap is never written; the inverse transform goes
+    into a value grid, which the modulus scratch multiplies by |u|^4 and
+    the forward transform overwrites; the result is gathered into the
+    band array, which the next call overwrites.  bind makes the views of
+    these buffers once, so a stage slices nothing."""
+    n_band = 2 * n_cut + 1
+    band = np.empty((rows, n_band), dtype=np.complex128)
+    padded = np.zeros((rows, n_points), dtype=np.complex128)
+    vals = np.empty_like(padded)
+    mod = np.empty((2, rows, n_points))
+
+    def bind(r):
+        b, p, v, m, sq = band[:r], padded[:r], vals[:r], mod[0, :r], mod[1, :r]
+        b_hi, b_lo = b[:, n_cut:], b[:, :n_cut]
+        p_hi, p_lo = p[:, :n_cut + 1], p[:, n_points - n_cut:]
+        v_hi, v_lo = v[:, :n_cut + 1], v[:, n_points - n_cut:]
+        re, im = v.real, v.imag
+
+        def product(phase, w):
+            np.multiply(phase, w, out=b)
+            np.copyto(p_hi, b_hi)
+            np.copyto(p_lo, b_lo)
+            np.fft.ifft(p, axis=-1, norm="forward", out=v)
+            np.square(re, out=m)
+            np.square(im, out=sq)
+            np.add(m, sq, out=m)
+            np.multiply(m, m, out=m)
+            np.multiply(v, m, out=v)
+            np.fft.fft(v, axis=-1, norm="forward", out=v)
+            np.copyto(b_hi, v_hi)
+            np.copyto(b_lo, v_lo)
+            return b
+
+        return product
+
+    return bind
 
 
 def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     """Yield the flow of a (batch, 2M+1) block at each of the monotone
-    times in turn.  A row that went non-finite is NaN in every coefficient,
-    with no warning; the other rows keep their bits."""
+    times in turn.  The rows are solved in blocks of at most _ROW_BLOCK,
+    one after the other, in work buffers allocated once for the whole
+    call.  A row that went non-finite is NaN in every coefficient, with no
+    warning; the other rows keep their bits."""
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
     k2 = ks.astype(np.float64) ** 2
-    n_points = default_grid(p.n_cut).n_points
-    field = _twisted(k2[low], lambda u: quintic_band(u, n_points))
-    wb, t_prev = coeffs[..., low], 0.0
+    wb = np.ascontiguousarray(coeffs[..., low])
+    rows = wb.reshape(-1, wb.shape[-1])   # a view, which _rk4 advances
+    block = min(rows.shape[0], _ROW_BLOCK)
+    field = _Twisted(k2[low], _quintic_product(
+        p.n_cut, default_grid(p.n_cut).n_points, block), block)
+    t_prev = 0.0
     for t in times:
         with np.errstate(over="ignore", invalid="ignore"):
             if t != t_prev:
-                wb = _rk4(field, wb, t_prev, t - t_prev, p.step)
+                for lo in range(0, rows.shape[0], _ROW_BLOCK):
+                    _rk4(field, rows[lo:lo + _ROW_BLOCK], t_prev, t - t_prev,
+                         p.step)
             out = np.exp(-1j * k2 * t) * coeffs
             out[..., low] = np.exp(-1j * k2[low] * t) * wb
         out[~np.all(np.isfinite(out.view(np.float64)), axis=-1)] = np.nan
@@ -227,12 +340,22 @@ def jacobian_det(u0: FourierState, t: float, p: FlowParams) -> float:
     _require_pure(u0, p)
     dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
 
-    def product(u):
-        return np.vstack([quintic_band(u[:1], n_points),
-                          _tangent_apply(u[0], u[1:], n_points)])
+    def bind_product(rows):
+        """The quintic product of the state (row 0) and its derivative
+        along each tangent (the other rows), into one array."""
+        out = np.empty((rows, dim), dtype=np.complex128)
 
-    field = _twisted(wavenumbers(u0.m_ambient).astype(np.float64) ** 2, product)
+        def product(phase, w):
+            u = phase * w
+            out[:1] = quintic_band(u[:1], n_points)
+            out[1:] = _tangent_apply(u[0], u[1:], n_points)
+            return out
+
+        return product
+
     y0 = np.vstack([u0.coeffs, np.eye(dim), 1j * np.eye(dim)])
+    field = _Twisted(wavenumbers(u0.m_ambient).astype(np.float64) ** 2,
+                     bind_product, y0.shape[0])
     tangents = _rk4(field, y0, 0.0, t, p.step)[1:]
     if not np.all(np.isfinite(tangents.view(np.float64))):
         raise NonFiniteState("variational matrix became non-finite")

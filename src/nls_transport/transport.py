@@ -73,7 +73,7 @@ from .flow import FlowParams, evolve_batch, trajectory_batch
 from .measures import (McReport, MeasureParams, SeededRng,
                        cutoff_indicator_batch, mean_report, sample_batch,
                        sample_map)
-from .parallel import run_chunked
+from .parallel import run_chunked, start_chunked
 from .spectral import (FourierState, WeightFamily, bracket_multiplier,
                        conserved_c_batch, default_grid, sextic_integral_batch,
                        truncated_energy_batch, wavenumbers)
@@ -535,47 +535,49 @@ class StudyRow:
     sup_diff: float
 
 
-def convergence_study(kind: StudyKind, family: WeightFamily, t: float,
-                      n_states: int, n_list, m_ambient: int, rng: SeededRng,
-                      step: float) -> list[StudyRow]:
+def convergence_study(family: WeightFamily, t: float, n_states: int, n_list,
+                      m_ambient: int, rng: SeededRng,
+                      step: float) -> dict[StudyKind, list[StudyRow]]:
     """sup over a fixed sample set of |X_M - X_N| for X in {R, Q, log G},
     N running through n_list with reference at the ambient truncation M,
-    as rows in increasing N.  The states are drawn from the Gaussian
-    measure of `family` (s = family.s); log G starts its ladder at `step`.
+    as rows in increasing N for each kind.  The states are drawn once from
+    the Gaussian measure of `family` (s = family.s); log G starts its
+    ladder at `step`.
 
     The finite sample ensemble with a pinned seed stands in for a compact
     set; callers check that the sup decreases strictly in N.
 
-    log G is computed one truncation per chunk of `run_chunked`, the
-    largest N first, as its solve costs the most.  R and Q are computed one
-    truncation after the other, since their kernels hand out tiles of
-    their own.
+    log G costs the most, so its truncations are started first, one per
+    chunk of `start_chunked`, the largest N first.  R and Q are computed in
+    the calling process while those chunks run; their kernels then run
+    their tiles inline, as any chunked call does while a pool is pending.
     """
     if max(n_list) > m_ambient:
         raise ValueError("n_list entries must not exceed m_ambient")
     meas = MeasureParams(s=family.s, m_ambient=m_ambient, family=family)
     coeffs = sample_batch(rng, n_states, meas)
-
-    def values_at(n_cut: int) -> np.ndarray:
-        energy = EnergyParams(n_cut=n_cut, family=family)
-        if kind is StudyKind.R:
-            return r_correction_batch(coeffs, m_ambient, energy)
-        if kind is StudyKind.Q:
-            return q_derivative_batch(coeffs, m_ambient, energy,
-                                      default_grid(n_cut))
-        d = DensityParams(t=t, energy=energy, step=step)
-        return log_density_direct_batch(coeffs, m_ambient, d)
-
     cuts = [m_ambient] + sorted(n_list, reverse=True)
-    if kind is StudyKind.G:
-        ref, *values = [v for chunk in run_chunked(
-            lambda lo, hi: [values_at(n_cut) for n_cut in cuts[lo:hi]],
-            len(cuts), 1) for v in chunk]
-    else:
-        ref, *values = [values_at(n_cut) for n_cut in cuts]
-    rows = [StudyRow(kind.value, n_cut, float(np.max(np.abs(ref - v))))
-            for n_cut, v in zip(cuts[1:], values)]
-    return rows[::-1]
+
+    def energy(n_cut: int) -> EnergyParams:
+        return EnergyParams(n_cut=n_cut, family=family)
+
+    def log_g(lo, hi):
+        return [log_density_direct_batch(
+            coeffs, m_ambient, DensityParams(t=t, energy=energy(n_cut),
+                                             step=step))
+                for n_cut in cuts[lo:hi]]
+
+    with start_chunked(log_g, len(cuts), 1) as collect:
+        values = {
+            StudyKind.R: [r_correction_batch(coeffs, m_ambient, energy(n_cut))
+                          for n_cut in cuts],
+            StudyKind.Q: [q_derivative_batch(coeffs, m_ambient, energy(n_cut),
+                                             default_grid(n_cut))
+                          for n_cut in cuts]}
+        values[StudyKind.G] = [v for chunk in collect() for v in chunk]
+    return {kind: [StudyRow(kind.value, n_cut, float(np.max(np.abs(ref - v))))
+                   for n_cut, v in zip(cuts[1:], rest)][::-1]
+            for kind, (ref, *rest) in values.items()}
 
 
 @dataclass(frozen=True)

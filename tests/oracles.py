@@ -8,7 +8,10 @@ and `spectral.sobolev_norm_sq_sigma` with the package, and raises its own
 ContractionRadiusExceeded outside its local window; `check_factorization`
 recombines two production flows.  `holder_c_lower_bound` is the cutoff
 prefilter's first bound, the reference its sharper successor must not fall
-below.
+below.  The per-stage RK4 (`flow_per_stage`, `jacobian_det_per_stage`) is
+the flow as it was before its work buffers and phase table: each stage
+allocates its arrays and computes its own twist; the production flow must
+equal it bit for bit.
 """
 
 import itertools
@@ -16,9 +19,10 @@ import itertools
 import numpy as np
 
 from nls_transport.errors import NlsTransportError
-from nls_transport.flow import evolve
+from nls_transport.flow import _steps, _tangent_apply, evolve
 from nls_transport.spectral import (FourierState, default_grid,
-                                    quintic_batch, sextic_integral_batch,
+                                    modulus_sq, quintic_batch,
+                                    sextic_integral_batch,
                                     sobolev_norm_sq_sigma,
                                     truncated_energy_batch, wavenumbers)
 
@@ -284,3 +288,78 @@ def holder_c_lower_bound(coeffs, m_ambient, n_cut, t):
     b6 = sextic_integral_batch(np.where(high, phases, 0.0) * coeffs,
                                m_ambient)
     return e_n - a6 ** (5.0 / 6.0) * b6 ** (1.0 / 6.0) - 1e-3 * e_n
+
+
+# ---------------------------------------------------------------------------
+# the per-stage RK4 of the flow
+
+def rk4_per_stage(f, y, t_start, t, h):
+    """Classical RK4 in the steps of flow._steps, fresh arrays per stage."""
+    tau = t_start
+    for dt in _steps(t, h):
+        s1 = f(tau, y)
+        s2 = f(tau + dt / 2, y + (dt / 2) * s1)
+        s3 = f(tau + dt / 2, y + (dt / 2) * s2)
+        s4 = f(tau + dt, y + dt * s3)
+        y = y + (dt / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+        tau += dt
+    return y
+
+
+def twisted_per_stage(k2, product):
+    """-i e^{i k^2 tau} product(e^{-i k^2 tau} w), its twist computed per
+    stage."""
+    def f(tau, w):
+        tw = np.exp(-1j * k2 * tau)
+        return -1j * np.conj(tw) * product(tw * w)
+    return f
+
+
+def quintic_band_per_stage(band, n_points):
+    """Pi_N(|u|^4 u) of (..., 2N+1) band coefficients on a fresh grid."""
+    idx = wavenumbers(band.shape[-1] // 2) % n_points
+    vals = np.zeros(band.shape[:-1] + (n_points,), dtype=np.complex128)
+    vals[..., idx] = band
+    np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
+    mod4 = modulus_sq(vals)
+    mod4 *= mod4
+    vals *= mod4
+    return np.fft.fft(vals, axis=-1, norm="forward", out=vals)[..., idx]
+
+
+def flow_per_stage(coeffs, m_ambient, times, p):
+    """The flow of a (batch, 2M+1) block at each of the monotone times, a
+    row that went non-finite as NaN, as flow.evolve_batch and
+    flow.trajectory_batch compute it."""
+    ks = wavenumbers(m_ambient)
+    low = np.abs(ks) <= p.n_cut
+    k2 = ks.astype(np.float64) ** 2
+    n_points = default_grid(p.n_cut).n_points
+    field = twisted_per_stage(k2[low],
+                              lambda u: quintic_band_per_stage(u, n_points))
+    wb, t_prev, outs = coeffs[..., low], 0.0, []
+    for t in times:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t != t_prev:
+                wb = rk4_per_stage(field, wb, t_prev, t - t_prev, p.step)
+            out = np.exp(-1j * k2 * t) * coeffs
+            out[..., low] = np.exp(-1j * k2[low] * t) * wb
+        out[~np.all(np.isfinite(out.view(np.float64)), axis=-1)] = np.nan
+        outs.append(out)
+        t_prev = t
+    return outs
+
+
+def jacobian_det_per_stage(u0, t, p):
+    """flow.jacobian_det on the per-stage RK4."""
+    dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
+
+    def product(u):
+        return np.vstack([quintic_band_per_stage(u[:1], n_points),
+                          _tangent_apply(u[0], u[1:], n_points)])
+
+    field = twisted_per_stage(
+        wavenumbers(u0.m_ambient).astype(np.float64) ** 2, product)
+    y0 = np.vstack([u0.coeffs, np.eye(dim), 1j * np.eye(dim)])
+    tangents = rk4_per_stage(field, y0, 0.0, t, p.step)[1:]
+    return float(np.linalg.det(np.hstack([tangents.real, tangents.imag])))

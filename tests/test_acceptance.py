@@ -206,9 +206,10 @@ def test_08_convergence_in_truncation():
     t0 = time.time()
     details = []
     passed = True
+    studies = convergence_study(JB, 0.3, 8, [4, 8, 16], 32,
+                                nt.SeededRng(pinned.CONVERGENCE_SEED), 1e-3)
     for kind in (StudyKind.R, StudyKind.Q, StudyKind.G):
-        rows = convergence_study(kind, JB, 0.3, 8, [4, 8, 16], 32,
-                                 nt.SeededRng(pinned.CONVERGENCE_SEED), 1e-3)
+        rows = studies[kind]
         sups = [r.sup_diff for r in rows]
         dec = all(b < a for a, b in zip(sups, sups[1:]))
         pin = np.allclose(sups, pinned.CONVERGENCE_SUP[kind.value],

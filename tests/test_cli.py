@@ -275,9 +275,10 @@ class TestCommands:
         calls = []
         study = cli.convergence_study
 
-        def counting(kind, *args, **kwargs):
-            calls.append(kind)
-            return study(kind, *args, **kwargs)
+        def counting(*args, **kwargs):
+            result = study(*args, **kwargs)
+            calls.append(list(result))
+            return result
 
         monkeypatch.setattr(cli, "convergence_study", counting)
         # equal truncations give equal sups, so the decrease check fails
@@ -288,7 +289,7 @@ class TestCommands:
         rows = (tmp_path / "convergence" / "convergence.csv").read_text()
         body = [r.split(",")[:2] for r in rows.strip().splitlines()[1:]]
         assert body == [[kind, "2"] for kind in "RRQQGG"]
-        assert calls == [StudyKind.R, StudyKind.Q, StudyKind.G]
+        assert calls == [[StudyKind.R, StudyKind.Q, StudyKind.G]]
 
     def test_csv_schema(self, tmp_path):
         run(["density-check", "--n-samples", "1", "--n-cut", "2",

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import nls_transport as nt
-from nls_transport.flow import _steps, evolve_batch, trajectory_batch
+from nls_transport.flow import (_ROW_BLOCK, _steps, evolve_batch,
+                                jacobian_det, trajectory_batch)
+from nls_transport.measures import MeasureParams, SeededRng, sample_batch
 from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
                                     quintic_batch, wavenumbers)
 
 from conftest import mu_like_coeffs, random_coeffs
 from oracles import (ContractionRadiusExceeded, check_factorization,
-                     picard_iterates, picard_local_time, picard_solve)
+                     flow_per_stage, jacobian_det_per_stage, picard_iterates,
+                     picard_local_time, picard_solve)
 
 
 def plane_wave(m_ambient, k, c):
@@ -354,3 +357,61 @@ class TestApproximationProperty:
             diff = nt.FourierState(64, got.coeffs - ref.coeffs)
             gaps.append(np.sqrt(nt.sobolev_norm_sq_sigma(diff, 1.0)))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def same_bits(a, b) -> bool:
+    return (np.array_equal(a.real, b.real, equal_nan=True)
+            and np.array_equal(a.imag, b.imag, equal_nan=True))
+
+
+def gaussian_rows(rows, m_ambient, seed=7):
+    fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
+    return sample_batch(SeededRng(seed), rows, MeasureParams(
+        s=2.0, m_ambient=m_ambient, family=fam))
+
+
+class TestPerStageReference:
+    """The flow keeps every bit of the per-stage RK4 of tests/oracles.py,
+    which allocates its arrays and computes its twist in each stage."""
+
+    @pytest.mark.parametrize("rows, n_cut, m_ambient, t, h", [
+        (1, 2, 4, 0.3, 1e-3),          # 300 steps: two blocks of phases
+        (2, 32, 32, -0.05, 2.5e-4),
+        (8, 8, 8, -0.2537, 1e-2),      # a fractional last step
+        (8, 4, 4, 0.5 + 1e-13, 1e-3),  # a remainder folded into the last
+        (440, 4, 16, 0.3, 1e-3),
+        (_ROW_BLOCK + 88, 2, 4, -0.01, 1e-3),   # two blocks of rows
+    ])
+    def test_evolve_batch(self, rows, n_cut, m_ambient, t, h):
+        coeffs = gaussian_rows(rows, m_ambient)
+        p = nt.FlowParams(n_cut=n_cut, step=h)
+        assert same_bits(evolve_batch(coeffs, m_ambient, t, p),
+                         flow_per_stage(coeffs, m_ambient, [t], p)[0])
+
+    def test_steps_of_the_cases(self):
+        # the fractional and the folded case above are what they say
+        assert _steps(-0.2537, 1e-2)[-1] != -1e-2
+        folded = _steps(0.5 + 1e-13, 1e-3)
+        assert len(folded) == 500 and folded[-1] != 1e-3
+
+    def test_overflowing_row_beside_tame_rows(self):
+        p = nt.FlowParams(n_cut=3, step=0.05)
+        block = gaussian_rows(5, 3)
+        block[1] = plane_wave(3, 1, 3.0).coeffs
+        block[3] = plane_wave(3, 0, 1e80).coeffs
+        got = evolve_batch(block, 3, 0.5, p)
+        assert np.all(np.isnan(got[[1, 3]]))
+        assert same_bits(got, flow_per_stage(block, 3, [0.5], p)[0])
+
+    def test_trajectory_batch(self):
+        coeffs = gaussian_rows(3, 8, seed=3)
+        p = nt.FlowParams(n_cut=8, step=1e-3)
+        times, got = trajectory_batch(coeffs, 8, -0.1, p, 101)
+        want = flow_per_stage(coeffs, 8, times[1:], p)
+        assert same_bits(got[:, 0], coeffs)
+        assert all(same_bits(got[:, i], w) for i, w in enumerate(want, 1))
+
+    def test_jacobian_det(self):
+        u = nt.FourierState(2, 0.3 * gaussian_rows(1, 2, seed=4)[0])
+        p = nt.FlowParams(n_cut=2, step=1e-3)
+        assert jacobian_det(u, 0.5, p) == jacobian_det_per_stage(u, 0.5, p)

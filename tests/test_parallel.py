@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from nls_transport.errors import NonFiniteState
-from nls_transport.parallel import run_chunked, run_chunked_capped
+from nls_transport.parallel import (run_chunked, run_chunked_capped,
+                                    start_chunked)
 
 
 def _children() -> set:
@@ -79,6 +80,42 @@ def test_no_worker_outlives_a_call(monkeypatch):
         run_chunked(body, 4, 1)
     assert _children() == set()
     assert time.monotonic() - start < 30.0   # the busy worker was stopped
+
+
+def test_calls_while_a_pool_is_pending_run_inline(monkeypatch):
+    monkeypatch.setenv("NLS_TRANSPORT_THREADS", "2")
+    me = os.getpid()
+    with start_chunked(lambda lo, hi: (lo, os.getpid()), 4, 1) as collect:
+        inline = run_chunked(lambda lo, hi: (lo, os.getpid()), 5, 2)
+        capped = run_chunked_capped(lambda lo, hi: (lo, os.getpid()), 3, 1, 2)
+        results = collect()
+    # the caller's calls ran, in order, in the caller; the started chunks
+    # ran in the pool and came back in chunk order
+    assert inline == [(0, me), (2, me), (4, me)]
+    assert capped == [(0, me), (1, me), (2, me)]
+    assert [lo for lo, _ in results] == [0, 1, 2, 3]
+    assert all(pid != me for _, pid in results)
+    # once the pool is joined, a call starts a pool again
+    assert me not in run_chunked(lambda lo, hi: os.getpid(), 4, 1)
+
+
+def test_no_worker_outlives_a_started_call(monkeypatch):
+    monkeypatch.setenv("NLS_TRANSPORT_THREADS", "2")
+    assert _children() == set()
+
+    def body(lo, hi):
+        time.sleep(30.0)   # workers still busy when the caller fails
+        return lo
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="caller failed"):
+        with start_chunked(body, 4, 1):
+            assert _children() != set()
+            raise ValueError("caller failed")
+    assert _children() == set()
+    assert time.monotonic() - start < 30.0   # the busy workers were stopped
+    assert os.getpid() not in run_chunked(lambda lo, hi: os.getpid(), 4, 1)
+    assert _children() == set()
 
 
 def test_package_error_in_a_worker_reaches_the_caller(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from nls_transport import transport
 from nls_transport.energies import EnergyParams
 from nls_transport.flow import evolve_batch
 from nls_transport.measures import SAMPLE_CHUNK, sample_batch
-from nls_transport.parallel import run_chunked
+from nls_transport.parallel import THREADS_ENV, run_chunked
 from nls_transport.spectral import (conserved_c_batch, truncated_energy_batch,
                                     wavenumbers)
 from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
@@ -423,9 +424,9 @@ class TestConvergenceStudy:
     def test_pinned_seed_regression(self):
         from nls_transport import pinned
         fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-        rows = nt.convergence_study(StudyKind.R, fam, 0.3, 8, [4, 8, 16], 32,
+        rows = nt.convergence_study(fam, 0.3, 8, [4, 8, 16], 32,
                                     nt.SeededRng(pinned.CONVERGENCE_SEED),
-                                    1e-3)
+                                    1e-3)[StudyKind.R]
         got = tuple(r.sup_diff for r in rows)
         assert got == pytest.approx(pinned.CONVERGENCE_SUP["R"],
                                     rel=pinned.CONVERGENCE_RTOL)
@@ -434,9 +435,27 @@ class TestConvergenceStudy:
 
     def test_reference_row_is_zero(self):
         fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
-        rows = nt.convergence_study(StudyKind.R, fam, 0.1, 4, [8], 8,
-                                    nt.SeededRng(5), 1e-3)
+        rows = nt.convergence_study(fam, 0.1, 4, [8], 8, nt.SeededRng(5),
+                                    1e-3)[StudyKind.R]
         assert rows[0].sup_diff == 0.0
+
+    def test_same_rows_at_one_and_two_workers(self, monkeypatch):
+        # R and Q run in the caller, also while the log-G pool is pending
+        fam = nt.WeightFamily(nt.WeightKind.JAPANESE_BRACKET, 2.0)
+        pids = []
+        for name in ("r_correction_batch", "q_derivative_batch"):
+            def recording(*args, _fn=getattr(transport, name)):
+                pids.append(os.getpid())
+                return _fn(*args)
+            monkeypatch.setattr(transport, name, recording)
+        studies = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            studies.append(nt.convergence_study(fam, 0.1, 4, [2, 4], 8,
+                                                nt.SeededRng(5), 1e-3))
+        assert studies[0] == studies[1]
+        assert list(studies[0]) == [StudyKind.R, StudyKind.Q, StudyKind.G]
+        assert pids == [os.getpid()] * 12   # 2 runs x (R, Q) x 3 truncations
 
     def test_single_mode_states_vanish(self):
         # every studied quantity vanishes identically on single modes
