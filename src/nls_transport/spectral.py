@@ -156,11 +156,12 @@ def modulus_sq(vals: np.ndarray) -> np.ndarray:
 def quintic_band(band: np.ndarray, n_points: int) -> np.ndarray:
     """Pi_N(|u|^4 u) for u given by its (..., 2N+1) band coefficients,
     k = -N..N; exact when n_points >= 6N + 2 dealiases the quintic band.
-    It is the hot path of every flow stage, so the grid array is
-    transformed and multiplied in place, |u|^4 is the square of
-    modulus_sq, and the transforms scale by norm="forward" (the inverse
-    not at all, the forward by 1/G: on the power-of-two grids of
-    default_grid these are the bits of scaling in separate passes)."""
+    The grid array is transformed and multiplied in place, |u|^4 is the
+    square of modulus_sq, and the transforms scale by norm="forward" (the
+    inverse not at all, the forward by 1/G: on the power-of-two grids of
+    default_grid these are the bits of scaling in separate passes).  The
+    flow's stages compute it with these bits in work buffers that each
+    solve allocates once (flow._quintic_product)."""
     idx = wavenumbers(band.shape[-1] // 2) % n_points
     vals = np.zeros(band.shape[:-1] + (n_points,), dtype=np.complex128)
     vals[..., idx] = band
