@@ -49,8 +49,8 @@ _TILES_IN_FLIGHT = 4 worker processes, and each tile returns the sums of
 its rows.  A call with no more tiles than that runs them inline: forking a
 pool costs 10 to 40 ms, more than a few tiles take (R on the 4 endpoint
 rows of `density-check` took 28-40 ms on a pool of two and 3-4 ms
-inline, scripts/time_rq_kernel.py).  Tiles depend only on N, so a row's value depends neither on its
-batch nor on the worker count.
+inline, scripts/time_rq_kernel.py).  Tiles depend only on N, so a row's
+value depends neither on its batch nor on the worker count.
 
 Memory: a process's buffers take 5 x 16 + 3 x 8 bytes per cell, 3.25 MiB,
 and it frees them once its tiles are done.  So the work space grows with
