@@ -18,16 +18,17 @@ NonFiniteState instead.
 
 On the few rows of a `convergence` solve a stage costs numpy call overhead,
 not arithmetic, so no stage allocates.  Each solve (one `_flow_at` call,
-all the intervals of a trajectory) allocates its work buffers once: the
-stage arrays, the zero-padded grid array, whose gap is never written, the
-value grid and the modulus scratch.  They hold one block of at most
-_ROW_BLOCK rows, which are solved together and keep the buffers near the
-cache; rows are independent, so a row's bits do not depend on its block.
-The phases e^{-i k^2 tau} and -i e^{i k^2 tau} of the stage times of
-_PHASE_BLOCK steps come from one np.exp call (the phase table), with tau
-accumulated as the per-stage loop accumulated it.  The bits are those of
-that loop, which allocated every stage and computed two twists in each
-(tests/oracles.py keeps it as the reference).
+all the intervals of a trajectory) makes its quintic products once, one
+per row-block size and so at most two; each holds the zero-padded grid
+array, whose gap is never written, the value grid and the modulus scratch
+of one block.  Blocks have at most _ROW_BLOCK rows, which are solved
+together and keep the buffers near the cache; rows are independent, so a
+row's bits do not depend on its block.  `_rk4` allocates its stage arrays
+once per call, and takes the phases e^{-i k^2 tau} and -i e^{i k^2 tau} of
+the stage times of _PHASE_BLOCK steps from one np.exp call (the phase
+table), with tau accumulated as the per-stage loop accumulated it.  The
+bits are those of that loop, which allocated every stage and computed two
+twists in each (tests/oracles.py keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -102,19 +103,22 @@ def _steps(t: float, h: float):
     return out
 
 
-def _rk4(field, y: np.ndarray, t_start: float, t: float,
-         h: float) -> np.ndarray:
-    """Classical RK4 for dw/dtau = field(tau, w) from t_start over t, in the
+def _rk4(y: np.ndarray, t_start: float, t: float, h: float,
+         ik2: np.ndarray, product) -> np.ndarray:
+    """Classical RK4 for the twisted field dw/dtau = -i e^{i k^2 tau}
+    product(e^{-i k^2 tau}, w), ik2 = -i k^2, from t_start over t in the
     steps of _steps(t, h); the one RK4 loop of the package.  y is advanced
-    in place and returned.  The stage times of each block of _PHASE_BLOCK
-    steps are accumulated as tau, tau + dt/2, tau + dt, then tau += dt, and
-    their phases come from one `field.phases` call; stages 2 and 3 share
-    the middle one.  The stages go into the stage arrays of `field.bind`
-    with out=, in the operation order of y + (dt/2) s1, y + (dt/2) s2,
+    in place and returned; the five stage arrays are allocated once per
+    call.  The stage times of each block of _PHASE_BLOCK steps are
+    accumulated as tau, tau + dt/2, tau + dt, then tau += dt, and their
+    twists e^{-i k^2 tau} and untwists -i e^{i k^2 tau} come from one
+    np.exp call; stages 2 and 3 share the middle one.  Each stage writes
+    untwist * product into its stage array, and the stages combine with
+    out= in the operation order of y + (dt/2) s1, y + (dt/2) s2,
     y + dt s3 and y + (dt/6)(s1 + 2 s2 + 2 s3 + s4), so no stage
     allocates."""
     steps = _steps(t, h)
-    stage, (s1, s2, s3, s4, arg) = field.bind(y.shape[0])
+    s1, s2, s3, s4, arg = np.empty((5,) + y.shape, dtype=np.complex128)
     tau = t_start
     for lo in range(0, len(steps), _PHASE_BLOCK):
         block = steps[lo:lo + _PHASE_BLOCK]
@@ -122,18 +126,19 @@ def _rk4(field, y: np.ndarray, t_start: float, t: float,
         for i, dt in enumerate(block):
             taus[i] = tau, tau + dt / 2, tau + dt
             tau += dt
-        for (tw0, tw1, tw2), (un0, un1, un2), dt in zip(*field.phases(taus),
-                                                        block):
-            stage(tw0, un0, y, s1)
+        twist = np.exp(ik2 * taus[..., None])
+        untwist = -1j * np.conj(twist)
+        for (tw0, tw1, tw2), (un0, un1, un2), dt in zip(twist, untwist, block):
+            np.multiply(un0, product(tw0, y), out=s1)
             np.multiply(dt / 2, s1, out=arg)
             np.add(y, arg, out=arg)
-            stage(tw1, un1, arg, s2)
+            np.multiply(un1, product(tw1, arg), out=s2)
             np.multiply(dt / 2, s2, out=arg)
             np.add(y, arg, out=arg)
-            stage(tw1, un1, arg, s3)
+            np.multiply(un1, product(tw1, arg), out=s3)
             np.multiply(dt, s3, out=arg)
             np.add(y, arg, out=arg)
-            stage(tw2, un2, arg, s4)
+            np.multiply(un2, product(tw2, arg), out=s4)
             np.multiply(2, s2, out=s2)
             np.add(s1, s2, out=s1)
             np.multiply(2, s3, out=s3)
@@ -144,102 +149,70 @@ def _rk4(field, y: np.ndarray, t_start: float, t: float,
     return y
 
 
-class _Twisted:
-    """The field -i e^{i k^2 tau} product(e^{-i k^2 tau}, w) of the twisted
-    variable w = e^{i k^2 tau} u, where product(phase, w) is the quintic
-    product of u = phase * w, and bind_product(r) makes that product for
-    r rows.  It holds the stage arrays of `_rk4` for up to `rows` rows."""
-
-    def __init__(self, k2: np.ndarray, bind_product, rows: int):
-        self._ik2 = -1j * k2
-        self._bind_product = bind_product
-        self._stages = np.empty((5, rows, k2.size), dtype=np.complex128)
-
-    def phases(self, taus: np.ndarray):
-        """e^{-i k^2 tau} and -i e^{i k^2 tau} at each of the stage times,
-        from one np.exp call."""
-        twist = np.exp(self._ik2 * taus[..., None])
-        return twist, -1j * np.conj(twist)
-
-    def bind(self, rows: int):
-        """stage(twist, untwist, w, out), which writes the field at the
-        stage time of those phases into out, and the five stage arrays
-        of `rows` rows."""
-        product = self._bind_product(rows)
-
-        def stage(twist, untwist, w, out):
-            np.multiply(untwist, product(twist, w), out=out)
-
-        return stage, self._stages[:, :rows]
-
-
 def _quintic_product(n_cut: int, n_points: int, rows: int):
-    """bind(r): product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on r <=
-    `rows` rows of band coefficients k = -N..N, with the bits of
-    spectral.quintic_band.  u is formed as one contiguous (r, 2N+1)
-    product and its halves copied into the band slots of a zero-padded
-    grid array, whose gap is never written; the inverse transform goes
-    into a value grid, which the modulus scratch multiplies by |u|^4 and
-    the forward transform overwrites; the result is gathered into the
-    band array, which the next call overwrites.  bind makes the views of
-    these buffers once, so a stage slices nothing."""
-    n_band = 2 * n_cut + 1
-    band = np.empty((rows, n_band), dtype=np.complex128)
+    """product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on `rows` rows
+    of band coefficients k = -N..N, with the bits of spectral.quintic_band.
+    u is formed as one contiguous (rows, 2N+1) product and its halves
+    copied into the band slots of a zero-padded grid array, whose gap is
+    never written; the inverse transform goes into a value grid, which the
+    modulus scratch multiplies by |u|^4 and the forward transform
+    overwrites; the result is gathered into the band array, which the next
+    call overwrites.  The buffers and their views are made here, once, so
+    a call allocates and slices nothing."""
+    band = np.empty((rows, 2 * n_cut + 1), dtype=np.complex128)
     padded = np.zeros((rows, n_points), dtype=np.complex128)
     vals = np.empty_like(padded)
-    mod = np.empty((2, rows, n_points))
+    mod, sq = np.empty((2, rows, n_points))
+    b_hi, b_lo = band[:, n_cut:], band[:, :n_cut]
+    p_hi, p_lo = padded[:, :n_cut + 1], padded[:, n_points - n_cut:]
+    v_hi, v_lo = vals[:, :n_cut + 1], vals[:, n_points - n_cut:]
+    re, im = vals.real, vals.imag
 
-    def bind(r):
-        b, p, v, m, sq = band[:r], padded[:r], vals[:r], mod[0, :r], mod[1, :r]
-        b_hi, b_lo = b[:, n_cut:], b[:, :n_cut]
-        p_hi, p_lo = p[:, :n_cut + 1], p[:, n_points - n_cut:]
-        v_hi, v_lo = v[:, :n_cut + 1], v[:, n_points - n_cut:]
-        re, im = v.real, v.imag
+    def product(phase, w):
+        np.multiply(phase, w, out=band)
+        np.copyto(p_hi, b_hi)
+        np.copyto(p_lo, b_lo)
+        np.fft.ifft(padded, axis=-1, norm="forward", out=vals)
+        np.square(re, out=mod)
+        np.square(im, out=sq)
+        np.add(mod, sq, out=mod)
+        np.multiply(mod, mod, out=mod)
+        np.multiply(vals, mod, out=vals)
+        np.fft.fft(vals, axis=-1, norm="forward", out=vals)
+        np.copyto(b_hi, v_hi)
+        np.copyto(b_lo, v_lo)
+        return band
 
-        def product(phase, w):
-            np.multiply(phase, w, out=b)
-            np.copyto(p_hi, b_hi)
-            np.copyto(p_lo, b_lo)
-            np.fft.ifft(p, axis=-1, norm="forward", out=v)
-            np.square(re, out=m)
-            np.square(im, out=sq)
-            np.add(m, sq, out=m)
-            np.multiply(m, m, out=m)
-            np.multiply(v, m, out=v)
-            np.fft.fft(v, axis=-1, norm="forward", out=v)
-            np.copyto(b_hi, v_hi)
-            np.copyto(b_lo, v_lo)
-            return b
-
-        return product
-
-    return bind
+    return product
 
 
 def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     """Yield the flow of a (batch, 2M+1) block at each of the monotone
     times in turn.  The rows are solved in blocks of at most _ROW_BLOCK,
-    one after the other, in work buffers allocated once for the whole
-    call.  A row that went non-finite is NaN in every coefficient, with no
-    warning; the other rows keep their bits."""
+    one after the other.  The call makes one quintic product per distinct
+    block size, at most two, and they serve every interval; each `_rk4`
+    call allocates its stage arrays.  A row that went non-finite is NaN in
+    every coefficient, with no warning; the other rows keep their bits."""
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
     k2 = ks.astype(np.float64) ** 2
+    ik2 = -1j * k2[low]
     wb = np.ascontiguousarray(coeffs[..., low])
     rows = wb.reshape(-1, wb.shape[-1])   # a view, which _rk4 advances
-    block = min(rows.shape[0], _ROW_BLOCK)
-    field = _Twisted(k2[low], _quintic_product(
-        p.n_cut, default_grid(p.n_cut).n_points, block), block)
+    blocks = [rows[lo:lo + _ROW_BLOCK]
+              for lo in range(0, rows.shape[0], _ROW_BLOCK)]
+    n_points = default_grid(p.n_cut).n_points
+    products = {len(b): _quintic_product(p.n_cut, n_points, len(b))
+                for b in blocks}
     t_prev = 0.0
     for t in times:
         with np.errstate(over="ignore", invalid="ignore"):
             if t != t_prev:
-                for lo in range(0, rows.shape[0], _ROW_BLOCK):
-                    _rk4(field, rows[lo:lo + _ROW_BLOCK], t_prev, t - t_prev,
-                         p.step)
+                for b in blocks:
+                    _rk4(b, t_prev, t - t_prev, p.step, ik2, products[len(b)])
             out = np.exp(-1j * k2 * t) * coeffs
             out[..., low] = np.exp(-1j * k2[low] * t) * wb
-        out[~np.all(np.isfinite(out.view(np.float64)), axis=-1)] = np.nan
+        out[~np.all(np.isfinite(out), axis=-1)] = np.nan
         yield out
         t_prev = t
 
@@ -339,25 +312,20 @@ def jacobian_det(u0: FourierState, t: float, p: FlowParams) -> float:
     rotates each mode and leaves the determinant unchanged."""
     _require_pure(u0, p)
     dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
+    out = np.empty((2 * dim + 1, dim), dtype=np.complex128)
 
-    def bind_product(rows):
+    def product(phase, w):
         """The quintic product of the state (row 0) and its derivative
         along each tangent (the other rows), into one array."""
-        out = np.empty((rows, dim), dtype=np.complex128)
-
-        def product(phase, w):
-            u = phase * w
-            out[:1] = quintic_band(u[:1], n_points)
-            out[1:] = _tangent_apply(u[0], u[1:], n_points)
-            return out
-
-        return product
+        u = phase * w
+        out[:1] = quintic_band(u[:1], n_points)
+        out[1:] = _tangent_apply(u[0], u[1:], n_points)
+        return out
 
     y0 = np.vstack([u0.coeffs, np.eye(dim), 1j * np.eye(dim)])
-    field = _Twisted(wavenumbers(u0.m_ambient).astype(np.float64) ** 2,
-                     bind_product, y0.shape[0])
-    tangents = _rk4(field, y0, 0.0, t, p.step)[1:]
-    if not np.all(np.isfinite(tangents.view(np.float64))):
+    ik2 = -1j * wavenumbers(u0.m_ambient).astype(np.float64) ** 2
+    tangents = _rk4(y0, 0.0, t, p.step, ik2, product)[1:]
+    if not np.all(np.isfinite(tangents)):
         raise NonFiniteState("variational matrix became non-finite")
     # rows are the images of the real directions: the transposed Jacobian
     return float(np.linalg.det(np.hstack([tangents.real, tangents.imag])))

@@ -120,6 +120,17 @@ class TestEvolve:
         assert np.all(np.isfinite(got[tame]))
         assert np.array_equal(got[tame], evolve_batch(block[tame], 3, 0.5, p))
 
+    def test_fortran_ordered_block(self):
+        # the memory order of a block changes no bit of its flow
+        block = 0.5 * gaussian_rows(12, 4).reshape(3, 4, 9)
+        fortran = np.asfortranarray(block)
+        assert not fortran.flags.c_contiguous
+        p = nt.FlowParams(n_cut=2, step=1e-2)
+        assert same_bits(evolve_batch(fortran, 4, 0.2, p),
+                         evolve_batch(block, 4, 0.2, p))
+        assert same_bits(trajectory_batch(fortran, 4, 0.2, p, 5)[1],
+                         trajectory_batch(block, 4, 0.2, p, 5)[1])
+
     def test_batch_matches_single(self, rng):
         p = nt.FlowParams(n_cut=3, step=1e-3)
         block = np.stack([random_coeffs(rng, 5, scale=0.3) for _ in range(4)])
@@ -403,11 +414,15 @@ class TestPerStageReference:
         assert np.all(np.isnan(got[[1, 3]]))
         assert same_bits(got, flow_per_stage(block, 3, [0.5], p)[0])
 
-    def test_trajectory_batch(self):
-        coeffs = gaussian_rows(3, 8, seed=3)
-        p = nt.FlowParams(n_cut=8, step=1e-3)
-        times, got = trajectory_batch(coeffs, 8, -0.1, p, 101)
-        want = flow_per_stage(coeffs, 8, times[1:], p)
+    @pytest.mark.parametrize("rows, n_cut, m_ambient, t, n_snapshots", [
+        (3, 8, 8, -0.1, 101),
+        (_ROW_BLOCK + 88, 2, 4, -0.03, 4),   # two row blocks, 3 intervals
+    ])
+    def test_trajectory_batch(self, rows, n_cut, m_ambient, t, n_snapshots):
+        coeffs = gaussian_rows(rows, m_ambient, seed=3)
+        p = nt.FlowParams(n_cut=n_cut, step=1e-3)
+        times, got = trajectory_batch(coeffs, m_ambient, t, p, n_snapshots)
+        want = flow_per_stage(coeffs, m_ambient, times[1:], p)
         assert same_bits(got[:, 0], coeffs)
         assert all(same_bits(got[:, i], w) for i, w in enumerate(want, 1))
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package and of the tests uses each
 name it imports, every public name of the package is read by the package,
-the acceptance tests or perfbench, every function of the package and of
+the acceptance tests or perfbench, every private module-level name of the
+package is read by a package module, every function of the package and of
 the test oracles reads each of its parameters, only `spectral` constructs
 a GridSpec, since it derives every collocation grid, the package raises
 every exception class it defines, and importing the CLI loads no scipy
@@ -99,6 +100,55 @@ def test_every_public_name_is_reached():
              + sorted(PERFBENCH.rglob("*.py")))
     assert unreached_names((PACKAGE / "__init__.py").read_text(),
                            [path.read_text() for path in paths]) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level private names a module binds: functions, classes and
+    constants whose name starts with a single underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)}
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names a module reads as a value, bare or as an attribute."""
+    return {getattr(node, "id", None) or node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def orphaned_private_names(sources) -> list[str]:
+    """Private module-level names that one of `sources` defines and none
+    of them reads."""
+    defined = set().union(*(private_definitions(source) for source in sources))
+    read = set().union(*(loaded_names(source) for source in sources))
+    return sorted(defined - read)
+
+
+def test_detects_an_orphaned_private_name():
+    sources = ["_A = 1\n_B: int = 2\n__all__ = []\n"
+               "def _f(x):\n    return _A + x\n"
+               "class _C:\n    pass\n"
+               "def _g():\n    _h = 3\n    return _h\n",
+               "import a\nobj._B = a._f(1)\n_D = 4\npublic = 5\n"]
+    assert orphaned_private_names(sources) == ["_B", "_C", "_D", "_g"]
+
+
+def test_no_orphaned_private_names_in_package():
+    # a private helper that no package module reads is dead code, or is
+    # kept alive by its own unit tests alone
+    assert orphaned_private_names(
+        [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []
 
 
 def unused_parameters(source: str, exempt=frozenset()) -> list[str]:
