@@ -210,7 +210,9 @@ def run_transport_mc(cfg, outdir):
     passed = worst <= 4.0 and all(r.lhs.stderr > 0 and r.rhs.stderr > 0
                                   for r in results)
     summary = {"max_abs_z": worst, "tolerance_z": 4.0,
-               "cutoff_r": m.cutoff_r, "prefilter": study.counts}
+               "cutoff_r": m.cutoff_r,
+               "cutoff": {**study.counts,
+                          "max_energy_drift": study.max_energy_drift}}
     return passed, summary, ("observable", "lhs", "lhs_stderr", "rhs",
                              "rhs_stderr", "z"), rows
 

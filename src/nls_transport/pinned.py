@@ -40,13 +40,14 @@ CONVERGENCE_SUP = {
 CONVERGENCE_RTOL = 1e-4
 
 # Monte Carlo transport battery (N=4, s=2, M=16, t=0.3): energy cutoff that
-# keeps the importance weights in a statistically testable range
+# keeps the importance weights in a statistically testable range; R bounds
+# E_N, the invariant of the flow truncated at N
 TRANSPORT_CUTOFF_R = 5.0
 TRANSPORT_SEED = 424242
 
 # The E[G] = 1 identity is verified in its cutoff-restricted form
-# (E[1_{C<=R}(Phi u)] = E[1_{C<=R}(u) G(u)]): the unrestricted importance
-# weight has a diverging second moment under this ensemble (rare
+# (E[1_{E_N<=R}(Phi u)] = E[1_{E_N<=R}(u) G(u)]): the unrestricted
+# importance weight has a diverging second moment under this ensemble (rare
 # large-amplitude draws mix completely at any fixed time), so only the
 # restricted version admits a meaningful finite-sample z-test.
 EG_RESTRICTED_TOL_Z = 4.0

@@ -33,30 +33,14 @@ and one backward trajectory per accepted step: R at its ends, and Q on the
 `quad_points` nodes, integrated by Simpson extrapolated by Richardson
 (Boole's rule), with |S_h - S_2h|/15 kept as error estimate.
 
-`change_of_measure_test` evolves forward only the rows the cutoff may keep
-after the flow.  The truncated flow conserves E_N (C with |Pi_N u|^6 in
-place of |u|^6) and moves the modes above N by exact phases, which bounds
-C(Phi_N(t) u) >= E_N(u) - [X - (X^{1/6} - ||b(t)||_6)_+^6]/6 from below
-without a solve, with a the modes |k| <= N, b the others and X an upper
-bound on ||a||_6^6 (`_forward_c_lower_bound`).  A row with C(u) > R and a
-bound above R + 1e-3 E_N(u), the margin covering rounding and the
-integrator's drift of E_N, has both indicators 0.  Its two terms are then
-exact zeros without the solve, as they were with it: indicator times
-observable gave 0.0 for the finite, non-negative observables of the
-battery, and G is not computed where C(u) > R.
-
-The bound is loose where it is needed most, on rows whose C(u) is just
-above R.  Those doubtful rows, C(u) > R with a bound that does not exceed
-R + 1e-3 E_N(u), go through a screen: a coarse solve at H = _SCREEN_FACTOR
-times the step and another at 2H (`_coarse_forward_c`).  A row whose C_H
-exceeds R by the same margin 1e-3 E_N(u), and whose Richardson estimate
-|C_H - C_2H|/15 is within a sixteenth of that margin, is skipped as well.
-The screen assumes what every Richardson estimate of the package assumes:
-that at H the flow is in its fourth-order regime, so the estimate bounds
-the step error of C_H, and C at the step then exceeds R.  A row whose
-coarse value is NaN, as the flow returns a row that overflows, or whose
-estimate is larger, is evolved at the step, and so is every doubtful row
-where |t| < 2H.
+`change_of_measure_test` cuts off by E_N(u) <= R, with E_N the invariant
+of the truncated flow (C with |Pi_N u|^6 in place of |u|^6), so the
+indicator of Phi_N(t) u is that of u, and reads both of its terms off the
+ladder's one backward solve.  The flow is time-reversible: with
+conj(u)_k = conj(u_{-k}), Phi_N(-t)(conj u) = conj(Phi_N(t) u), and mu and
+E_N are invariant under u -> conj u.  So E[1(u) f(Phi_N(t) u)] is
+E[1(u) f(conj Phi_N(-t) u)], and the state the ladder accepts for log G(u)
+serves the lhs as well.
 """
 
 from __future__ import annotations
@@ -75,14 +59,12 @@ from .measures import (McReport, MeasureParams, SeededRng,
                        sample_map)
 from .parallel import run_chunked, start_chunked
 from .spectral import (FourierState, WeightFamily, bracket_multiplier,
-                       conserved_c_batch, default_grid, sextic_integral_batch,
-                       truncated_energy_batch, wavenumbers)
+                       default_grid, truncated_energy_batch, wavenumbers)
 
 GAUSS_FORM_FACTOR = 2.0
 DENSITY_TOL = 5e-7   # absolute bound on the estimated step error of log G
 
 _MAX_HALVINGS = 6    # finest step tried is start_step / 2**_MAX_HALVINGS
-_SCREEN_FACTOR = 16  # the screen's coarse step H is this times d.step
 _DENSITY_CHUNK = 512  # samples per chunk of the lp-density solves
 
 
@@ -153,7 +135,8 @@ def _quadrature_weights(n_nodes: int, h: float):
 
 
 def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
-    """(log G, accepted step) per row of a (batch, dim) block.
+    """(log G, accepted step, accepted end state Phi_N(-t) u) per row of a
+    (batch, dim) block.
 
     With h0 the starting step, each row is solved at 2h0 and h0, then at
     h0/2, h0/4, ... as long as it is unresolved.  A row accepts the first
@@ -167,7 +150,8 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
     with 2h0 <= |t|.
     A non-finite value, such as the NaN the flow returns for a row that
     overflows, gives no estimate and resolves no row.  A row unresolved at
-    the finest step is NaN in both log G and its step."""
+    the finest step is NaN in log G, its step and its state.  A resolved
+    row's state is, bit for bit, evolve_batch's at its accepted step."""
     s0 = low_norm_sq_batch(coeffs, m_ambient, d.energy)
 
     def direct(rows, step):
@@ -175,22 +159,24 @@ def _controlled_direct(coeffs: np.ndarray, m_ambient: int, d: DensityParams):
                            replace(d.flow, step=step))
         with np.errstate(over="ignore"):
             s1 = low_norm_sq_batch(bwd, m_ambient, d.energy)
-        return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows])
+        return -0.5 * GAUSS_FORM_FACTOR * (s1 - s0[rows]), bwd
 
     start = d.start_step
     log_g, steps = np.full((2, coeffs.shape[0]), np.nan)
+    states = np.full(coeffs.shape, np.nan, dtype=np.complex128)
     rows = np.arange(coeffs.shape[0])
-    coarse = direct(rows, 2.0 * start)
+    coarse = direct(rows, 2.0 * start)[0]
     for halving in range(_MAX_HALVINGS + 1):
         step = start / 2**halving
-        fine = direct(rows, step)
+        fine, bwd = direct(rows, step)
         ok = np.abs(coarse - fine) / 15.0 <= DENSITY_TOL
         log_g[rows[ok]] = fine[ok]
         steps[rows[ok]] = step
+        states[rows[ok]] = bwd[ok]
         rows, coarse = rows[~ok], fine[~ok]
         if rows.size == 0:
             break
-    return log_g, steps
+    return log_g, steps, states
 
 
 def log_density_direct_batch(coeffs: np.ndarray, m_ambient: int,
@@ -231,7 +217,7 @@ def density_pieces(coeffs: np.ndarray, m_ambient: int,
     """Each resolved row's trajectory is integrated once, at the step its
     direct log G was accepted at, into one snapshot block for one R and one
     Q call.  A row the ladder leaves unresolved is NaN in every piece."""
-    log_g, steps = _controlled_direct(coeffs, m_ambient, d)
+    log_g, steps, _ = _controlled_direct(coeffs, m_ambient, d)
     if d.t == 0.0:
         z = np.zeros(coeffs.shape[:-1])
         return DensityPieces(log_g, z, z, z, steps)
@@ -354,117 +340,38 @@ class ObservableComparison:
     z: float
 
 
-def _forward_c_lower_bound(coeffs: np.ndarray, m_ambient: int, n_cut: int,
-                           t: float) -> np.ndarray:
-    """A lower bound on C(Phi_N(t) u) for each row, found without a solve,
-    less a margin of 1e-3 E_N(u); n_cut is the N of the flow.
-
-    Write Phi_N(t) u = a + b with a its modes |k| <= N and b the others;
-    b = e^{-i k^2 t} u_high is exact, so beta = ||b(t)||_6 is too.  The
-    truncated flow conserves E_N = C(a + b) with |a|^6 in place of
-    |a + b|^6 (spectral `truncated_energy_batch`) and the mass of a, so
-    C(Phi_N(t) u) = E_N - X/6 + ||a + b||_6^6 / 6 with X = ||a||_6^6.
-    Minkowski gives ||a + b||_6 >= (X^{1/6} - beta)_+, hence
-
-        C(Phi_N(t) u) >= E_N - [X - (X^{1/6} - beta)_+^6] / 6,
-
-    a bound that decreases in X, so an upper bound on X may stand in for
-    it.  With E' = E_N - quad(b), quad(b) = pi sum_{|k|>N} (1+k^2)|u_k|^2,
-    the conserved split pi sum (1+k^2)|a_k|^2 = E' - X/6 gives
-    X <= 6 (E' - pi sum |a_k|^2).  Cauchy-Schwarz on the band gives
-    ||a||_inf^2 <= c_N sum (1+k^2)|a_k|^2, c_N = sum_{|k|<=N} 1/(1+k^2),
-    and X <= ||a||_inf^4 mass(a), so X <= A (E' - X/6)^2 with
-    A = mass(a) (c_N/pi)^2: X is at most 6 (E' - y) with
-    y = 6E' / (3 + sqrt(9 + 6 A E')), the root of A y^2 = 6 (E' - y).
-    The smaller of the two is used.  The deficit is taken as
-    min(beta, x) sum_j x^{5-j} z^j / 6 with x = X^{1/6} and
-    z = (x - beta)_+, which is exactly 0 with no free modes.
-
-    The margin covers rounding and the RK4 drift of E_N along the computed
-    flow: while that drift stays below 1e-3 E_N, a row whose value exceeds
-    R has C(evolve_batch(u)) > R.  A non-finite row gives NaN, which
-    exceeds no R.
-    """
-    ks = wavenumbers(m_ambient)
-    high = np.abs(ks) > n_cut
-    e_n = truncated_energy_batch(coeffs, m_ambient, n_cut)
-    mod2 = np.abs(coeffs) ** 2
-    e_free = e_n - np.pi * np.sum(np.where(high, (1.0 + ks**2) * mod2, 0.0),
-                                  axis=-1)
-    half_mass = np.pi * np.sum(np.where(high, 0.0, mod2), axis=-1)
-    c_n = np.sum(1.0 / (1.0 + ks[~high] ** 2.0))
-    a_coef = 2.0 * half_mass * (c_n / np.pi) ** 2
-    root = 6.0 * e_free / (3.0 + np.sqrt(9.0 + 6.0 * a_coef * e_free))
-    x = np.maximum(6.0 * (e_free - np.maximum(half_mass, root)),
-                   0.0) ** (1.0 / 6.0)
-    phases = np.exp(-1j * ks.astype(np.float64) ** 2 * t)
-    b = np.where(high, phases, 0.0) * coeffs
-    beta = sextic_integral_batch(b, m_ambient) ** (1.0 / 6.0)
-    z = np.maximum(x - beta, 0.0)
-    # x^6 - z^6 = (x - z) sum_j x^{5-j} z^j, with x - z = min(beta, x)
-    power_sum = x**5 + x**4 * z + x**3 * z**2 + x**2 * z**3 + x * z**4 + z**5
-    deficit = np.minimum(beta, x) * power_sum / 6.0
-    return e_n - deficit - 1e-3 * e_n
-
-
-def _coarse_forward_c(coeffs: np.ndarray, m_ambient: int,
-                      d: DensityParams) -> tuple[np.ndarray, np.ndarray]:
-    """(C_H, |C_H - C_2H| / 15) for each row of a block, with C_H the
-    C(Phi_N(t) u) of the flow at the coarse step H = _SCREEN_FACTOR d.step
-    and C_2H that at 2H: a coarse value and the Richardson estimate of its
-    step error.  The flow returns a row that overflows as NaN, and both
-    are NaN on every row where |t| < 2H: the solve at 2H then takes no full
-    step, and the errors of the two solves cancel (see `_controlled_direct`)."""
-    coarse = _SCREEN_FACTOR * d.step
-    if abs(d.t) < 2.0 * coarse:
-        nan = np.full(coeffs.shape[0], np.nan)
-        return nan, nan
-
-    def forward_c(step):
-        fwd = evolve_batch(coeffs, m_ambient, d.t, replace(d.flow, step=step))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return conserved_c_batch(fwd, m_ambient)
-
-    c_h = forward_c(coarse)
-    return c_h, np.abs(c_h - forward_c(2.0 * coarse)) / 15.0
-
-
 @dataclass(frozen=True)
 class ChangeOfMeasureResult:
     """What change_of_measure_test found, and how its samples went through
-    the cutoff prefilter.  `counts` are totals over the samples: "samples";
-    "kept_at_start", C(u) <= R; "bound_skipped" and "screen_skipped", not
-    evolved; "screen_fallbacks", rows the screen could not decide;
-    "evolved", evolved at the step; "kept_at_end", C(Phi_N(t) u) <= R;
-    "non_finite", samples whose lhs or rhs term is not finite.  Without a
-    cutoff every sample is kept and evolved."""
+    the cutoff.  `counts` are totals over the samples: "samples"; "kept",
+    E_N(u) <= R, every sample without a cutoff; "refined", kept rows the
+    ladder accepted below its starting step; "unresolved", kept rows it
+    left NaN; "non_finite", samples whose lhs or rhs term is not finite.
+    `max_energy_drift` is the largest |E_N(Phi_N(-t) u) - E_N(u)| / E_N(u)
+    over the kept, resolved rows (0.0 if there are none): the integrator's
+    drift of the invariant whose value at the start stands in for its
+    value at the end."""
 
     comparisons: list   # one ObservableComparison per observable
     counts: dict
+    max_energy_drift: float
 
 
 def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
                            n: int, rng: SeededRng) -> ChangeOfMeasureResult:
-    """Paired Monte Carlo comparison of E[f(Phi_N(t)u)] against
-    E[f(u) G(u)] over common samples; when a cutoff is configured both
-    sides carry the indicator, each evaluated at its own argument (the
-    push-forward identity holds for the product indicator*f verbatim, and
-    the two indicators agree pathwise up to truncation coupling).
+    """Paired Monte Carlo comparison of E[F(Phi_N(t)u)] against
+    E[F(u) G(u)] over common samples, with F = 1(u) f(u) and 1 the
+    indicator of E_N(u) <= R when a cutoff is configured (1 otherwise).
+    E_N is the invariant of the flow, whose N is that of d, so the
+    indicator of Phi_N(t) u is that of u and both terms carry 1(u).
 
-    The identity is exact at finite ambient truncation, so z is sampling
-    noise plus integrator error only.
-
-    With a cutoff, a row with C(u) > R is not evolved when its
-    `_forward_c_lower_bound` exceeds R, nor, if the bound keeps it, when
-    the screen skips it: its C_H of `_coarse_forward_c` exceeds
-    R + 1e-3 E_N(u), and its estimate |C_H - C_2H|/15 is within a
-    sixteenth of that margin.  While the estimate bounds the step error of
-    C_H, the value at d.step, whose own step error is 16^4 times smaller,
-    exceeds R (the module docstring states the assumption).  Every other
-    row is evolved at d.step, and the two terms of a skipped row are 0.0.
-    The evolved rows keep their bits, since each row of a flow solve is
-    independent of the rows around it.  A row that overflows at d.step, or
-    whose log G is unresolved, makes its terms NaN, and so their means and z.
+    Only the kept rows are solved, by the ladder of `_controlled_direct`,
+    whose accepted backward state w = Phi_N(-t) u gives both terms
+    (see the module docstring): lhs = 1(u) f(conj w) and
+    rhs = 1(u) f(u) G(u), with conj w = np.conj(w[..., ::-1]).  The
+    identity is exact at finite ambient truncation, so z is sampling noise
+    plus integrator error only.  A kept row the ladder leaves unresolved
+    is NaN in both terms, and so are their means and z.
     """
     if d.energy.family != m.family:
         raise ValueError("density and measure must share one weight family")
@@ -472,43 +379,35 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
     obs = list(observables)
 
     def body(coeffs):
-        ind_u = ind_fwd = np.ones(coeffs.shape[0])
-        live = np.ones(coeffs.shape[0], dtype=bool)
-        bound_kept = live
-        fallback = np.zeros_like(live)
+        e_n = truncated_energy_batch(coeffs, m.m_ambient, d.energy.n_cut)
+        keep = np.ones(coeffs.shape[0], dtype=bool)
         if m.cutoff_r is not None:
-            ind_u = cutoff_indicator_batch(coeffs, m)
-            bound = _forward_c_lower_bound(coeffs, m.m_ambient,
-                                           d.energy.n_cut, d.t)
-            bound_kept = ~((ind_u == 0) & (bound > m.cutoff_r))
-            live = bound_kept.copy()
-            doubtful = np.flatnonzero(bound_kept & (ind_u == 0))
-            if doubtful.size:
-                c_h, err = _coarse_forward_c(coeffs[doubtful], m.m_ambient, d)
-                margin = 1e-3 * truncated_energy_batch(
-                    coeffs[doubtful], m.m_ambient, d.energy.n_cut)
-                decided = err <= margin / 16.0
-                fallback[doubtful[~decided]] = True
-                live[doubtful[decided & (c_h > m.cutoff_r + margin)]] = False
-        fwd = evolve_batch(coeffs[live], m.m_ambient, d.t, d.flow)
-        if m.cutoff_r is not None:
-            ind_fwd = cutoff_indicator_batch(fwd, m)
-        g = np.exp(_masked_log_density(coeffs, m.m_ambient, d, ind_u > 0))
+            keep = e_n <= m.cutoff_r
+        kept = coeffs[keep]
+        log_g, steps, states = _controlled_direct(kept, m.m_ambient, d)
+        fwd = np.conj(states[..., ::-1])   # Phi_N(t) conj(u), by reversal
+        g = np.exp(log_g)
         vals = np.zeros((2, len(obs), coeffs.shape[0]))
         for j, spec in enumerate(obs):
-            vals[0, j, live] = ind_fwd * spec.evaluate_batch(fwd, m.m_ambient)
-            vals[1, j] = ind_u * spec.evaluate_batch(coeffs, m.m_ambient) * g
-        kept_at_end = np.zeros_like(live)
-        kept_at_end[live] = ind_fwd > 0
-        return vals, np.array([ind_u > 0, ~bound_kept, bound_kept & ~live,
-                               fallback, live, kept_at_end,
-                               ~np.all(np.isfinite(vals), axis=(0, 1))])
+            vals[0, j, keep] = spec.evaluate_batch(fwd, m.m_ambient)
+            vals[1, j, keep] = spec.evaluate_batch(kept, m.m_ambient) * g
+        resolved = np.isfinite(steps)
+        rows = np.flatnonzero(keep)[resolved]
+        drift = np.zeros(coeffs.shape[0])
+        e_end = truncated_energy_batch(states[resolved], m.m_ambient,
+                                       d.energy.n_cut)
+        drift[rows] = np.abs(e_end - e_n[rows]) / e_n[rows]
+        flags = np.zeros((4, coeffs.shape[0]), dtype=bool)
+        flags[0] = keep
+        flags[1, keep] = steps < d.start_step
+        flags[2, keep] = ~resolved
+        flags[3] = ~np.all(np.isfinite(vals), axis=(0, 1))
+        return vals, flags, drift
 
-    (lhs_vals, rhs_vals), flags = sample_map(body, rng, n, m)
+    (lhs_vals, rhs_vals), flags, drift = sample_map(body, rng, n, m)
     counts = {"samples": n, **{
         key: int(total) for key, total in zip(
-            ("kept_at_start", "bound_skipped", "screen_skipped",
-             "screen_fallbacks", "evolved", "kept_at_end", "non_finite"),
+            ("kept", "refined", "unresolved", "non_finite"),
             np.sum(flags, axis=-1))}}
     out = []
     for j, spec in enumerate(obs):
@@ -516,7 +415,8 @@ def change_of_measure_test(d: DensityParams, m: MeasureParams, observables,
         z = float(diff.estimate / diff.stderr) if diff.stderr != 0 else 0.0
         out.append(ObservableComparison(spec, mean_report(lhs_vals[j]),
                                         mean_report(rhs_vals[j]), z))
-    return ChangeOfMeasureResult(out, counts)
+    return ChangeOfMeasureResult(out, counts,
+                                 float(np.max(drift, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,10 @@ package's evaluation paths, so agreement is a genuine cross-check.  The
 Duhamel (Picard) reference of the flow shares only `spectral.quintic_batch`
 and `spectral.sobolev_norm_sq_sigma` with the package, and raises its own
 ContractionRadiusExceeded outside its local window; `check_factorization`
-recombines two production flows.  `holder_c_lower_bound` is the cutoff
-prefilter's first bound, the reference its sharper successor must not fall
-below.  The per-stage RK4 (`flow_per_stage`, `jacobian_det_per_stage`) is
-the flow as it was before its work buffers and phase table: each stage
-allocates its arrays and computes its own twist; the production flow must
-equal it bit for bit.
+recombines two production flows.  The per-stage RK4 (`flow_per_stage`,
+`jacobian_det_per_stage`) is the flow as it was before its work buffers
+and phase table: each stage allocates its arrays and computes its own
+twist; the production flow must equal it bit for bit.
 """
 
 import itertools
@@ -22,9 +20,7 @@ from nls_transport.errors import NlsTransportError
 from nls_transport.flow import _steps, _tangent_apply, evolve
 from nls_transport.spectral import (FourierState, default_grid,
                                     modulus_sq, quintic_batch,
-                                    sextic_integral_batch,
-                                    sobolev_norm_sq_sigma,
-                                    truncated_energy_batch, wavenumbers)
+                                    sobolev_norm_sq_sigma, wavenumbers)
 
 
 def quintic_oracle(coeffs, m_ambient, n_cut):
@@ -272,22 +268,6 @@ def check_factorization(u0, t, p):
     recombined[high] = (np.exp(-1j * ks[high].astype(np.float64) ** 2 * t)
                         * u0.coeffs[high])
     return float(np.linalg.norm(full.coeffs - recombined))
-
-
-def holder_c_lower_bound(coeffs, m_ambient, n_cut, t):
-    """E_N(u) - ||a||_6^5 ||b(t)||_6 - 1e-3 E_N(u), the first lower bound on
-    C(Phi_N(t) u) of the cutoff prefilter, from |a + b|^6 >= |a|^6
-    - 6 |a|^5 |b| and Hoelder, with ||a||_6^6 <= 6 (E_N - quad(b)
-    - pi sum_{|k|<=N} |u_k|^2); a the modes |k| <= N, b the others."""
-    ks = wavenumbers(m_ambient)
-    high = np.abs(ks) > n_cut
-    e_n = truncated_energy_batch(coeffs, m_ambient, n_cut)
-    quad = np.pi * np.where(high, 1.0 + ks**2, 1.0) * np.abs(coeffs) ** 2
-    a6 = np.maximum(6.0 * (e_n - np.sum(quad, axis=-1)), 0.0)
-    phases = np.exp(-1j * ks.astype(np.float64) ** 2 * t)
-    b6 = sextic_integral_batch(np.where(high, phases, 0.0) * coeffs,
-                               m_ambient)
-    return e_n - a6 ** (5.0 / 6.0) * b6 ** (1.0 / 6.0) - 1e-3 * e_n
 
 
 # ---------------------------------------------------------------------------

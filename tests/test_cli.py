@@ -11,6 +11,7 @@ from nls_transport.flow import FlowParams, evolve_batch
 from nls_transport.measures import SeededRng, sample_batch
 from nls_transport.parallel import THREADS_ENV
 from nls_transport.reporting import write_csv
+from nls_transport.spectral import truncated_energy_batch
 from nls_transport.transport import DENSITY_TOL, GAUSS_FORM_FACTOR, StudyKind
 
 
@@ -112,8 +113,9 @@ class TestCommands:
         assert "FAIL transport-mc" in capsys.readouterr().out
 
     def test_transport_mc_prefilter_counts(self, tmp_path, monkeypatch):
-        # two sample chunks; the manifest's counts are totals over the
-        # samples, the same at one and at two workers, as is the CSV
+        # two sample chunks; the manifest's cutoff counts are totals over
+        # the samples, the same at one and at two workers, as is the CSV,
+        # and the rows kept are those with E_N(u) <= R, N that of the flow
         args = ["transport-mc", "--n-samples", "9000", "--n-cut", "2",
                 "--m-ambient", "4", "--t", "0.2", "--cutoff-r", "4"]
         docs, csvs = [], []
@@ -125,15 +127,18 @@ class TestCommands:
                 (out / "transport-mc" / "manifest.json").read_text()))
             csvs.append((out / "transport-mc" / "transport-mc.csv"
                          ).read_bytes())
-        counts = docs[0]["summary"]["prefilter"]
-        assert counts == docs[1]["summary"]["prefilter"]
+        counts = docs[0]["summary"]["cutoff"]
+        assert counts == docs[1]["summary"]["cutoff"]
         assert csvs[0] == csvs[1]
+        coeffs = sample_batch(SeededRng(cli.DEFAULTS["seed"]), 9000,
+                              cli._measure({**cli.DEFAULTS, "m_ambient": 4,
+                                            "cutoff_r": 4.0}))
+        kept = int(np.sum(truncated_energy_batch(coeffs, 4, 2) <= 4.0))
         assert counts["samples"] == 9000
-        assert (counts["bound_skipped"] + counts["screen_skipped"]
-                + counts["evolved"]) == counts["samples"]
-        assert counts["screen_skipped"] > 0
-        assert 0 < counts["kept_at_start"] <= counts["evolved"]
-        assert 0 < counts["kept_at_end"] <= counts["evolved"]
+        assert 0 < counts["kept"] == kept < 9000
+        assert counts["refined"] == counts["unresolved"] == 0
+        assert counts["non_finite"] == 0
+        assert 0 < counts["max_energy_drift"] < 1e-8
 
     def test_liouville_small(self, tmp_path):
         code = run(["liouville", "--n-samples", "3", "--n-cut", "2",
@@ -339,10 +344,13 @@ class TestUnresolvedRow:
     def test_transport_mc_without_cutoff(self, tmp_path, capsys):
         summary, rows = self.failed_run(tmp_path, capsys, "transport-mc",
                                         "--n-samples", "5")
-        for r in rows:   # lhs finite; rhs, its stderr and z NaN
-            assert np.isfinite(float(r[1]))
+        for r in rows:   # rhs, its stderr and z NaN
             assert r[3:] == ["nan"] * 3
-        assert summary["prefilter"]["non_finite"] == 1
+        # the lhs reads the unresolved row's state off the same solve, so it
+        # is NaN too wherever the observable reads a mode; at M = N there
+        # are no modes above N, and high_mass is 0.0 on any state
+        assert [r[1] for r in rows] == ["nan"] * 5 + ["0.0"]
+        assert summary["cutoff"]["non_finite"] == 1
 
     def test_lp_density(self, tmp_path, capsys):
         summary, rows = self.failed_run(tmp_path, capsys, "lp-density",

@@ -139,6 +139,35 @@ class TestEvolve:
             single = nt.evolve(nt.FourierState(5, block[i]), 0.2, p)
             assert np.array_equal(batch[i], single.coeffs)
 
+    def test_rows_independent_of_batch(self):
+        # at the transport battery's config, a compacted batch gives each
+        # of its rows the bits of the full one
+        coeffs = gaussian_rows(64, 16, seed=424242)
+        p = nt.FlowParams(n_cut=4, step=1e-3)
+        full = evolve_batch(coeffs, 16, 0.3, p)
+        subset = [63, 5, 17, 40]
+        assert np.array_equal(evolve_batch(coeffs[subset], 16, 0.3, p),
+                              full[subset])
+        for i in subset:
+            assert np.array_equal(
+                evolve_batch(coeffs[i:i + 1], 16, 0.3, p)[0], full[i])
+
+    @pytest.mark.parametrize("n_cut, m_ambient", [(2, 2), (4, 16), (8, 8)])
+    @pytest.mark.parametrize("t", [0.3, -0.3])
+    def test_time_reversal(self, n_cut, m_ambient, t):
+        # with conj(u)_k = conj(u_{-k}), Phi_N(-t)(conj u) = conj(Phi_N(t) u),
+        # and the RK4 step keeps this to rounding; transport-mc reads its
+        # forward states off the backward solve by it
+        def conj(w):
+            return np.conj(w[..., ::-1])
+
+        coeffs = gaussian_rows(32, m_ambient)
+        p = nt.FlowParams(n_cut=n_cut, step=1e-3)
+        fwd = evolve_batch(coeffs, m_ambient, t, p)
+        got = conj(evolve_batch(conj(coeffs), m_ambient, -t, p))
+        scale = np.max(np.abs(fwd), axis=-1, keepdims=True)
+        assert np.max(np.abs(got - fwd) / scale) <= 1e-12
+
 
 class TestTrajectory:
     def test_zero_window(self, rng):

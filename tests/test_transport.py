@@ -8,19 +8,17 @@ import nls_transport as nt
 from nls_transport import transport
 from nls_transport.energies import EnergyParams
 from nls_transport.flow import evolve_batch
-from nls_transport.measures import SAMPLE_CHUNK, sample_batch
-from nls_transport.parallel import THREADS_ENV, run_chunked
+from nls_transport.measures import sample_batch
+from nls_transport.parallel import THREADS_ENV
 from nls_transport.spectral import (conserved_c_batch, truncated_energy_batch,
                                     wavenumbers)
 from nls_transport.transport import (DENSITY_TOL, GAUSS_FORM_FACTOR,
                                      DensityPieces, ObservableKind, StudyKind,
-                                     _coarse_forward_c, _forward_c_lower_bound,
                                      _quadrature_weights, _simpson_weights,
                                      default_observable_battery, density_pieces,
                                      log_density_direct_batch)
 
 from conftest import mu_like_coeffs
-from oracles import holder_c_lower_bound
 
 
 def density_setup(n_cut=4, t=0.3, s=2.0, quad_points=201, step=1e-3):
@@ -177,7 +175,7 @@ class TestStepControl:
         # formula at its accepted step
         coeffs, d = self.two_formula_samples()
         h = d.flow.step
-        got, steps = transport._controlled_direct(coeffs, 8, d)
+        got, steps, _ = transport._controlled_direct(coeffs, 8, d)
         coarse = fixed_step_direct(coeffs, 8, d, 2 * h)
         at_h = fixed_step_direct(coeffs, 8, d, h)
         resolved = np.abs(coarse - at_h) / 15.0 <= DENSITY_TOL
@@ -202,11 +200,11 @@ class TestStepControl:
         m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam)
         coeffs = sample_batch(nt.SeededRng(7), 20, m)
         c = conserved_c_batch(coeffs, 4)
-        largest, step = transport._controlled_direct(
+        largest, step, _ = transport._controlled_direct(
             coeffs[[np.argmax(c)]], 4, d)
         assert np.isnan(largest[0]) and np.isnan(step[0])
         rows = c < 20.0
-        got, steps = transport._controlled_direct(coeffs[rows], 4, d)
+        got, steps, _ = transport._controlled_direct(coeffs[rows], 4, d)
         assert np.all(steps <= d.t / 2)
         ref = fixed_step_direct(coeffs[rows], 4, d, 1e-4)
         assert np.max(np.abs(got - ref)) <= DENSITY_TOL
@@ -219,7 +217,7 @@ class TestStepControl:
         d, _ = density_setup(n_cut=8, t=0.5, step=0.04)
         batch = [i for i in range(20) if i not in (4, 8, 19)]
         overflow = [3, 6, 7, 11, 17]
-        got, steps = transport._controlled_direct(coeffs[batch], 8, d)
+        got, steps, _ = transport._controlled_direct(coeffs[batch], 8, d)
         assert np.all(np.isfinite(got))
         assert np.all(steps[np.isin(batch, overflow)] < d.flow.step)
         tame = [i for i in batch if i not in overflow]
@@ -245,23 +243,32 @@ class TestStepControl:
         d, _ = density_setup(n_cut=8, t=0.5, step=0.04)
         batch = [i for i in range(20) if i not in (4, 8, 19)]
         calls = self.recorded_steps(monkeypatch)
-        _, steps = transport._controlled_direct(coeffs[batch], 8, d)
+        _, steps, _ = transport._controlled_direct(coeffs[batch], 8, d)
         h = d.flow.step
         rungs = int(round(np.log2(h / np.min(steps))))
         assert rungs >= 1
         assert calls == [2.0 * h] + [h / 2**j for j in range(rungs + 1)]
 
-    def test_screen_makes_two_solves(self, monkeypatch):
-        # at H = 0.04 and 2H the coarse solves overflow on eight of these
-        # samples; the screen still makes one call at each step, and those
-        # rows get NaN
-        coeffs, _ = self.two_formula_samples()
-        d, _ = density_setup(n_cut=8, t=0.5, step=0.0025)
-        calls = self.recorded_steps(monkeypatch)
-        c_h, err = _coarse_forward_c(coeffs, 8, d)
-        assert calls == [16 * d.step, 32 * d.step]
-        assert np.sum(np.isnan(err)) == 8
-        assert np.all(np.isfinite(c_h[~np.isnan(err)]))
+    def test_states_are_the_accepted_solves(self):
+        # each row's end state is, bit for bit, the backward solve at the
+        # step the row was accepted at; the row the ladder leaves
+        # unresolved (as in test_unresolved_row_is_nan) is NaN
+        coeffs, d = self.two_formula_samples()
+        _, steps, states = transport._controlled_direct(coeffs, 8, d)
+        assert np.unique(steps).size > 1
+        for step in np.unique(steps):
+            rows = steps == step
+            assert np.array_equal(states[rows], evolve_batch(
+                coeffs[rows], 8, -d.t, dataclasses.replace(d.flow, step=step)))
+        d, _ = density_setup(n_cut=8, t=0.5, step=0.02, quad_points=51)
+        worst = int(np.argmax(conserved_c_batch(coeffs, 8)))
+        batch = coeffs[[0, 1, worst, 2]]
+        _, steps, states = transport._controlled_direct(batch, 8, d)
+        assert np.isnan(steps[2]) and np.all(np.isnan(states[2]))
+        for i in (0, 1, 3):
+            assert np.array_equal(states[i], evolve_batch(
+                batch[i:i + 1], 8, -d.t,
+                dataclasses.replace(d.flow, step=steps[i]))[0])
 
     def test_step_checked_at_construction(self):
         # the flow's check on the step holds before any solve
@@ -302,7 +309,9 @@ class TestStepControl:
                                            nt.SeededRng(2024))
         (res,) = result.comparisons
         assert np.isnan(res.rhs.estimate) and np.isnan(res.z)
-        assert np.isfinite(res.lhs.estimate)
+        # the lhs reads the row's state off the same unresolved solve, so it
+        # is NaN too: one NaN contract for a row the numerics cannot resolve
+        assert np.isnan(res.lhs.estimate)
         assert result.counts["non_finite"] >= 1
 
 
@@ -402,6 +411,38 @@ class TestChangeOfMeasure:
         (res,) = nt.change_of_measure_test(d, m, [high], 10000,
                                            nt.SeededRng(40)).comparisons
         assert abs(res.z) <= 4.0
+
+    def test_one_ladder_on_the_kept_rows(self, monkeypatch):
+        # the study's only flow calls are the ladder's, at 2h, h, then
+        # halvings, all backward: the first two solve exactly the rows with
+        # E_N(u) <= R, N that of the flow, and each later one some of them
+        d, fam = density_setup(n_cut=3, t=0.25, step=0.02)
+        m = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        coeffs = sample_batch(nt.SeededRng(40), 300, m)
+        keep = truncated_energy_batch(coeffs, 8, 3) <= m.cutoff_r
+        assert 0 < np.sum(keep) < coeffs.shape[0]
+        calls = []
+
+        def recording(rows, m_ambient, t, p):
+            calls.append((p.step, t, rows.copy()))
+            return evolve_batch(rows, m_ambient, t, p)
+
+        monkeypatch.setattr(transport, "evolve_batch", recording)
+        const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
+        result = nt.change_of_measure_test(d, m, [const], 300,
+                                           nt.SeededRng(40))
+        h = d.step
+        assert len(calls) >= 3
+        assert [step for step, _, _ in calls] == [2 * h] + [
+            h / 2**j for j in range(len(calls) - 1)]
+        assert all(t == -d.t for _, t, _ in calls)
+        for _, _, rows in calls[:2]:
+            assert np.array_equal(rows, coeffs[keep])
+        for _, _, rows in calls[2:]:
+            assert all(np.any(np.all(coeffs[keep] == row, axis=-1))
+                       for row in rows)
+        assert result.counts["kept"] == np.sum(keep)
+        assert result.counts["refined"] > 0
 
     def test_ambient_must_cover_cut(self):
         d, fam = density_setup(n_cut=4)
@@ -533,292 +574,3 @@ class TestCutoffConservation:
         tame = c0 <= 2 * m.cutoff_r
         assert np.max(drift[tame]) <= 1e-8
         assert np.array_equal(c0 <= m.cutoff_r, c1 <= m.cutoff_r)
-
-
-SCREEN_SWEEP_CAP = 40.0   # the screen's soundness sweep runs R up to this
-
-
-def prefilter_chunks(s, t, n_chunks, cutoff_r=5.0):
-    """(R, chunks) for n_chunks 8192-row chunks of the battery's sampling
-    (M = 16, N = 4, seed 424242) at s and t.  Each chunk is, for its rows,
-    (C(u), _forward_c_lower_bound, the Hoelder bound, C(Phi_t u), the
-    screen's (C_H, error estimate) of `_coarse_forward_c`, and the margin
-    1e-3 E_N(u)).  The screen's pair is NaN on the rows whose coarse solve
-    overflows.  The rows are evolved in pieces of 512 on the pool (sample
-    i is the same in any piece), where the flow costs less per row than in
-    a whole chunk."""
-    d, fam = density_setup(n_cut=4, t=t, s=s)
-    m = nt.MeasureParams(s=s, m_ambient=16, family=fam, cutoff_r=cutoff_r)
-    rng = nt.SeededRng(424242)
-
-    def piece(lo, hi):
-        coeffs = sample_batch(rng.substream(lo), hi - lo, m)
-        return (conserved_c_batch(coeffs, 16),
-                _forward_c_lower_bound(coeffs, 16, 4, d.t),
-                holder_c_lower_bound(coeffs, 16, 4, d.t),
-                conserved_c_batch(evolve_batch(coeffs, 16, d.t, d.flow), 16),
-                np.stack(_coarse_forward_c(coeffs, 16, d)),
-                1e-3 * truncated_energy_batch(coeffs, 16, 4))
-
-    pieces = run_chunked(piece, n_chunks * SAMPLE_CHUNK, 512)
-    per_chunk = SAMPLE_CHUNK // 512
-    return cutoff_r, [
-        tuple(np.concatenate(parts, axis=-1)
-              for parts in zip(*pieces[i:i + per_chunk]))
-        for i in range(0, len(pieces), per_chunk)]
-
-
-@pytest.fixture(scope="module")
-def battery_chunks():
-    """prefilter_chunks of four chunks of the battery (t = 0.3, R = 5),
-    evolved once for the tests that share them."""
-    return prefilter_chunks(2.0, 0.3, 4)
-
-
-def screen_skips(coeffs, m_ambient, d, cutoff_r):
-    """The screen's rule, restated: rows whose C(Phi_N(t) u) at the coarse
-    step H exceeds R by 1e-3 E_N(u), with |C_H - C_2H|/15 within a
-    sixteenth of that margin."""
-    c_h, c_2h = (conserved_c_batch(evolve_batch(
-        coeffs, m_ambient, d.t, dataclasses.replace(d.flow, step=step)),
-        m_ambient) for step in (16 * d.step, 32 * d.step))
-    margin = 1e-3 * truncated_energy_batch(coeffs, m_ambient, d.energy.n_cut)
-    return (c_h > cutoff_r + margin) & (np.abs(c_h - c_2h) / 15 <= margin / 16)
-
-
-class TestCutoffPrefilter:
-    """change_of_measure_test evolves at d.step only the rows whose C(u),
-    _forward_c_lower_bound or screened coarse C(Phi_N(t) u) may be within
-    the cutoff R."""
-
-    @staticmethod
-    def evolve_calls(monkeypatch, d, m, n, seed, evolve=evolve_batch):
-        """(step, rows) of each call change_of_measure_test makes to
-        evolve_batch, in call order, and the test's result; `evolve` stands
-        in for the flow."""
-        seen = []
-
-        def recording(coeffs, m_ambient, t, p):
-            seen.append((p.step, coeffs.copy()))
-            return evolve(coeffs, m_ambient, t, p)
-
-        monkeypatch.setattr(transport, "evolve_batch", recording)
-        # log G is not under test here: without a cutoff the step control
-        # would integrate every sample, the largest ones included
-        monkeypatch.setattr(transport, "_masked_log_density",
-                            lambda coeffs, *args: np.zeros(coeffs.shape[0]))
-        const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
-        result = nt.change_of_measure_test(d, m, [const], n,
-                                           nt.SeededRng(seed))
-        return seen, result
-
-    @staticmethod
-    def assert_screened_calls(calls, d, doubtful, evolved):
-        """A coarse call at 16 d.step and one at 32 d.step on exactly the
-        doubtful rows, none if there are none, then one call at d.step on
-        exactly `evolved`."""
-        coarse = [16 * d.step, 32 * d.step] if len(doubtful) else []
-        assert [step for step, _ in calls] == coarse + [d.step]
-        for _, rows in calls[:-1]:
-            assert np.array_equal(rows, doubtful)
-        assert np.array_equal(calls[-1][1], evolved)
-
-    def test_sound_on_battery_chunks(self, battery_chunks):
-        # R runs through C(Phi_t u) of chosen rows, which then sit on the
-        # cutoff (ties included): no row the cutoff keeps after the flow
-        # may be skipped, on four 8192-row chunks of the battery
-        cutoff_r, chunks = battery_chunks
-        for c0, bound, _, c1, *_ in chunks:
-            order = np.argsort(c1)
-            chosen = set(order[np.linspace(0, c1.size - 1, 40).astype(int)])
-            chosen |= set(np.argsort(np.abs(c1 - cutoff_r))[:20])
-            chosen.add(int(np.argmin(c1 - bound)))
-            for i in chosen:
-                r = c1[i]
-                skipped = (c0 > r) & (bound > r)
-                assert not skipped[i]
-                assert not np.any(skipped & (c1 <= r)), (i, r)
-            # and the bound is not vacuous at the battery cutoff
-            assert np.mean((c0 > cutoff_r) & (bound > cutoff_r)) > 0.75
-
-    @pytest.mark.parametrize("s,t,n_chunks", [(2.0, 0.3, 4), (3.0, 0.3, 1),
-                                              (2.0, -0.5, 1)])
-    def test_screen_sound_and_sharp(self, battery_chunks, s, t, n_chunks):
-        # as above, R runs through C(Phi_t u) of chosen rows, here up to
-        # SCREEN_SWEEP_CAP: the screen skips no doubtful row (C(u) > R,
-        # bound <= R) whose C(Phi_t u) at d.step is <= R.  At R = 5 the
-        # bound and the screen together skip at least 97% of the rows with
-        # C(u) > R and C(Phi_t u) > R.
-        cutoff_r, chunks = (battery_chunks if (s, t) == (2.0, 0.3)
-                            else prefilter_chunks(s, t, n_chunks))
-        for c0, bound, _, c1, (c_h, err), margin in chunks:
-            decided = err <= margin / 16
-
-            def skipped(r):
-                by_bound = (c0 > r) & (bound > r)
-                return by_bound | ((c0 > r) & decided & (c_h > r + margin))
-
-            swept = np.flatnonzero(c1 <= SCREEN_SWEEP_CAP)
-            order = swept[np.argsort(c1[swept])]
-            chosen = set(order[np.linspace(0, order.size - 1, 40).astype(int)])
-            chosen |= set(np.argsort(np.abs(c1 - cutoff_r))[:20])
-            chosen.add(int(swept[np.nanargmin(c1[swept] - c_h[swept])]))
-            for i in chosen:
-                r = c1[i]
-                assert not skipped(r)[i]
-                assert not np.any(skipped(r) & (c1 <= r)), (i, r)
-            out = (c0 > cutoff_r) & (c1 > cutoff_r)
-            assert np.sum(skipped(cutoff_r) & out) >= 0.97 * np.sum(out)
-
-    def test_sharper_than_holder_bound_on_battery_chunks(self,
-                                                          battery_chunks):
-        # on every row of four 8192-row chunks of the battery, the bound is
-        # at least the Hoelder bound it replaced and at most C(Phi_t u)
-        for _, bound, old, c1, *_ in battery_chunks[1]:
-            assert np.all(bound >= old)
-            assert np.all(bound <= c1)
-
-    def test_bound_is_c_less_margin_without_free_modes(self, monkeypatch):
-        # at N = M there are no free modes: the bound is C(u) less the
-        # margin, so every row with (1 - 1e-3) C(u) > R is skipped; here
-        # no row is left for the screen
-        d, fam = density_setup(n_cut=4, t=0.3)
-        m = nt.MeasureParams(s=2.0, m_ambient=4, family=fam, cutoff_r=8.0)
-        coeffs = sample_batch(nt.SeededRng(5), 400, m)
-        c = conserved_c_batch(coeffs, 4)
-        assert np.array_equal(_forward_c_lower_bound(coeffs, 4, 4, d.t),
-                              c - 1e-3 * c)
-        keep = ~((c > m.cutoff_r) & (c - 1e-3 * c > m.cutoff_r))
-        assert 0 < np.sum(keep) < coeffs.shape[0]
-        doubtful = keep & (c > m.cutoff_r)
-        screened = np.zeros_like(keep)
-        screened[doubtful] = screen_skips(coeffs[doubtful], 4, d, m.cutoff_r)
-        calls, _ = self.evolve_calls(monkeypatch, d, m, 400, 5)
-        self.assert_screened_calls(calls, d, coeffs[doubtful],
-                                   coeffs[keep & ~screened])
-
-    @staticmethod
-    def screened_rows(t):
-        """(d, cut, coeffs, keep, doubtful, screened) for the 300 samples
-        of seed 40 at M = 8, N = 3 and R = 5: the rows the bound keeps,
-        those of them with C(u) > R, and those the screen's rule skips."""
-        d, fam = density_setup(n_cut=3, t=t)
-        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
-        c = conserved_c_batch(coeffs, 8)
-        bound = _forward_c_lower_bound(coeffs, 8, 3, d.t)
-        keep = ~((c > cut.cutoff_r) & (bound > cut.cutoff_r))
-        doubtful = keep & (c > cut.cutoff_r)
-        screened = np.zeros_like(keep)
-        screened[doubtful] = screen_skips(coeffs[doubtful], 8, d,
-                                          cut.cutoff_r)
-        return d, cut, coeffs, keep, doubtful, screened
-
-    def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
-        d, cut, coeffs, keep, doubtful, screened = self.screened_rows(0.25)
-        assert 0 < np.sum(keep) < coeffs.shape[0]
-        assert np.any(screened)
-        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
-        self.assert_screened_calls(calls, d, coeffs[doubtful],
-                                   coeffs[keep & ~screened])
-        assert result.counts["bound_skipped"] == np.sum(~keep)
-        assert result.counts["screen_skipped"] == np.sum(screened)
-        # with no cutoff every row is evolved, in one call at d.step
-        free = dataclasses.replace(cut, cutoff_r=None)
-        calls, _ = self.evolve_calls(monkeypatch, d, free, 300, 40)
-        assert len(calls) == 1 and calls[0][0] == d.step
-        assert np.array_equal(calls[0][1], coeffs)
-
-    def test_screen_evolves_rows_within_its_margin(self, monkeypatch):
-        # with R half a margin below a doubtful row's C_H, the screen
-        # evolves that row: C_H must exceed R by the whole margin
-        d, fam = density_setup(n_cut=3, t=0.25)
-        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
-        c = conserved_c_batch(coeffs, 8)
-        # NaN on the rows that overflow at 16 d.step
-        c_h = conserved_c_batch(evolve_batch(
-            coeffs, 8, d.t, dataclasses.replace(d.flow, step=16 * d.step)), 8)
-        margin = 1e-3 * truncated_energy_batch(coeffs, 8, 3)
-        j = np.flatnonzero(c > c_h)[0]
-        cut = dataclasses.replace(cut, cutoff_r=c_h[j] - margin[j] / 2)
-        assert _forward_c_lower_bound(coeffs, 8, 3, d.t)[j] <= cut.cutoff_r
-        calls, _ = self.evolve_calls(monkeypatch, d, cut, 300, 40)
-        assert calls[-1][0] == d.step
-        assert np.any(np.all(calls[-1][1] == coeffs[j], axis=-1))
-
-    def test_short_window_runs_no_coarse_solve(self, monkeypatch):
-        # at |t| < 32 d.step the coarse pair takes no full step of 2H, so
-        # the screen decides nothing and the bound alone skips rows
-        d, cut, coeffs, keep, doubtful, _ = self.screened_rows(0.02)
-        assert np.any(doubtful)
-        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
-        assert len(calls) == 1 and calls[0][0] == d.step
-        assert np.array_equal(calls[0][1], coeffs[keep])
-        assert result.counts["screen_skipped"] == 0
-
-    @pytest.mark.parametrize("fault", ["one_row_overflows", "all_overflow",
-                                       "estimate_misses"])
-    def test_undecided_rows_fall_back(self, monkeypatch, fault):
-        # a coarse solve that overflows on a row the screen would skip, or
-        # on every doubtful row, or a solve at 2H that moves such a row's C
-        # by about 2%, sends those rows to the solve at d.step; the outputs
-        # are those of the run without the screen
-        d, cut, coeffs, keep, doubtful, screened = self.screened_rows(0.25)
-        faulty = doubtful if fault == "all_overflow" else screened.copy()
-        if fault == "one_row_overflows":
-            faulty[np.flatnonzero(screened)[1:]] = False
-
-        def failing(rows, m_ambient, t, p):
-            hit = np.array([np.any(np.all(coeffs[faulty] == row, axis=-1))
-                            for row in rows], dtype=bool)
-            out = evolve_batch(rows, m_ambient, t, p)
-            if fault != "estimate_misses" and p.step != d.step:
-                out[hit] = np.nan   # as the flow returns an overflowing row
-            if p.step == 32 * d.step:
-                out[hit] *= 1.01
-            return out
-
-        monkeypatch.setattr(transport, "_SCREEN_FACTOR", 10**9)
-        unscreened_calls, unscreened = self.evolve_calls(monkeypatch, d, cut,
-                                                         300, 40)
-        assert len(unscreened_calls) == 1
-        monkeypatch.undo()
-        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
-                                          evolve=failing)
-        assert np.sum(faulty) > 0
-        assert calls[-1][0] == d.step
-        assert np.array_equal(calls[-1][1],
-                              coeffs[keep & ~(screened & ~faulty)])
-        assert result.counts["screen_fallbacks"] == np.sum(faulty)
-        assert result.comparisons == unscreened.comparisons
-
-    def test_overflow_at_the_step_is_nan(self, monkeypatch):
-        # a row the flow returns as NaN at d.step makes the lhs NaN and is
-        # counted, where one at the coarse steps falls back
-        d, cut, *_ = self.screened_rows(0.25)
-
-        def overflowing(rows, m_ambient, t, p):
-            out = evolve_batch(rows, m_ambient, t, p)
-            if p.step == d.step:
-                out[0] = np.nan
-            return out
-
-        _, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
-                                      evolve=overflowing)
-        (res,) = result.comparisons
-        assert np.isnan(res.lhs.estimate) and np.isfinite(res.rhs.estimate)
-        assert result.counts["non_finite"] == 1
-
-    def test_evolve_rows_independent_of_batch(self):
-        # the compacted batch gives each kept row the bits of the full one
-        d, fam = density_setup(n_cut=4, t=0.3)
-        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam)
-        coeffs = sample_batch(nt.SeededRng(424242), 64, m)
-        full = evolve_batch(coeffs, 16, d.t, d.flow)
-        subset = [63, 5, 17, 40]
-        assert np.array_equal(evolve_batch(coeffs[subset], 16, d.t, d.flow),
-                              full[subset])
-        for i in subset:
-            assert np.array_equal(
-                evolve_batch(coeffs[i:i + 1], 16, d.t, d.flow)[0], full[i])
