@@ -139,19 +139,6 @@ class TestEvolve:
             single = nt.evolve(nt.FourierState(5, block[i]), 0.2, p)
             assert np.array_equal(batch[i], single.coeffs)
 
-    def test_rows_independent_of_batch(self):
-        # at the transport battery's config, a compacted batch gives each
-        # of its rows the bits of the full one
-        coeffs = gaussian_rows(64, 16, seed=424242)
-        p = nt.FlowParams(n_cut=4, step=1e-3)
-        full = evolve_batch(coeffs, 16, 0.3, p)
-        subset = [63, 5, 17, 40]
-        assert np.array_equal(evolve_batch(coeffs[subset], 16, 0.3, p),
-                              full[subset])
-        for i in subset:
-            assert np.array_equal(
-                evolve_batch(coeffs[i:i + 1], 16, 0.3, p)[0], full[i])
-
     @pytest.mark.parametrize("n_cut, m_ambient", [(2, 2), (4, 16), (8, 8)])
     @pytest.mark.parametrize("t", [0.3, -0.3])
     def test_time_reversal(self, n_cut, m_ambient, t):

@@ -412,38 +412,6 @@ class TestChangeOfMeasure:
                                            nt.SeededRng(40)).comparisons
         assert abs(res.z) <= 4.0
 
-    def test_one_ladder_on_the_kept_rows(self, monkeypatch):
-        # the study's only flow calls are the ladder's, at 2h, h, then
-        # halvings, all backward: the first two solve exactly the rows with
-        # E_N(u) <= R, N that of the flow, and each later one some of them
-        d, fam = density_setup(n_cut=3, t=0.25, step=0.02)
-        m = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
-        coeffs = sample_batch(nt.SeededRng(40), 300, m)
-        keep = truncated_energy_batch(coeffs, 8, 3) <= m.cutoff_r
-        assert 0 < np.sum(keep) < coeffs.shape[0]
-        calls = []
-
-        def recording(rows, m_ambient, t, p):
-            calls.append((p.step, t, rows.copy()))
-            return evolve_batch(rows, m_ambient, t, p)
-
-        monkeypatch.setattr(transport, "evolve_batch", recording)
-        const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
-        result = nt.change_of_measure_test(d, m, [const], 300,
-                                           nt.SeededRng(40))
-        h = d.step
-        assert len(calls) >= 3
-        assert [step for step, _, _ in calls] == [2 * h] + [
-            h / 2**j for j in range(len(calls) - 1)]
-        assert all(t == -d.t for _, t, _ in calls)
-        for _, _, rows in calls[:2]:
-            assert np.array_equal(rows, coeffs[keep])
-        for _, _, rows in calls[2:]:
-            assert all(np.any(np.all(coeffs[keep] == row, axis=-1))
-                       for row in rows)
-        assert result.counts["kept"] == np.sum(keep)
-        assert result.counts["refined"] > 0
-
     def test_ambient_must_cover_cut(self):
         d, fam = density_setup(n_cut=4)
         m = nt.MeasureParams(s=2.0, m_ambient=2, family=fam)
@@ -574,3 +542,177 @@ class TestCutoffConservation:
         tame = c0 <= 2 * m.cutoff_r
         assert np.max(drift[tame]) <= 1e-8
         assert np.array_equal(c0 <= m.cutoff_r, c1 <= m.cutoff_r)
+
+
+class TestCutoffPrefilter:
+    """change_of_measure_test solves only the rows its cutoff keeps,
+    E_N(u) <= R with N that of the flow, and each of them by the ladder of
+    _controlled_direct: one backward solve at 2h and at h, and finer ones
+    for the rows the estimate leaves undecided."""
+
+    @staticmethod
+    def evolve_calls(monkeypatch, d, m, n, seed, evolve=evolve_batch,
+                     observables=None):
+        """(step, t, rows) of each call change_of_measure_test makes to
+        evolve_batch, in call order, and the test's result; `evolve` stands
+        in for the flow."""
+        seen = []
+
+        def recording(coeffs, m_ambient, t, p):
+            seen.append((p.step, t, coeffs.copy()))
+            return evolve(coeffs, m_ambient, t, p)
+
+        monkeypatch.setattr(transport, "evolve_batch", recording)
+        const = nt.ObservableSpec(ObservableKind.BOUNDED_EXP, scale=0.0)
+        result = nt.change_of_measure_test(d, m, observables or [const], n,
+                                           nt.SeededRng(seed))
+        return seen, result
+
+    @staticmethod
+    def kept_rows(step=1e-3):
+        """(d, cut, coeffs, keep) for the 300 samples of seed 40 at M = 8,
+        N = 3, t = 0.25 and R = 5, with keep the rows E_N(u) <= R."""
+        d, fam = density_setup(n_cut=3, t=0.25, step=step)
+        cut = nt.MeasureParams(s=2.0, m_ambient=8, family=fam, cutoff_r=5.0)
+        coeffs = sample_batch(nt.SeededRng(40), 300, cut)
+        keep = truncated_energy_batch(coeffs, 8, 3) <= cut.cutoff_r
+        assert 0 < np.sum(keep) < coeffs.shape[0]
+        return d, cut, coeffs, keep
+
+    @staticmethod
+    def contains(block, row):
+        return np.any(np.all(block == row, axis=-1))
+
+    def test_evolves_only_rows_the_bound_keeps(self, monkeypatch):
+        # the study's only flow calls are the ladder's, at 2h, h, then
+        # halvings, all backward: the first two solve exactly the rows with
+        # E_N(u) <= R, and each later one some of them
+        d, cut, coeffs, keep = self.kept_rows(step=0.02)
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40)
+        h = d.step
+        assert len(calls) >= 3
+        assert [step for step, _, _ in calls] == [2 * h] + [
+            h / 2**j for j in range(len(calls) - 1)]
+        assert all(t == -d.t for _, t, _ in calls)
+        for _, _, rows in calls[:2]:
+            assert np.array_equal(rows, coeffs[keep])
+        for _, _, rows in calls[2:]:
+            assert all(self.contains(coeffs[keep], row) for row in rows)
+        assert result.counts["kept"] == np.sum(keep)
+        assert result.counts["refined"] > 0
+        # with no cutoff every row is solved, in the same ladder
+        free = dataclasses.replace(cut, cutoff_r=None)
+        calls, result = self.evolve_calls(monkeypatch, d, free, 300, 40)
+        assert calls[0][0] == 2 * h and calls[1][0] == h
+        for _, _, rows in calls[:2]:
+            assert np.array_equal(rows, coeffs)
+        assert result.counts["kept"] == 300
+
+    @staticmethod
+    def expected_means(coeffs, keep, steps, d, obs):
+        """The lhs and rhs means of the study if each kept row is accepted
+        at its step in `steps`: lhs f(conj w), rhs f(u) G(u), with w the
+        backward solve and G the direct formula at that step."""
+        terms = np.zeros((2, len(obs), coeffs.shape[0]))
+        kept = np.flatnonzero(keep)
+        for step in np.unique(steps):
+            rows = kept[steps == step]
+            bwd = evolve_batch(coeffs[rows], 8, -d.t,
+                               dataclasses.replace(d.flow, step=step))
+            g = np.exp(fixed_step_direct(coeffs[rows], 8, d, step))
+            for j, spec in enumerate(obs):
+                terms[0, j, rows] = spec.evaluate_batch(
+                    np.conj(bwd[..., ::-1]), 8)
+                terms[1, j, rows] = spec.evaluate_batch(coeffs[rows], 8) * g
+        return np.mean(terms, axis=-1)
+
+    @pytest.mark.parametrize("fault", ["one_row_overflows", "all_overflow",
+                                       "estimate_misses"])
+    def test_undecided_rows_fall_back(self, monkeypatch, fault):
+        # a solve at 2h that overflows on one kept row, or on every kept
+        # row, or that moves some rows' states by 1%, leaves those rows
+        # without an estimate at h: they, and only they, are solved again
+        # at h/2 and accepted there, and the outputs are those of the rows
+        # accepted at h and at h/2
+        d, cut, coeffs, keep = self.kept_rows()
+        kept = coeffs[keep]
+        faulty = np.zeros(kept.shape[0], dtype=bool)
+        faulty[{"one_row_overflows": [1], "all_overflow": slice(None),
+                "estimate_misses": slice(None, None, 4)}[fault]] = True
+
+        def failing(rows, m_ambient, t, p):
+            hit = np.array([self.contains(kept[faulty], row) for row in rows],
+                           dtype=bool)
+            out = evolve_batch(rows, m_ambient, t, p)
+            if p.step == 2 * d.step:
+                if fault == "estimate_misses":
+                    out[hit] *= 1.01
+                else:
+                    out[hit] = np.nan   # as the flow returns an overflowing row
+            return out
+
+        obs = default_observable_battery(3)
+        calls, _ = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                     observables=obs)
+        assert [step for step, _, _ in calls] == [2 * d.step, d.step]
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                          evolve=failing, observables=obs)
+        assert [step for step, _, _ in calls] == [2 * d.step, d.step,
+                                                  d.step / 2]
+        assert np.array_equal(calls[-1][2], kept[faulty])
+        assert result.counts["refined"] == np.sum(faulty)
+        assert result.counts["unresolved"] == 0
+        assert result.counts["non_finite"] == 0
+        steps = np.where(faulty, d.step / 2, d.step)
+        lhs, rhs = self.expected_means(coeffs, keep, steps, d, obs)
+        for j, res in enumerate(result.comparisons):
+            assert res.lhs.estimate == pytest.approx(lhs[j], rel=1e-12)
+            assert res.rhs.estimate == pytest.approx(rhs[j], rel=1e-12)
+
+    def test_overflow_at_the_step_is_nan(self, monkeypatch):
+        # a row the flow returns as NaN at h and at every finer step has no
+        # estimate on any rung: it goes down the ladder alone, and is NaN in
+        # both terms and counted.  A row NaN at h only is compared at h/4
+        # with its solve at h/2, and resolved there.
+        d, cut, coeffs, keep = self.kept_rows()
+
+        def overflowing(finest):
+            def evolve(rows, m_ambient, t, p):
+                out = evolve_batch(rows, m_ambient, t, p)
+                if finest <= p.step <= d.step:
+                    out[0] = np.nan
+                return out
+            return evolve
+
+        finest = d.step / 2**transport._MAX_HALVINGS
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                          evolve=overflowing(finest))
+        assert [step for step, _, _ in calls[2:]] == [
+            d.step / 2**j for j in range(1, transport._MAX_HALVINGS + 1)]
+        for _, _, rows in calls[2:]:
+            assert np.array_equal(rows, coeffs[keep][:1])
+        (res,) = result.comparisons
+        assert np.isnan(res.lhs.estimate) and np.isnan(res.rhs.estimate)
+        assert result.counts["unresolved"] == 1
+        assert result.counts["non_finite"] == 1
+        calls, result = self.evolve_calls(monkeypatch, d, cut, 300, 40,
+                                          evolve=overflowing(d.step))
+        assert [step for step, _, _ in calls[2:]] == [d.step / 2,
+                                                      d.step / 4]
+        (res,) = result.comparisons
+        assert np.isfinite(res.lhs.estimate) and np.isfinite(res.rhs.estimate)
+        assert result.counts["refined"] == 1
+        assert result.counts["unresolved"] == 0
+
+    def test_evolve_rows_independent_of_batch(self):
+        # the compacted batch gives each kept row the bits of the full one
+        d, fam = density_setup(n_cut=4, t=0.3)
+        m = nt.MeasureParams(s=2.0, m_ambient=16, family=fam)
+        coeffs = sample_batch(nt.SeededRng(424242), 64, m)
+        full = evolve_batch(coeffs, 16, d.t, d.flow)
+        subset = [63, 5, 17, 40]
+        assert np.array_equal(evolve_batch(coeffs[subset], 16, d.t, d.flow),
+                              full[subset])
+        for i in subset:
+            assert np.array_equal(
+                evolve_batch(coeffs[i:i + 1], 16, d.t, d.flow)[0], full[i])
