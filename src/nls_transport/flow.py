@@ -8,27 +8,28 @@ in which the stiff linear phases are removed exactly and the remaining ODE
 
 is handled by classical RK4 with a fixed step and a fractional last step
 (a rounding-level remainder joins the last whole step instead).
-Each stage untwists to u, applies the dealiased quintic product, and twists
-back.  High modes |k| > N are multiplied by e^{-i k^2 t} exactly, realizing
-the flow's product structure (nonlinear block times free rotation).  The
-Liouville checks differentiate this same map.  Rows are solved
+Each stage untwists to u, applies the dealiased quintic product
+(spectral.quintic_product), and twists back.  High modes |k| > N are
+multiplied by e^{-i k^2 t} exactly, realizing the flow's product structure
+(nonlinear block times free rotation).  The Liouville checks differentiate
+this same map.  Rows are solved
 independently: `evolve_batch` returns a row that overflows as NaN and the
 others with their bits, and `evolve` and `trajectory_batch` raise
 NonFiniteState instead.
 
 On the few rows of a `convergence` solve a stage costs numpy call overhead,
 not arithmetic, so no stage allocates.  Each solve (one `_flow_at` call,
-all the intervals of a trajectory) makes its quintic products once, one
-per row-block size and so at most two; each holds the zero-padded grid
-array, whose gap is never written, the value grid and the modulus scratch
-of one block.  Blocks have at most _ROW_BLOCK rows, which are solved
-together and keep the buffers near the cache; rows are independent, so a
-row's bits do not depend on its block.  `_rk4` allocates its stage arrays
-once per call, and takes the phases e^{-i k^2 tau} and -i e^{i k^2 tau} of
-the stage times of _PHASE_BLOCK steps from one np.exp call (the phase
-table), with tau accumulated as the per-stage loop accumulated it.  The
-bits are those of that loop, which allocated every stage and computed two
-twists in each (tests/oracles.py keeps it as the reference).
+all the intervals of a trajectory) makes its products once, one
+spectral.quintic_product per row-block size and so at most two, each with
+the work buffers of one block.  Blocks have at most _ROW_BLOCK rows, which
+are solved together and keep the buffers near the cache; rows are
+independent, so a row's bits do not depend on its block.  `_rk4`
+allocates its stage arrays once per call, and takes the phases
+e^{-i k^2 tau} and -i e^{i k^2 tau} of the stage times of _PHASE_BLOCK
+steps from one np.exp call (the phase table), with tau accumulated as the
+per-stage loop accumulated it.  The bits are those of that loop, which
+allocated every stage and computed two twists in each (tests/oracles.py
+keeps it as the reference).
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NonFiniteState
-from .spectral import (FourierState, default_grid, grid_coefficients,
-                       grid_values, modulus_sq, quintic_band,
-                       sobolev_norm_sq_sigma, truncated_energy_batch,
-                       wavenumbers)
+from .spectral import (FourierState, default_grid, grid_values, modulus_sq,
+                       quintic_product, sobolev_norm_sq_sigma,
+                       truncated_energy_batch, wavenumbers)
 
 GROWTH_C_SIGMA = 1.0         # pinned constant in the a-priori growth bound
 
@@ -149,43 +149,6 @@ def _rk4(y: np.ndarray, t_start: float, t: float, h: float,
     return y
 
 
-def _quintic_product(n_cut: int, n_points: int, rows: int):
-    """product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on `rows` rows
-    of band coefficients k = -N..N, with the bits of spectral.quintic_band.
-    u is formed as one contiguous (rows, 2N+1) product and its halves
-    copied into the band slots of a zero-padded grid array, whose gap is
-    never written; the inverse transform goes into a value grid, which the
-    modulus scratch multiplies by |u|^4 and the forward transform
-    overwrites; the result is gathered into the band array, which the next
-    call overwrites.  The buffers and their views are made here, once, so
-    a call allocates and slices nothing."""
-    band = np.empty((rows, 2 * n_cut + 1), dtype=np.complex128)
-    padded = np.zeros((rows, n_points), dtype=np.complex128)
-    vals = np.empty_like(padded)
-    mod, sq = np.empty((2, rows, n_points))
-    b_hi, b_lo = band[:, n_cut:], band[:, :n_cut]
-    p_hi, p_lo = padded[:, :n_cut + 1], padded[:, n_points - n_cut:]
-    v_hi, v_lo = vals[:, :n_cut + 1], vals[:, n_points - n_cut:]
-    re, im = vals.real, vals.imag
-
-    def product(phase, w):
-        np.multiply(phase, w, out=band)
-        np.copyto(p_hi, b_hi)
-        np.copyto(p_lo, b_lo)
-        np.fft.ifft(padded, axis=-1, norm="forward", out=vals)
-        np.square(re, out=mod)
-        np.square(im, out=sq)
-        np.add(mod, sq, out=mod)
-        np.multiply(mod, mod, out=mod)
-        np.multiply(vals, mod, out=vals)
-        np.fft.fft(vals, axis=-1, norm="forward", out=vals)
-        np.copyto(b_hi, v_hi)
-        np.copyto(b_lo, v_lo)
-        return band
-
-    return product
-
-
 def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     """Yield the flow of a (batch, 2M+1) block at each of the monotone
     times in turn.  The rows are solved in blocks of at most _ROW_BLOCK,
@@ -202,7 +165,7 @@ def _flow_at(coeffs: np.ndarray, m_ambient: int, times, p: FlowParams):
     blocks = [rows[lo:lo + _ROW_BLOCK]
               for lo in range(0, rows.shape[0], _ROW_BLOCK)]
     n_points = default_grid(p.n_cut).n_points
-    products = {len(b): _quintic_product(p.n_cut, n_points, len(b))
+    products = {len(b): quintic_product(p.n_cut, n_points, len(b))
                 for b in blocks}
     t_prev = 0.0
     for t in times:
@@ -280,14 +243,16 @@ def _tangent_apply(u: np.ndarray, h: np.ndarray, n_points: int) -> np.ndarray:
     """DN(u)[h] = Pi_N(3|u|^4 h + 2|u|^2 u^2 conj(h)), the derivative of the
     quintic product N(u) = Pi_N(|u|^4 u), for band coefficients u (2N+1,)
     and each row of h (n, 2N+1).  It is real- but not complex-linear.
-    |u|^2 is quintic_band's modulus_sq, so the derivative is taken of the
-    formula the flow evaluates."""
+    |u|^2 is re^2 + im^2 and the forward transform scales by
+    norm="forward", as in spectral.quintic_product, so the derivative is
+    taken of the formula the flow evaluates."""
     m = u.shape[-1] // 2
     vals = grid_values(u, m, n_points)
     hv = grid_values(h, m, n_points)
     mod2 = modulus_sq(vals)
     dnl = 3.0 * (mod2 * mod2) * hv + 2.0 * mod2 * vals**2 * np.conj(hv)
-    return grid_coefficients(dnl, wavenumbers(m))
+    np.fft.fft(dnl, axis=-1, norm="forward", out=dnl)
+    return dnl[..., wavenumbers(m) % n_points]
 
 
 def divergence_at(u: FourierState, p: FlowParams) -> float:
@@ -313,12 +278,13 @@ def jacobian_det(u0: FourierState, t: float, p: FlowParams) -> float:
     _require_pure(u0, p)
     dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
     out = np.empty((2 * dim + 1, dim), dtype=np.complex128)
+    state = quintic_product(p.n_cut, n_points, 1)
 
     def product(phase, w):
         """The quintic product of the state (row 0) and its derivative
         along each tangent (the other rows), into one array."""
         u = phase * w
-        out[:1] = quintic_band(u[:1], n_points)
+        out[:1] = state(phase, w[:1])
         out[1:] = _tangent_apply(u[0], u[1:], n_points)
         return out
 

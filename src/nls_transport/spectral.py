@@ -1,6 +1,10 @@
 """Torus functions as finite Fourier series, norms, invariants, and the
 dealiased quintic nonlinearity.
 
+quintic_product is the package's one Pi_N(|u|^4 u): the flow's RK4
+stages call it on their rows, quintic_batch (the v of Q) on its band rows
+at phase 1, and the Liouville checks on the state they differentiate at.
+
 Conventions: the torus is [0, 2pi) with Lebesgue measure dx, functions are
 u(x) = sum_k u_k e^{ikx} with k = -M..M, and the Fourier pairing is
 u_k = (1/2pi) int u e^{-ikx} dx.  All physical-space products are evaluated
@@ -141,49 +145,67 @@ def grid_values(coeffs: np.ndarray, m_ambient: int, n_points: int) -> np.ndarray
     return spec
 
 
-def grid_coefficients(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Forward transform of grid values, restricted to wavenumbers `keep`."""
-    n_points = values.shape[-1]
-    return np.fft.fft(values, axis=-1)[..., keep % n_points] / n_points
-
-
 def modulus_sq(vals: np.ndarray) -> np.ndarray:
     """|v|^2 per cell as re^2 + im^2: no hypot, and squared again for |v|^4
     without a pow."""
     return vals.real ** 2 + vals.imag ** 2
 
 
-def quintic_band(band: np.ndarray, n_points: int) -> np.ndarray:
-    """Pi_N(|u|^4 u) for u given by its (..., 2N+1) band coefficients,
-    k = -N..N; exact when n_points >= 6N + 2 dealiases the quintic band.
-    The grid array is transformed and multiplied in place, |u|^4 is the
-    square of modulus_sq, and the transforms scale by norm="forward" (the
-    inverse not at all, the forward by 1/G: on the power-of-two grids of
-    default_grid these are the bits of scaling in separate passes).  The
-    flow's stages compute it with these bits in work buffers that each
-    solve allocates once (flow._quintic_product)."""
-    idx = wavenumbers(band.shape[-1] // 2) % n_points
-    vals = np.zeros(band.shape[:-1] + (n_points,), dtype=np.complex128)
-    vals[..., idx] = band
-    np.fft.ifft(vals, axis=-1, norm="forward", out=vals)
-    mod4 = modulus_sq(vals)
-    mod4 *= mod4
-    vals *= mod4
-    return np.fft.fft(vals, axis=-1, norm="forward", out=vals)[..., idx]
+def quintic_product(n_cut: int, n_points: int, rows: int):
+    """product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on `rows` rows
+    of band coefficients k = -N..N, exact when n_points >= 6N + 2; the one
+    quintic product of the package.  u is formed as one contiguous
+    (rows, 2N+1) product and its halves copied into the band slots of a
+    zero-padded grid array, whose gap is never written; the inverse
+    transform goes into a value grid, which the modulus scratch multiplies
+    by |u|^4 = (re^2 + im^2)^2 and the forward transform overwrites; the
+    transforms scale by norm="forward" (the inverse not at all, the
+    forward by 1/G).  The result is gathered into the band array, which
+    the next call overwrites.  The buffers and their views are made here,
+    once, so a call allocates and slices nothing."""
+    band = np.empty((rows, 2 * n_cut + 1), dtype=np.complex128)
+    padded = np.zeros((rows, n_points), dtype=np.complex128)
+    vals = np.empty_like(padded)
+    mod, sq = np.empty((2, rows, n_points))
+    b_hi, b_lo = band[:, n_cut:], band[:, :n_cut]
+    p_hi, p_lo = padded[:, :n_cut + 1], padded[:, n_points - n_cut:]
+    v_hi, v_lo = vals[:, :n_cut + 1], vals[:, n_points - n_cut:]
+    re, im = vals.real, vals.imag
+
+    def product(phase, w):
+        np.multiply(phase, w, out=band)
+        np.copyto(p_hi, b_hi)
+        np.copyto(p_lo, b_lo)
+        np.fft.ifft(padded, axis=-1, norm="forward", out=vals)
+        np.square(re, out=mod)
+        np.square(im, out=sq)
+        np.add(mod, sq, out=mod)
+        np.multiply(mod, mod, out=mod)
+        np.multiply(vals, mod, out=vals)
+        np.fft.fft(vals, axis=-1, norm="forward", out=vals)
+        np.copyto(b_hi, v_hi)
+        np.copyto(b_lo, v_lo)
+        return band
+
+    return product
 
 
 def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
                   n_points: int) -> np.ndarray:
-    """Pi_N(|Pi_N u|^4 Pi_N u) for a (batch, 2M+1) coefficient block.
+    """Pi_N(|Pi_N u|^4 Pi_N u) for a (..., 2M+1) coefficient block.
 
     Only the |k| <= n_cut band enters, so the grid needs to dealias the
-    quintic band, not to hold the full ambient spectrum.
+    quintic band, not to hold the full ambient spectrum.  The band's rows
+    go through one quintic_product at phase 1.
     """
     if n_points < 6 * n_cut + 2:
         raise GridTooSmall(f"grid {n_points} < {6 * n_cut + 2} for quintic")
-    band = slice(max(m_ambient - n_cut, 0), m_ambient + n_cut + 1)
+    keep = slice(max(m_ambient - n_cut, 0), m_ambient + n_cut + 1)
+    band = coeffs[..., keep]
+    rows = band.reshape(-1, band.shape[-1])
+    product = quintic_product(band.shape[-1] // 2, n_points, rows.shape[0])
     out = np.zeros_like(coeffs)
-    out[..., band] = quintic_band(coeffs[..., band], n_points)
+    out[..., keep] = product(1.0, rows).reshape(band.shape)
     return out
 
 
