@@ -24,6 +24,7 @@ from .errors import ConfigInvalid, NlsTransportError
 from .flow import (FlowParams, divergence_at, evolve_trajectory,
                    growth_monitor, jacobian_det)
 from .measures import MeasureParams, SeededRng, moment_growth_mc, sample_batch
+from .parallel import worker_count
 from .reporting import save_trajectory, write_csv, write_manifest
 from .resonance import counting_checks, psi_bound_ratios, strichartz_sum
 from .spectral import (FourierState, WeightFamily, WeightKind, mass,
@@ -32,6 +33,9 @@ from .transport import (GAUSS_FORM_FACTOR, DensityParams,
                         change_of_measure_test, convergence_study,
                         default_observable_battery, density_pieces,
                         lp_density_study)
+
+SIMULATE_TOL = 1e-8        # plane-wave phase error of `simulate`
+DENSITY_CHECK_TOL = 1e-6   # |direct - normal form| log G of `density-check`
 
 COMMANDS = ("simulate", "density-check", "transport-mc", "convergence",
             "liouville", "lemmas", "lp-density", "moments")
@@ -55,7 +59,6 @@ DEFAULTS = {
     "amplitude": 0.5,
     "wave_k": 1,
     "n_snapshots": 11,
-    "tol": None,
 }
 
 
@@ -160,10 +163,9 @@ def run_simulate(cfg, outdir):
                      np.sqrt(sobolev_norm_sq_sigma(state, cfg["sigma"]))))
     save_trajectory(traj, outdir / "trajectory", {
         "n_cut": cfg["n_cut"], "step": cfg["step"], "seed": cfg["seed"]})
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-8
-    passed = phase_err <= tol and report.mass_drift <= 1e-8
+    passed = phase_err <= SIMULATE_TOL and report.mass_drift <= 1e-8
     summary = {"phase_error": phase_err, "mass_drift": report.mass_drift,
-               "c_drift": report.c_drift, "tolerance": tol}
+               "c_drift": report.c_drift, "tolerance": SIMULATE_TOL}
     return passed, summary, ("time", "mass", "h_sigma_norm"), rows
 
 
@@ -171,7 +173,6 @@ def run_density_check(cfg, outdir):
     d = _density(cfg)
     m = _measure(cfg)
     coeffs = sample_batch(SeededRng(cfg["seed"]), cfg["n_samples"], m)
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     pieces = density_pieces(coeffs, m.m_ambient, d)
     diff = np.abs(pieces.log_g - pieces.normal_form)
     rows = list(zip(range(cfg["n_samples"]), pieces.log_g,
@@ -185,8 +186,8 @@ def run_density_check(cfg, outdir):
 
     worst = resolved_max(diff)
     unresolved = int(np.sum(~resolved))
-    passed = worst <= tol and unresolved == 0
-    summary = {"max_abs_diff": worst, "tolerance": tol,
+    passed = worst <= DENSITY_CHECK_TOL and unresolved == 0
+    summary = {"max_abs_diff": worst, "tolerance": DENSITY_CHECK_TOL,
                "max_quadrature_error":
                    GAUSS_FORM_FACTOR * resolved_max(pieces.q_error),
                "refined_rows": int(np.sum(pieces.steps < d.start_step)),
@@ -382,11 +383,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _typed(key: str, value, kind: type):
+    """value as a `kind` value of `key`: a str key takes a string, a float
+    key any number as given, an int key an integral number such as 8 or
+    8.0, as int."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return value
+        if float(value).is_integer():
+            return int(value)
+    raise ConfigInvalid(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def _checked(key: str, value):
+    """value checked against the type of DEFAULTS[key]: a key whose default
+    is None takes None or a float, a list key a list of its entries'
+    type."""
+    default = DEFAULTS[key]
+    if default is None:
+        return None if value is None else _typed(key, value, float)
+    if not isinstance(default, list):
+        return _typed(key, value, type(default))
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{key} must be a list, got {value!r}")
+    return [_typed(key, v, type(default[0])) for v in value]
+
+
+def _number(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigInvalid(f"{key} entries must be numbers, got {text!r}")
+
+
 def resolve_config(args) -> dict:
+    """DEFAULTS, then the config file, then the command line, each value
+    checked against the type of its default and then by _validate; the
+    worker count of the environment is checked here too."""
     cfg = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigInvalid(f"{args.config} must hold a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
@@ -394,14 +439,11 @@ def resolve_config(args) -> dict:
     for key in DEFAULTS:
         arg = getattr(args, key, None)
         if arg is not None:
-            if isinstance(DEFAULTS[key], list) and isinstance(arg, str):
-                parts = [p for p in arg.split(",") if p]
-                caster = float if key == "p_list" else int
-                arg = [caster(p) for p in parts]
+            if isinstance(DEFAULTS[key], list):
+                arg = [_number(key, p) for p in arg.split(",") if p]
             cfg[key] = arg
-    for key in ("n_cut", "m_ambient", "n_samples", "quad_points", "m_max",
-                "seed", "wave_k", "n_snapshots"):
-        cfg[key] = int(cfg[key])
+    cfg = {key: _checked(key, value) for key, value in cfg.items()}
+    worker_count()
     return _validate(cfg, args.command)
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+from .errors import ConfigInvalid
+
 THREADS_ENV = "NLS_TRANSPORT_THREADS"
 
 _body = None          # the chunk body of the running call, inherited by fork
@@ -31,9 +33,14 @@ _pending = False      # set while a started pool runs: calls run inline
 
 
 def worker_count() -> int:
+    """NLS_TRANSPORT_THREADS if set, at least 1, else the core count; a
+    value that is not an integer raises ConfigInvalid."""
     val = os.environ.get(THREADS_ENV)
     if val:
-        return max(1, int(val))
+        try:
+            return max(1, int(val))
+        except ValueError:
+            raise ConfigInvalid(f"{THREADS_ENV}={val!r} is not an integer")
     return os.cpu_count() or 1
 
 

@@ -254,16 +254,6 @@ def density_wgm(u: FourierState, d: DensityParams) -> float:
     return float(density_pieces(u.coeffs[None, :], u.m_ambient, d).weighted[0])
 
 
-def _masked_log_density(coeffs: np.ndarray, m_ambient: int, d: DensityParams,
-                        keep: np.ndarray) -> np.ndarray:
-    """Direct log G on the rows where keep holds and -inf on the others, so
-    that exp gives an exact 0 there and no discarded row is integrated."""
-    out = np.full(coeffs.shape[0], -np.inf)
-    if np.any(keep):
-        out[keep] = log_density_direct_batch(coeffs[keep], m_ambient, d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # observables
 
@@ -504,19 +494,26 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
     if mass == 0.0:
         raise NlsTransportError("cutoff keeps no samples; raise cutoff_r")
 
-    def log_g_at(n_cut: int) -> np.ndarray:
-        dd = replace(d, energy=replace(d.energy, n_cut=n_cut))
+    cuts = sorted(set(n_list) | {m.m_ambient})
 
-        def body(lo, hi):   # a row's log G does not depend on its chunk
-            return _masked_log_density(coeffs[lo:hi], m.m_ambient, dd,
-                                       ind[lo:hi] > 0)
+    def body(lo, hi):
+        """log G of each truncation (one row per cut) on the chunk's kept
+        samples, -inf on the others, so that exp gives an exact 0 there and
+        no discarded row is integrated; a row's log G does not depend on
+        its chunk."""
+        keep = ind[lo:hi] > 0
+        out = np.full((len(cuts), hi - lo), -np.inf)
+        if np.any(keep):
+            for i, n_cut in enumerate(cuts):
+                out[i, keep] = log_density_direct_batch(
+                    coeffs[lo:hi][keep], m.m_ambient,
+                    replace(d, energy=replace(d.energy, n_cut=n_cut)))
+        return out
 
-        return np.concatenate(run_chunked(body, n, _DENSITY_CHUNK))
-
-    g_ref = np.exp(log_g_at(m.m_ambient))
+    gs = np.exp(np.concatenate(run_chunked(body, n, _DENSITY_CHUNK), axis=1))
+    g_ref = gs[cuts.index(m.m_ambient)]
     rows = []
-    for n_cut in sorted(set(list(n_list) + [m.m_ambient])):
-        g = np.exp(log_g_at(n_cut)) if n_cut != m.m_ambient else g_ref
+    for n_cut, g in zip(cuts, gs):
         for p_exp in p_list:
             norm_g = float((np.mean(g**p_exp) / mass) ** (1.0 / p_exp))
             diff = float((np.mean(np.abs(g_ref - g) ** p_exp)

@@ -44,6 +44,9 @@ class TestConfigHandling:
         ["lp-density", "--p-list", "0"],
         ["lp-density", "--p-list", "-1"],
         ["lp-density", "--p-list", ","],
+        ["convergence", "--n-list", "4.5"],
+        ["convergence", "--n-list", "a,b"],
+        ["lp-density", "--p-list", "x"],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):
@@ -52,6 +55,37 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(
             f"FAIL {args[0]}: invalid config: ")
         assert not (tmp_path / args[0]).exists()
+
+    @pytest.mark.parametrize("text, threads", [
+        ('{"t": "abc"}', None),
+        ('{"n_cut": 4.7}', None),
+        ('{"n_cut": 2, "m_ambient": ', None),
+        ("{}", "two"),
+    ], ids=["string_float", "fractional_int", "malformed_json",
+            "threads_not_an_integer"])
+    def test_malformed_outside_input_rejected(self, tmp_path, capsys,
+                                              monkeypatch, text, threads):
+        # a config file value of the wrong type, a file that is not JSON
+        # and a worker count that is not an integer all exit 2 with the
+        # CLI's message, before any study runs
+        if threads is not None:
+            monkeypatch.setenv("NLS_TRANSPORT_THREADS", threads)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run(["simulate", "--config", str(cfg),
+                    "--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "FAIL simulate: invalid config: ")
+        assert not (tmp_path / "simulate").exists()
+
+    def test_integral_float_accepted_for_int_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_cut": 2.0, "n_list": [4.0]}))
+        got = cli.resolve_config(cli.build_parser().parse_args(
+            ["simulate", "--config", str(cfg)]))
+        assert got["n_cut"] == 2 and isinstance(got["n_cut"], int)
+        assert got["n_list"] == [4] and isinstance(got["n_list"][0], int)
 
     @pytest.mark.parametrize("args", [
         ["lemmas", "--step", "0.2"],

@@ -11,7 +11,7 @@ from nls_transport.spectral import (TWO_PI, conserved_c_batch, grid_values,
                                     wavenumbers)
 
 from conftest import random_coeffs
-from oracles import quintic_oracle
+from oracles import quintic_band_per_stage, quintic_oracle
 
 
 def state_strategy(max_m=4, scale=1.0):
@@ -182,6 +182,31 @@ class TestQuintic:
         for i in range(7):
             single = quintic_batch(block[i][None, :], 4, 3, 32)[0]
             assert np.array_equal(batch[i], single)
+
+    @pytest.mark.parametrize("shape, m_ambient, n_cut, strided", [
+        ((), 4, 3, False),        # one state
+        ((5,), 8, 3, False),      # a batch with N < M
+        ((2, 3), 4, 4, False),    # a batch with N = M, two leading axes
+        ((6,), 8, 3, True),       # the (rows, 2N+1) column view of Q
+    ])
+    def test_matches_per_stage_product(self, rng, shape, m_ambient, n_cut,
+                                       strided):
+        # Q's v = Pi_N(|u|^4 u) has the bits of the per-stage reference
+        # product of tests/oracles.py on the band and is zero off it
+        coeffs = rng.standard_normal(shape + (2 * m_ambient + 1, 2)) @ [1, 1j]
+        band = slice(m_ambient - n_cut, m_ambient + n_cut + 1)
+        if strided:
+            coeffs = coeffs[:, band]
+            assert not coeffs.flags.c_contiguous
+            m_ambient, band = n_cut, slice(None)
+        n_points = nt.default_grid(n_cut).n_points
+        got = quintic_batch(coeffs, m_ambient, n_cut, n_points)
+        assert np.array_equal(got[..., band],
+                              quintic_band_per_stage(coeffs[..., band],
+                                                     n_points))
+        off = np.ones(got.shape[-1], dtype=bool)
+        off[band] = False
+        assert not np.any(got[..., off])
 
 
 class TestSnapshotFile:
