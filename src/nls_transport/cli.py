@@ -306,9 +306,8 @@ def run_lemmas(cfg, outdir):
 
 
 def run_lp_density(cfg, outdir):
-    cfg = dict(cfg)
     if cfg["cutoff_r"] is None:
-        cfg["cutoff_r"] = 8.0
+        cfg = dict(cfg, cutoff_r=8.0)
     d = _density(cfg)
     m = _measure(cfg)
     rows_out = lp_density_study(d, m, cfg["p_list"], cfg["n_samples"],
@@ -368,61 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; command line overrides it")
-        p.add_argument("--output", type=str, default=None)
         for key, val in DEFAULTS.items():
-            if key in ("output",):
-                continue
             flag = "--" + key.replace("_", "-")
             if isinstance(val, list):
                 p.add_argument(flag, type=str, default=None,
                                help="comma separated")
-            elif val is None:
-                p.add_argument(flag, type=float, default=None)
             else:
-                p.add_argument(flag, type=type(val), default=None)
+                p.add_argument(flag, default=None,
+                               type=float if val is None else type(val))
     return parser
 
 
-def _typed(key: str, value, kind: type):
-    """value as a `kind` value of `key`: a str key takes a string, a float
-    key any number as given, an int key an integral number such as 8 or
-    8.0, as int."""
-    if kind is str:
-        if isinstance(value, str):
-            return value
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is float:
-            return value
-        if float(value).is_integer():
-            return int(value)
-    raise ConfigInvalid(f"{key} must be {kind.__name__}, got {value!r}")
-
-
-def _checked(key: str, value):
-    """value checked against the type of DEFAULTS[key]: a key whose default
-    is None takes None or a float, a list key a list of its entries'
-    type."""
-    default = DEFAULTS[key]
-    if default is None:
-        return None if value is None else _typed(key, value, float)
-    if not isinstance(default, list):
-        return _typed(key, value, type(default))
-    if not isinstance(value, list):
-        raise ConfigInvalid(f"{key} must be a list, got {value!r}")
-    return [_typed(key, v, type(default[0])) for v in value]
-
-
-def _number(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigInvalid(f"{key} entries must be numbers, got {text!r}")
+def _typed(key: str, value, default):
+    """value typed as `default`, the DEFAULTS entry of key; an int key
+    takes 8 or 8.0 as 8, and None takes None or a number."""
+    if isinstance(default, list) and isinstance(value, list):
+        return [_typed(key, v, default[0]) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (value is None and default is None
+            or isinstance(default, str) and isinstance(value, str)
+            or number and (default is None or isinstance(default, float))):
+        return value
+    if number and isinstance(default, int) and float(value).is_integer():
+        return int(value)
+    raise ConfigInvalid(f"{key} must be like {default!r}, got {value!r}")
 
 
 def resolve_config(args) -> dict:
-    """DEFAULTS, then the config file, then the command line, each value
-    checked against the type of its default and then by _validate; the
-    worker count of the environment is checked here too."""
+    """DEFAULTS, then the config file, then the command line, typed."""
     cfg = dict(DEFAULTS)
     if args.config:
         try:
@@ -440,9 +412,12 @@ def resolve_config(args) -> dict:
         arg = getattr(args, key, None)
         if arg is not None:
             if isinstance(DEFAULTS[key], list):
-                arg = [_number(key, p) for p in arg.split(",") if p]
+                try:
+                    arg = [float(p) for p in arg.split(",") if p]
+                except ValueError:
+                    raise ConfigInvalid(f"{key} must list numbers: {arg!r}")
             cfg[key] = arg
-    cfg = {key: _checked(key, value) for key, value in cfg.items()}
+    cfg = {key: _typed(key, value, DEFAULTS[key]) for key, value in cfg.items()}
     worker_count()
     return _validate(cfg, args.command)
 
@@ -454,7 +429,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"FAIL {args.command}: invalid config: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.output or cfg["output"]) / args.command
+    outdir = Path(cfg["output"]) / args.command
     try:
         passed, summary, header, rows = RUNNERS[args.command](cfg, outdir)
     except NlsTransportError as exc:

@@ -8,13 +8,12 @@ in which the stiff linear phases are removed exactly and the remaining ODE
 
 is handled by classical RK4 with a fixed step and a fractional last step
 (a rounding-level remainder joins the last whole step instead).
-Each stage untwists to u, applies the dealiased quintic product
-(spectral.quintic_product), and twists back.  High modes |k| > N are
-multiplied by e^{-i k^2 t} exactly, realizing the flow's product structure
-(nonlinear block times free rotation).  The Liouville checks differentiate
-this same map.  Rows are solved
-independently: `evolve_batch` returns a row that overflows as NaN and the
-others with their bits, and `evolve` and `trajectory_batch` raise
+Each stage untwists to u, applies spectral.quintic_product, and twists
+back.  High modes |k| > N are multiplied by e^{-i k^2 t} exactly,
+realizing the flow's product structure (nonlinear block times free
+rotation).  The Liouville checks differentiate this same map.  Rows are
+solved independently: `evolve_batch` returns a row that overflows as NaN
+and the others with their bits, and `evolve` and `trajectory_batch` raise
 NonFiniteState instead.
 
 On the few rows of a `convergence` solve a stage costs numpy call overhead,
@@ -243,9 +242,8 @@ def _tangent_apply(u: np.ndarray, h: np.ndarray, n_points: int) -> np.ndarray:
     """DN(u)[h] = Pi_N(3|u|^4 h + 2|u|^2 u^2 conj(h)), the derivative of the
     quintic product N(u) = Pi_N(|u|^4 u), for band coefficients u (2N+1,)
     and each row of h (n, 2N+1).  It is real- but not complex-linear.
-    |u|^2 is re^2 + im^2 and the forward transform scales by
-    norm="forward", as in spectral.quintic_product, so the derivative is
-    taken of the formula the flow evaluates."""
+    |u|^2 and the transform back are those of spectral.quintic_product, so
+    the derivative is taken of the formula the flow evaluates."""
     m = u.shape[-1] // 2
     vals = grid_values(u, m, n_points)
     hv = grid_values(h, m, n_points)

@@ -33,8 +33,7 @@ _pending = False      # set while a started pool runs: calls run inline
 
 
 def worker_count() -> int:
-    """NLS_TRANSPORT_THREADS if set, at least 1, else the core count; a
-    value that is not an integer raises ConfigInvalid."""
+    """NLS_TRANSPORT_THREADS (at least 1) if set, else the core count."""
     val = os.environ.get(THREADS_ENV)
     if val:
         try:

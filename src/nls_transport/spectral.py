@@ -1,10 +1,6 @@
 """Torus functions as finite Fourier series, norms, invariants, and the
 dealiased quintic nonlinearity.
 
-quintic_product is the package's one Pi_N(|u|^4 u): the flow's RK4
-stages call it on their rows, quintic_batch (the v of Q) on its band rows
-at phase 1, and the Liouville checks on the state they differentiate at.
-
 Conventions: the torus is [0, 2pi) with Lebesgue measure dx, functions are
 u(x) = sum_k u_k e^{ikx} with k = -M..M, and the Fourier pairing is
 u_k = (1/2pi) int u e^{-ikx} dx.  All physical-space products are evaluated
@@ -15,8 +11,8 @@ derives both grids, and no caller chooses one:
   quintic rule  Pi_N(|u|^4 u) of a band |k| <= N needs G >= 6N + 2: the
                 product has bandwidth 5N, and an alias k -> k - G lands in
                 |k| <= N only if G <= 6N.  default_grid(N), the power of
-                two >= max(16, 8N), serves the flow, the Liouville checks
-                and Q.
+                two >= max(16, 8N), is quintic_product's grid for the flow,
+                the Liouville checks and Q.
   sextic rule   int |u|^6 of a band |k| <= M, the mean of a band-6M
                 product, is exact on G > 6M points; sextic_integral_batch
                 uses G = 6M + 2, for C(u), E_N and the cutoff.
@@ -153,16 +149,13 @@ def modulus_sq(vals: np.ndarray) -> np.ndarray:
 
 def quintic_product(n_cut: int, n_points: int, rows: int):
     """product(phase, w) = Pi_N(|u|^4 u) for u = phase * w on `rows` rows
-    of band coefficients k = -N..N, exact when n_points >= 6N + 2; the one
-    quintic product of the package.  u is formed as one contiguous
-    (rows, 2N+1) product and its halves copied into the band slots of a
-    zero-padded grid array, whose gap is never written; the inverse
-    transform goes into a value grid, which the modulus scratch multiplies
-    by |u|^4 = (re^2 + im^2)^2 and the forward transform overwrites; the
-    transforms scale by norm="forward" (the inverse not at all, the
-    forward by 1/G).  The result is gathered into the band array, which
-    the next call overwrites.  The buffers and their views are made here,
-    once, so a call allocates and slices nothing."""
+    of band coefficients k = -N..N, exact when n_points >= 6N + 2.  u is
+    copied into the band slots of a zero-padded grid array, whose gap is
+    never written; the inverse transform (unscaled, norm="forward") goes
+    into a value grid, which is multiplied by |u|^4 = (re^2 + im^2)^2 and
+    transformed forward (by 1/G) in place; the result is gathered into the
+    band array, which the next call overwrites.  The buffers and their
+    views are made here, once, so a call allocates and slices nothing."""
     band = np.empty((rows, 2 * n_cut + 1), dtype=np.complex128)
     padded = np.zeros((rows, n_points), dtype=np.complex128)
     vals = np.empty_like(padded)
@@ -192,12 +185,9 @@ def quintic_product(n_cut: int, n_points: int, rows: int):
 
 def quintic_batch(coeffs: np.ndarray, m_ambient: int, n_cut: int,
                   n_points: int) -> np.ndarray:
-    """Pi_N(|Pi_N u|^4 Pi_N u) for a (..., 2M+1) coefficient block.
-
-    Only the |k| <= n_cut band enters, so the grid needs to dealias the
-    quintic band, not to hold the full ambient spectrum.  The band's rows
-    go through one quintic_product at phase 1.
-    """
+    """Pi_N(|Pi_N u|^4 Pi_N u) for a (..., 2M+1) coefficient block, from
+    one quintic_product at phase 1 on its band rows; the grid needs to
+    dealias the quintic band, not to hold the full ambient spectrum."""
     if n_points < 6 * n_cut + 2:
         raise GridTooSmall(f"grid {n_points} < {6 * n_cut + 2} for quintic")
     keep = slice(max(m_ambient - n_cut, 0), m_ambient + n_cut + 1)
@@ -252,9 +242,8 @@ def mass(u: FourierState) -> float:
 
 def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
     """Pi_N(|Pi_N u|^4 Pi_N u) on the quintic grid; exact convolution."""
-    out = quintic_batch(u.coeffs[None, :], u.m_ambient, n_cut,
-                        default_grid(n_cut).n_points)[0]
-    return FourierState(u.m_ambient, out)
+    return FourierState(u.m_ambient, quintic_batch(
+        u.coeffs, u.m_ambient, n_cut, default_grid(n_cut).n_points))
 
 
 # ---------------------------------------------------------------------------

@@ -497,10 +497,9 @@ def lp_density_study(d: DensityParams, m: MeasureParams, p_list, n: int,
     cuts = sorted(set(n_list) | {m.m_ambient})
 
     def body(lo, hi):
-        """log G of each truncation (one row per cut) on the chunk's kept
-        samples, -inf on the others, so that exp gives an exact 0 there and
-        no discarded row is integrated; a row's log G does not depend on
-        its chunk."""
+        """log G of each cut (a row each) on the kept samples, -inf on the
+        others, so that exp gives an exact 0 there and no discarded row is
+        integrated."""
         keep = ind[lo:hi] > 0
         out = np.full((len(cuts), hi - lo), -np.inf)
         if np.any(keep):
