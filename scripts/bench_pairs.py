@@ -2,15 +2,15 @@
 BENCH_<tag>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --tag NAME
-        [--pairs 10] [--first-seed 101] [--seconds 20] [--workload W ...]
-        [--shas PARENT_SHA CHANGE_SHA] [--out PATH]
+        [--pairs 10] [--first-seed 101] [--shas PARENT_SHA CHANGE_SHA]
 
 PARENT and CHANGE are two checkouts of nls-transport, ideally clean
-archives of the two commits.  For each workload of CHANGE's BENCHMARK.json
-(or each --workload), pair i runs `python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0` in both checkouts at seed S = first seed +
-i, the parent first at even i and the change first at odd i.  The file
-records each run (its end-to-end metrics, `correct` and `failed`) and, per
+archives of the two commits.  For each workload of CHANGE's BENCHMARK.json,
+pair i runs `python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0` in both checkouts, with S = first seed + i and T the
+benchmark's run_seconds, the parent first at even i and the change first
+at odd i.  BENCH_NAME.json, written in the current directory, records
+each run (its end-to-end metrics, `correct` and `failed`) and, per
 workload and end-to-end metric of BENCHMARK.json, both medians, both
 interquartile ranges, the pairs each side won (a tie counts for neither)
 and whether the change's median is within the metric's `bound` of the
@@ -112,10 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workload", action="append", default=None)
     parser.add_argument("--shas", nargs=2, default=None)
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for checkout in sides.values():
@@ -123,24 +120,24 @@ def main(argv=None) -> int:
             print(f"{checkout} has no perfbench/run.py", file=sys.stderr)
             return 2
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     shas = args.shas or [git_sha(sides["parent"]), git_sha(sides["change"])]
     doc = {"tag": args.tag, "schema": 1,
            "command": ("python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0"),
+                       f"--seconds {seconds:g} --trace 0"),
            "order": "pair i runs the parent first at even i",
            "seeds": seeds, "environment": environment(),
            "git": dict(zip(("parent", "change"), shas)), "workloads": {}}
     bad = 0
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 print(f"{workload} pair {i} seed {seed} {side}",
                       file=sys.stderr)
-                run = perfbench_run(sides[side], workload, seed, args.seconds)
+                run = perfbench_run(sides[side], workload, seed, seconds)
                 runs.append({"pair": i, "seed": seed, "side": side,
                              "first": side == order[0], **run})
                 if run["exit_code"] or not run["correct"] or run["failed"]:
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
                                               m["bound"])}
         doc["workloads"][workload] = {"runs": runs, "metrics": metrics}
     doc["all_runs_correct"] = bad == 0
-    out = args.out or Path(f"BENCH_{args.tag}.json")
+    out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}; {bad} failed or incorrect runs", file=sys.stderr)
     return 1 if bad else 0
