@@ -379,16 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _typed(key: str, value, default):
-    """value typed as `default`, the DEFAULTS entry of key; an int key
-    takes 8 or 8.0 as 8, and None takes None or a number."""
+    """value typed as `default`, the DEFAULTS entry of key; a number is
+    finite, an int key takes 8 or 8.0 as 8, and None None or a number."""
     if isinstance(default, list) and isinstance(value, list):
         return [_typed(key, v, default[0]) for v in value]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) < float("inf"))
     if (value is None and default is None
             or isinstance(default, str) and isinstance(value, str)
             or number and (default is None or isinstance(default, float))):
         return value
-    if number and isinstance(default, int) and float(value).is_integer():
+    if number and isinstance(default, int) and int(value) == value:
         return int(value)
     raise ConfigInvalid(f"{key} must be like {default!r}, got {value!r}")
 

@@ -59,15 +59,16 @@ class TestConfigHandling:
     @pytest.mark.parametrize("text, threads", [
         ('{"t": "abc"}', None),
         ('{"n_cut": 4.7}', None),
+        ('{"t": NaN}', None),
         ('{"n_cut": 2, "m_ambient": ', None),
         ("{}", "two"),
-    ], ids=["string_float", "fractional_int", "malformed_json",
+    ], ids=["string_float", "fractional_int", "nan_float", "malformed_json",
             "threads_not_an_integer"])
     def test_malformed_outside_input_rejected(self, tmp_path, capsys,
                                               monkeypatch, text, threads):
-        # a config file value of the wrong type, a file that is not JSON
-        # and a worker count that is not an integer all exit 2 with the
-        # CLI's message, before any study runs
+        # a config file value of the wrong type or not finite, a file that
+        # is not JSON and a worker count that is not an integer all exit 2
+        # with the CLI's message, before any study runs
         if threads is not None:
             monkeypatch.setenv("NLS_TRANSPORT_THREADS", threads)
         cfg = tmp_path / "cfg.json"
