@@ -11,9 +11,8 @@ from .flow import (FlowParams, GrowthReport, Trajectory, divergence_at, evolve,
 from .measures import (McReport, MeasureParams, SeededRng, lp_norm_mc,
                        moment_growth_mc)
 from .resonance import counting_check, psi_bound_ratio, strichartz_sum
-from .spectral import (FourierState, GridSpec, WeightFamily, WeightKind,
-                       default_grid, mass, quintic_nonlinearity,
-                       sobolev_norm_sq_sigma)
+from .spectral import (FourierState, WeightFamily, WeightKind, default_grid,
+                       mass, quintic_nonlinearity, sobolev_norm_sq_sigma)
 from .transport import (DensityParams, GAUSS_FORM_FACTOR, ObservableKind,
                         ObservableSpec, StudyKind, change_of_measure_test,
                         convergence_study, density_direct, density_normal_form,

@@ -74,8 +74,7 @@ import numpy as np
 
 from .errors import TruncationExceedsAmbient
 from .parallel import run_chunked_capped
-from .spectral import (FourierState, GridSpec, WeightFamily, quintic_batch,
-                       wavenumbers)
+from .spectral import FourierState, WeightFamily, quintic_batch, wavenumbers
 
 _TILE = 1 << 15        # complex cells (rows x time nodes x grid points) per tile
 _TILES_IN_FLIGHT = 4   # workers that compute tiles, which bounds the work space
@@ -162,9 +161,9 @@ def _snap(values: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 
 def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-            grid: GridSpec | None = None):
+            quintic_points: int | None = None):
     """(R, q0, q1) per row of a (..., 2M+1) block, flattened; q0 and q1 are
-    None unless a grid for the quintic product v is given."""
+    None unless the point count of the quintic grid for v is given."""
     n_cut = p.resolve_cut(m_ambient)
     phases, weights, n_points = _space_time_rule(n_cut)
     mult = p.family.multiplier(np.arange(-n_cut, n_cut + 1))
@@ -177,7 +176,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
     tile_r, tile_j = _tile_shape(n_nodes, n_points)
     cells = tile_r * tile_j * n_points
     dtypes = [np.complex128] * 2 + [np.float64] * 3
-    if grid is not None:
+    if quintic_points is not None:
         dtypes += [np.complex128] * 3
     buffers = []   # the work buffers of this process, for this call only
 
@@ -198,8 +197,8 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
         band_m = mult * band
         g = np.empty((hi - lo, n_nodes))
         h = np.empty((hi - lo, n_nodes), dtype=np.complex128)
-        if grid is not None:
-            vb = quintic_batch(band, n_cut, n_cut, grid.n_points)
+        if quintic_points is not None:
+            vb = quintic_batch(band, n_cut, n_cut, quintic_points)
             vb_m = mult * vb
         for j in range(0, n_nodes, tile_j):
             nodes, ph = slice(j, j + tile_j), phases[j:j + tile_j]
@@ -217,7 +216,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
             np.multiply(a, a, out=r2)
             np.multiply(r2, r1, out=r2)
             g[:, nodes] = np.mean(r2, axis=-1)
-            if grid is not None:
+            if quintic_points is not None:
                 # h = mean a ((vm a + 2 v fm conj f) conj f - 3 v conj(fm) a)
                 v, c1, c2 = vbufs
                 _fields(vb, ph, v)
@@ -238,7 +237,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
                 h[:, nodes] = np.mean(c1, axis=-1)
         sums = [*wiener(band), np.sum(weights * g, axis=-1),
                 np.sum(g, axis=-1)]
-        if grid is not None:
+        if quintic_points is not None:
             wh = np.sum(weights * h, axis=-1)
             sums += [*wiener(vb), wh.real, wh.imag]
         return np.stack(sums)
@@ -253,7 +252,7 @@ def _kernel(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
 
     spread = np.sum(np.abs(weights))
     r = _snap(r_sum, spread * big ** 5 * big_m)
-    if grid is None:
+    if quintic_points is None:
         return r, None, None
     q0 = _snap(6j * g_sum / n_nodes, 6.0 * big ** 5 * big_m)
     big_v, big_vm = table[4:6]
@@ -291,18 +290,19 @@ def e_modified(u: FourierState, p: EnergyParams) -> float:
 
 
 def q_components_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-                       grid: GridSpec):
-    _, q0, q1 = _kernel(coeffs, m_ambient, p, grid)
+                       n_points: int):
+    _, q0, q1 = _kernel(coeffs, m_ambient, p, n_points)
     lead = coeffs.shape[:-1]
     return q0.reshape(lead), q1.reshape(lead), np.conj(q1).reshape(lead)
 
 
 def q_derivative_batch(coeffs: np.ndarray, m_ambient: int, p: EnergyParams,
-                       grid: GridSpec) -> np.ndarray:
-    q0, q1, q2 = q_components_batch(coeffs, m_ambient, p, grid)
+                       n_points: int) -> np.ndarray:
+    q0, q1, q2 = q_components_batch(coeffs, m_ambient, p, n_points)
     return (-q0 / 6.0 + q1 / 2.0 - q2 / 2.0).imag
 
 
-def q_derivative(u: FourierState, p: EnergyParams, grid: GridSpec) -> float:
+def q_derivative(u: FourierState, p: EnergyParams, n_points: int) -> float:
     """dE/dt along the truncated flow at u: Im(-q0/6 + q1/2 - q2/2)."""
-    return float(q_derivative_batch(u.coeffs[None, :], u.m_ambient, p, grid)[0])
+    return float(q_derivative_batch(u.coeffs[None, :], u.m_ambient, p,
+                                    n_points)[0])

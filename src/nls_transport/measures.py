@@ -205,7 +205,6 @@ class MeasureParams:
 class McReport:
     estimate: float
     stderr: float
-    n: int
 
 
 def mean_report(values: np.ndarray) -> McReport:
@@ -213,7 +212,7 @@ def mean_report(values: np.ndarray) -> McReport:
     n = values.size
     est = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return McReport(est, std / np.sqrt(n), n)
+    return McReport(est, std / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -297,4 +296,4 @@ def lp_norm_mc(f, p_exp: float, measure: MeasureParams, n: int,
         stderr = base.stderr * est / (p_exp * base.estimate)
     else:
         stderr = 0.0
-    return McReport(est, stderr, n)
+    return McReport(est, stderr)

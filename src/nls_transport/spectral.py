@@ -110,18 +110,12 @@ def bracket_multiplier(ks, sigma: float) -> np.ndarray:
     return (1.0 + ks * ks) ** sigma
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Collocation grid size for physical-space products."""
-
-    n_points: int
-
-
-def default_grid(n_cut: int) -> GridSpec:
+def default_grid(n_cut: int) -> int:
+    """The quintic rule's point count for a band |k| <= N."""
     g = 16
     while g < 8 * n_cut:
         g *= 2
-    return GridSpec(g)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,7 @@ def mass(u: FourierState) -> float:
 def quintic_nonlinearity(u: FourierState, n_cut: int) -> FourierState:
     """Pi_N(|Pi_N u|^4 Pi_N u) on the quintic grid; exact convolution."""
     return FourierState(u.m_ambient, quintic_batch(
-        u.coeffs, u.m_ambient, n_cut, default_grid(n_cut).n_points))
+        u.coeffs, u.m_ambient, n_cut, default_grid(n_cut)))
 
 
 # ---------------------------------------------------------------------------

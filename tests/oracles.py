@@ -233,7 +233,7 @@ def picard_iterates(u0, t_small, p, n_iter, n_quad=64):
     free = np.exp(-1j * np.outer(taus, k2))      # e^{i tau dxx} on each node
     iterate = free * u0.coeffs                    # linear evolution of u0
     h = taus[1] - taus[0]
-    n_points = default_grid(p.n_cut).n_points
+    n_points = default_grid(p.n_cut)
     out = []
     for _ in range(n_iter):
         nl = quintic_batch(iterate, m, p.n_cut, n_points)
@@ -314,7 +314,7 @@ def flow_per_stage(coeffs, m_ambient, times, p):
     ks = wavenumbers(m_ambient)
     low = np.abs(ks) <= p.n_cut
     k2 = ks.astype(np.float64) ** 2
-    n_points = default_grid(p.n_cut).n_points
+    n_points = default_grid(p.n_cut)
     field = twisted_per_stage(k2[low],
                               lambda u: quintic_band_per_stage(u, n_points))
     wb, t_prev, outs = coeffs[..., low], 0.0, []
@@ -332,7 +332,7 @@ def flow_per_stage(coeffs, m_ambient, times, p):
 
 def jacobian_det_per_stage(u0, t, p):
     """flow.jacobian_det on the per-stage RK4."""
-    dim, n_points = u0.coeffs.size, default_grid(p.n_cut).n_points
+    dim, n_points = u0.coeffs.size, default_grid(p.n_cut)
 
     def product(u):
         return np.vstack([quintic_band_per_stage(u[:1], n_points),

@@ -148,7 +148,7 @@ class TestQComponents:
     def test_grid_too_small(self, fam_jb):
         u = nt.FourierState.zero(4)
         with pytest.raises(nt.GridTooSmall):
-            q_row(u, params(4, fam_jb), nt.GridSpec(16))
+            q_row(u, params(4, fam_jb), 16)
 
 
 class TestGridLength:

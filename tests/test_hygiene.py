@@ -2,10 +2,11 @@
 name it imports, every public name of the package is read by the package,
 the acceptance tests or perfbench, every private module-level name of the
 package is read by a package module, every function of the package and of
-the test oracles reads each of its parameters, only `spectral` constructs
-a GridSpec, since it derives every collocation grid, the package raises
-every exception class it defines, and importing the CLI loads no scipy
-module.
+the test oracles reads each of its parameters, only `spectral` works out a
+grid size, since it derives every collocation grid, every field of the
+package's dataclasses and NamedTuples is read as an attribute somewhere,
+the package raises every exception class it defines, and importing the CLI
+loads no scipy module.
 
 Stdlib `ast` checks, since no lint tool is part of the toolchain.
 `__init__.py` is skipped because its imports are the public re-exports.
@@ -203,25 +204,114 @@ def test_no_unused_parameters_in_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def grid_constructions(source: str) -> list[int]:
-    """Lines that call GridSpec, by bare or dotted name."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call)
-                  and "GridSpec" in (getattr(node.func, "id", None),
-                                     getattr(node.func, "attr", None)))
+GRID_FUNCTIONS = ("quintic_product", "quintic_batch", "grid_values",
+                  "_tangent_apply")
+
+
+def grid_slots(sources) -> dict[str, int]:
+    """The position of the `n_points` parameter, the grid size, in each of
+    GRID_FUNCTIONS as `sources` define them."""
+    return {node.name: [a.arg for a in node.args.args].index("n_points")
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            and node.name in GRID_FUNCTIONS}
+
+
+def grid_constructions(source: str, slots: dict[str, int]) -> list[int]:
+    """Lines that pass an integer literal or arithmetic as the grid size of
+    a function in `slots`, by position or as n_points."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name not in slots:
+            continue
+        args = node.args[slots[name]:slots[name] + 1] + [
+            k.value for k in node.keywords if k.arg == "n_points"]
+        if any(isinstance(a, (ast.BinOp, ast.UnaryOp))
+               or isinstance(a, ast.Constant) and isinstance(a.value, int)
+               for a in args):
+            found.append(node.lineno)
+    return found
+
+
+def package_sources() -> list[str]:
+    return [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
 
 
 def test_detects_a_grid_construction():
-    source = ("from .spectral import GridSpec\nimport nls_transport as nt\n"
-              "a = GridSpec(16)\nb = nt.GridSpec(32)\nc = GridSpec\n")
-    assert grid_constructions(source) == [3, 4]
+    slots = grid_slots(package_sources())
+    assert sorted(slots) == sorted(GRID_FUNCTIONS)
+    source = ("a = quintic_batch(c, m, n, 64)\n"
+              "b = spectral.grid_values(c, m, 6 * m + 2)\n"
+              "p = quintic_product(n, default_grid(n), rows)\n"
+              "d = _tangent_apply(u, h, n_points=-g)\n"
+              "e = quintic_batch(c, m, 4, g)\n"
+              "f = quintic_product(n, 2 * n, 4)\n")
+    assert grid_constructions(source, slots) == [1, 2, 4, 6]
 
 
 def test_only_spectral_constructs_grids():
-    found = {path.name: grid_constructions(path.read_text())
+    # a grid size is a number that spectral works out from the truncation
+    slots = grid_slots(package_sources())
+    found = {path.name: grid_constructions(path.read_text(), slots)
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "spectral.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def record_fields(source: str) -> list[str]:
+    """Class.field for each field of the dataclasses and NamedTuples that a
+    module defines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d
+                 for d in node.decorator_list] + node.bases
+        if not {getattr(m, "id", None) or getattr(m, "attr", None)
+                for m in marks} & {"dataclass", "NamedTuple"}:
+            continue
+        found += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Names a module reads as an attribute, `obj.name`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(record_sources, sources) -> list[str]:
+    """Fields of the records in `record_sources` that none of `sources`
+    reads as an attribute."""
+    read = set().union(*(attribute_reads(source) for source in sources))
+    return sorted(field for source in record_sources
+                  for field in record_fields(source)
+                  if field.split(".")[1] not in read)
+
+
+def test_detects_an_unread_field():
+    records = ("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+               "    y: float = 0.0\n"
+               "@dataclasses.dataclass\nclass B:\n    z: int\n"
+               "class C(NamedTuple):\n    w: int\n    v: int\n"
+               "class D:\n    u: int\n")
+    sources = [records, "print(a.x, c.w, v)\n", "b.z = 1\n"]
+    assert unread_fields([records], sources) == ["A.y", "B.z", "C.v"]
+
+
+def test_every_field_is_read():
+    # a result field that nothing reads is computed and carried for nobody
+    paths = [path for root in (PACKAGE, TESTS, PERFBENCH,
+                               TESTS.parent / "scripts")
+             for path in sorted(root.rglob("*.py"))]
+    assert unread_fields(package_sources(),
+                         [path.read_text() for path in paths]) == []
 
 
 def raised_names(source: str) -> set[str]:

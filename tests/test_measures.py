@@ -106,7 +106,7 @@ class TestSeededRng:
         base = mean_report(np.abs(mode_sq(block, 4)) ** 3.0)
         est = base.estimate ** (1.0 / 3.0)
         assert one[1] == nt.McReport(
-            est, base.stderr * est / (3.0 * base.estimate), n)
+            est, base.stderr * est / (3.0 * base.estimate))
 
 
 # the ends of the uniforms and of the Cephes branches: exp(-2), where the

@@ -199,7 +199,7 @@ class TestQuintic:
             coeffs = coeffs[:, band]
             assert not coeffs.flags.c_contiguous
             m_ambient, band = n_cut, slice(None)
-        n_points = nt.default_grid(n_cut).n_points
+        n_points = nt.default_grid(n_cut)
         got = quintic_batch(coeffs, m_ambient, n_cut, n_points)
         assert np.array_equal(got[..., band],
                               quintic_band_per_stage(coeffs[..., band],
