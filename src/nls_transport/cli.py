@@ -367,15 +367,26 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; command line overrides it")
-        for key, val in DEFAULTS.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(val, list):
-                p.add_argument(flag, type=str, default=None,
-                               help="comma separated")
-            else:
-                p.add_argument(flag, default=None,
-                               type=float if val is None else type(val))
+        for key in DEFAULTS:
+            p.add_argument("--" + key.replace("_", "-"), default=None)
     return parser
+
+
+def _parsed(key: str, text: str, default):
+    """A flag's text as a config file would give it, for _typed: a string
+    key keeps the text, a list splits on commas, an int key reads an int
+    or else a float, and any other key a float."""
+    if isinstance(default, str):
+        return text
+    if isinstance(default, list):
+        return [_parsed(key, part, default[0]) for part in text.split(",")
+                if part]
+    for convert in (int, float) if isinstance(default, int) else (float,):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    raise ConfigInvalid(f"{key} must be like {default!r}, got {text!r}")
 
 
 def _typed(key: str, value, default):
@@ -409,15 +420,10 @@ def resolve_config(args) -> dict:
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key in DEFAULTS:
-        arg = getattr(args, key, None)
-        if arg is not None:
-            if isinstance(DEFAULTS[key], list):
-                try:
-                    arg = [float(p) for p in arg.split(",") if p]
-                except ValueError:
-                    raise ConfigInvalid(f"{key} must list numbers: {arg!r}")
-            cfg[key] = arg
+    for key, default in DEFAULTS.items():
+        text = getattr(args, key)
+        if text is not None:
+            cfg[key] = _parsed(key, text, default)
     cfg = {key: _typed(key, value, DEFAULTS[key]) for key, value in cfg.items()}
     worker_count()
     return _validate(cfg, args.command)

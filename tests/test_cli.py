@@ -47,6 +47,7 @@ class TestConfigHandling:
         ["convergence", "--n-list", "4.5"],
         ["convergence", "--n-list", "a,b"],
         ["lp-density", "--p-list", "x"],
+        ["simulate", "--n-cut", "4.7"],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):
@@ -87,6 +88,16 @@ class TestConfigHandling:
             ["simulate", "--config", str(cfg)]))
         assert got["n_cut"] == 2 and isinstance(got["n_cut"], int)
         assert got["n_list"] == [4] and isinstance(got["n_list"][0], int)
+        # a flag is typed as the same value in a config file would be, and
+        # a seed beyond a float's 53 bits stays exact
+        got = cli.resolve_config(cli.build_parser().parse_args(
+            ["simulate", "--n-cut", "2.0", "--n-list", "4.0,8",
+             "--seed", str(2**70 + 1), "--t", "1"]))
+        assert got["n_cut"] == 2 and isinstance(got["n_cut"], int)
+        assert got["n_list"] == [4, 8]
+        assert all(isinstance(n, int) for n in got["n_list"])
+        assert got["seed"] == 2**70 + 1
+        assert got["t"] == 1.0 and isinstance(got["t"], float)
 
     @pytest.mark.parametrize("args", [
         ["lemmas", "--step", "0.2"],
