@@ -115,6 +115,8 @@ def _validate(cfg: dict, command: str) -> dict:
         raise ConfigInvalid("m_max must be even and >= 2")
     if command == "moments" and cfg["n_samples"] < 2:
         raise ConfigInvalid("moments needs n_samples >= 2 for its variance z")
+    if command == "lemmas" and cfg["seed"] < 0:
+        raise ConfigInvalid("lemmas needs seed >= 0")
     if command == "simulate" and cfg["n_snapshots"] < 2:
         raise ConfigInvalid("n_snapshots must be >= 2")
     if command == "simulate" and abs(cfg["wave_k"]) > cfg["m_ambient"]:

@@ -48,6 +48,7 @@ class TestConfigHandling:
         ["convergence", "--n-list", "a,b"],
         ["lp-density", "--p-list", "x"],
         ["simulate", "--n-cut", "4.7"],
+        ["lemmas", "--seed", "-1"],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):
