@@ -108,6 +108,8 @@ def _validate(cfg: dict, command: str) -> dict:
         raise ConfigInvalid("n_list entries must lie in [0, m_ambient]")
     if command == "convergence" and not cfg["n_list"]:
         raise ConfigInvalid("n_list must not be empty")
+    if command == "convergence" and len(set(cfg["n_list"])) < len(cfg["n_list"]):
+        raise ConfigInvalid("n_list must not repeat an entry")
     if command == "lp-density" and not (
             cfg["p_list"] and all(p >= 1 for p in cfg["p_list"])):
         raise ConfigInvalid("p_list must be non-empty, with every p >= 1")

@@ -49,6 +49,7 @@ class TestConfigHandling:
         ["lp-density", "--p-list", "x"],
         ["simulate", "--n-cut", "4.7"],
         ["lemmas", "--seed", "-1"],
+        ["convergence", "--n-list", "4,4,8"],
     ])
     def test_value_the_study_cannot_run_rejected(self, tmp_path, capsys,
                                                  args):
@@ -333,14 +334,15 @@ class TestCommands:
             return result
 
         monkeypatch.setattr(cli, "convergence_study", counting)
-        # equal truncations give equal sups, so the decrease check fails
-        code = run(["convergence", "--n-list", "2,2", "--m-ambient", "4",
+        # Q's sup difference grows from N = 1 to N = 2 here, so the
+        # decrease check fails
+        code = run(["convergence", "--n-list", "1,2", "--m-ambient", "4",
                     "--t", "0.1", "--output", str(tmp_path)])
         assert code == 1
         assert "strictly_decreasing=False" in capsys.readouterr().out
         rows = (tmp_path / "convergence" / "convergence.csv").read_text()
         body = [r.split(",")[:2] for r in rows.strip().splitlines()[1:]]
-        assert body == [[kind, "2"] for kind in "RRQQGG"]
+        assert body == [[kind, n] for kind in "RQG" for n in "12"]
         assert calls == [[StudyKind.R, StudyKind.Q, StudyKind.G]]
 
     def test_csv_schema(self, tmp_path):
