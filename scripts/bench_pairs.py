@@ -14,10 +14,16 @@ each run (its end-to-end metrics, `correct` and `failed`) and, per
 workload and end-to-end metric of BENCHMARK.json, both medians, both
 interquartile ranges, the pairs each side won (a tie counts for neither)
 and whether the change's median is within the metric's `bound` of the
-parent's.  It also records numpy, Python, the cores and the affinity,
-NLS_TRANSPORT_THREADS and both git shas (from --shas, else from `git
-rev-parse HEAD` in the checkout, else null).  The stdlib only; the package
-is never imported here.  Exits 1 if any run failed or was not correct.
+parent's.  Per workload and side it also makes one `--trace 1` run at the
+first seed, pinned to one core of the current affinity set so that
+perfbench runs the study on one worker and every span stays in the traced
+process, and records its per-layer metrics.  Once per side it runs the
+Tier-1 command (TIER1) in the checkout and records its wall time, its exit
+code and the counts of pytest's last line.  It also records numpy,
+Python, the cores and the affinity, NLS_TRANSPORT_THREADS and both git
+shas (from --shas, else from `git rev-parse HEAD` in the checkout, else
+null).  The stdlib only; the package is never imported here.  Exits 1 if
+any pair or traced run failed or was not correct.
 """
 
 from __future__ import annotations
@@ -27,20 +33,28 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
-def perfbench_run(checkout: Path, workload: str, seed: int,
-                  seconds: float) -> dict:
-    """One untraced perfbench run: its exit code, `correct`, `failed` and
-    metric values, or an `error` when it printed no result."""
+
+def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float,
+                  trace: int = 0, core: int | None = None) -> dict:
+    """One perfbench run, on `core` alone if given: its exit code,
+    `correct`, `failed` and metric values, or an `error` when it printed
+    no result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True,
+        preexec_fn=None if core is None
+        else lambda: os.sched_setaffinity(0, {core}))
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -51,6 +65,35 @@ def perfbench_run(checkout: Path, workload: str, seed: int,
             "failed": result["failed"],
             "metrics": {name: m["value"]
                         for name, m in result["metrics"].items()}}
+
+
+def pytest_counts(line: str) -> dict:
+    """The passed, failed and error counts of pytest's summary line, 0
+    where the line names none."""
+    found = {word: int(n) for n, word in
+             re.findall(r"(\d+) (passed|failed|errors?)\b", line)}
+    return {"passed": found.get("passed", 0),
+            "failed": found.get("failed", 0),
+            "errors": found.get("error", 0) + found.get("errors", 0)}
+
+
+def tier1_run(checkout: Path) -> dict:
+    """The Tier-1 command in `checkout`, with its src/ first on PYTHONPATH:
+    wall time, exit code and the counts of its last line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(checkout / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                                   if p]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    return {"wall_s": wall, "exit_code": proc.returncode, "last_line": last,
+            **pytest_counts(last)}
+
+
+def failed_run(run: dict) -> bool:
+    return bool(run["exit_code"] or not run["correct"] or run["failed"])
 
 
 def quartiles(values) -> list[float]:
@@ -123,10 +166,13 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
     shas = args.shas or [git_sha(sides["parent"]), git_sha(sides["change"])]
-    doc = {"tag": args.tag, "schema": 1,
+    core = min(os.sched_getaffinity(0))
+    doc = {"tag": args.tag, "schema": 2,
            "command": ("python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0"),
            "order": "pair i runs the parent first at even i",
+           "traced": (f"--trace 1 at seed {seeds[0]} per workload and side, "
+                      f"on core {core} alone"),
            "seeds": seeds, "environment": environment(),
            "git": dict(zip(("parent", "change"), shas)), "workloads": {}}
     bad = 0
@@ -140,8 +186,7 @@ def main(argv=None) -> int:
                 run = perfbench_run(sides[side], workload, seed, seconds)
                 runs.append({"pair": i, "seed": seed, "side": side,
                              "first": side == order[0], **run})
-                if run["exit_code"] or not run["correct"] or run["failed"]:
-                    bad += 1
+                bad += failed_run(run)
         values = {side: {} for side in sides}
         for run in runs:
             values[run["side"]][run["pair"]] = run["metrics"]
@@ -156,7 +201,18 @@ def main(argv=None) -> int:
                                   **summarize(paired["parent"],
                                               paired["change"], m["better"],
                                               m["bound"])}
-        doc["workloads"][workload] = {"runs": runs, "metrics": metrics}
+        traced = {}
+        for side in sides:
+            print(f"{workload} traced {side}", file=sys.stderr)
+            traced[side] = perfbench_run(sides[side], workload, seeds[0],
+                                         seconds, trace=1, core=core)
+            bad += failed_run(traced[side])
+        doc["workloads"][workload] = {"runs": runs, "metrics": metrics,
+                                      "traced": traced}
+    doc["tier1"] = {"command": "PYTHONPATH=src python3 " + " ".join(TIER1)}
+    for side in sides:
+        print(f"tier-1 {side}", file=sys.stderr)
+        doc["tier1"][side] = tier1_run(sides[side])
     doc["all_runs_correct"] = bad == 0
     out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -1,4 +1,5 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on made-up pairs."""
+"""The summary arithmetic of scripts/bench_pairs.py and its reading of
+pytest's summary line, on made-up pairs and lines."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,16 @@ def test_missing_value_drops_its_pair():
     assert got["pairs"] == 2
     assert got["pairs_won_by_change"] == 1 and got["pairs_won_by_parent"] == 1
     assert got["parent_median"] == 2.0 and got["change_median"] == 2.0
+
+
+@pytest.mark.parametrize("line, counts", [
+    ("309 passed in 126.12s (0:02:06)", (309, 0, 0)),
+    ("1 failed, 308 passed, 2 warnings in 130.20s (0:02:10)", (308, 1, 0)),
+    ("2 failed, 290 passed, 1 skipped, 3 errors in 99.01s", (290, 2, 3)),
+    ("1 error in 0.52s", (0, 0, 1)),
+    ("no tests ran in 0.01s", (0, 0, 0)),
+    ("", (0, 0, 0)),
+])
+def test_pytest_summary_line_counts(line, counts):
+    got = bench_pairs.pytest_counts(line)
+    assert (got["passed"], got["failed"], got["errors"]) == counts
